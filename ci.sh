@@ -96,14 +96,15 @@ rm -rf target/verify
 ./target/release/lssc fuzz --seed 2 --iters 200 --types-only
 ./target/release/lssc fuzz --seed 3 --iters 200 --sim-only
 
-echo "==> kernels: compiled-engine equivalence suite (interp vs compiled vs refsim)"
+echo "==> kernels: static-engine equivalence suite (engine vs refsim)"
 cargo test -q --test kernel_equivalence
 cargo test -q --test golden_batch
 
-echo "==> kernels: compiled fuzz smoke + injected-bug canaries (fixed seed)"
-# The sim-only loop above already cross-checks the compiled engine inside
-# every difftest; this stage additionally proves the harness *would* catch
-# a kernel bug: both injected mutations must produce findings (exit 1).
+echo "==> kernels: kernel fuzz smoke + injected-bug canaries (fixed seed)"
+# The sim-only loop above already checks the engine's kernels against the
+# reference inside every difftest; this stage additionally proves the
+# harness *would* catch a kernel bug: both injected mutations must produce
+# findings (exit 1).
 ./target/release/lssc fuzz --seed 4 --iters 200 --sim-only
 if ./target/release/lssc fuzz --seed 4 --iters 20 --sim-only --mutate stale-commit \
     --out target/verify-kernel-canary >/dev/null 2>&1; then

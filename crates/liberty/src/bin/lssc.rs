@@ -60,13 +60,12 @@
 //!                      not for real verification: `reversed` and
 //!                      `single-pass` break the reference scheduler;
 //!                      `stale-commit` and `skip-barrier` break the
-//!                      compiled kernel engine's stage commits
+//!                      engine's kernel stage commits
 //!
 //! `fuzz` generates random well-formed programs, checks the heuristic type
-//! solver against exhaustive disjunct enumeration and the static-schedule
-//! engine against a naive fixpoint reference (plus the compiled kernel
-//! engine as a third cross-checked simulator), minimizes any discrepancy
-//! with delta debugging, writes the repro under --out, and exits 1.
+//! solver against exhaustive disjunct enumeration and the engine against a
+//! naive fixpoint reference, minimizes any discrepancy with delta
+//! debugging, writes the repro under --out, and exits 1.
 //!
 //! difftest options:
 //!   --cycles N         cycles to run the simulators (default 16)
@@ -74,8 +73,7 @@
 //!
 //! `difftest` replays .lss files (e.g. the checked-in corpus under
 //! tests/corpus/) through the same compile + simulate + compare pipeline —
-//! interpreter vs compiled kernel engine vs naive reference — and exits 1
-//! on the first discrepancy.
+//! engine vs naive reference — and exits 1 on the first discrepancy.
 //!
 //! Options:
 //!   --lib FILE         add FILE as a library source (counts as "from library")
@@ -83,14 +81,14 @@
 //!   --model A..F       compile one of the built-in Table 3 models instead of files
 //!   --run N            simulate N cycles after compiling
 //!   --run-model        run a built-in model to completion and report CPI
-//!   --scheduler S      static (default) or dynamic
-//!   --engine E         interp (default) or compiled: the compiled engine
-//!                      lowers hot corelib behaviors to per-SCC kernels
-//!                      over the flat state arena and executes independent
-//!                      condensation stages with barrier-committed writes
-//!   --threads N        worker threads for the compiled engine's stage
-//!                      execution (default 1; traces are byte-identical
-//!                      for every value)
+//!   --scheduler S      static (default) or dynamic: static executes the
+//!                      staged plan, lowering hot corelib behaviors to
+//!                      kernels over the flat state arena with
+//!                      barrier-committed writes; dynamic is the
+//!                      worklist baseline
+//!   --threads N        worker threads for the static plan's kernel
+//!                      stages (default 1; traces are byte-identical for
+//!                      every value)
 //!   --batch N          with --run: simulate N lanes of the same netlist
 //!                      in lockstep, seeded 0..N-1, and print per-lane
 //!                      summaries (lane k is byte-identical to a solo
@@ -106,8 +104,8 @@
 //!                      exits 1 if any finding is denied (same gate as
 //!                      `lssc check`)
 //!   --stats            print Table 2 reuse statistics; after --run or
-//!                      --run-model, also engine statistics and the
-//!                      static-schedule summary
+//!                      --run-model, also engine statistics, and after
+//!                      --run the static plan's shape
 //!   --timings          print one JSON line of per-stage timings
 //!   --no-cache / --cache-dir DIR   as for build
 //!   --naive-inference  solve types without the paper's heuristics
@@ -137,19 +135,21 @@ use liberty::{AnalysisConfig, Driver, DriverError, Lse, Scheduler, StageTimings}
 use lss_analyze::{to_jsonl, to_sarif_located, to_text_located, Code};
 use lss_netlist::{dump, reuse_stats};
 
-/// Renders the engine counters and the static-schedule shape after a run.
-fn print_sim_stats(stats: &liberty::sim::SimStats, schedule: Option<&liberty::sim::Schedule>) {
+/// Renders the engine counters and the static plan's shape after a run.
+fn print_sim_stats(stats: &liberty::sim::SimStats, sim: Option<&liberty::Simulator>) {
     println!("sim stats:");
     println!("  cycles             {}", stats.cycles);
     println!("  comp_evals         {}", stats.comp_evals);
     println!("  events_dispatched  {}", stats.events_dispatched);
     println!("  port_firings       {}", stats.port_firings);
-    if let Some(schedule) = schedule {
+    if let Some(sim) = sim {
+        let stages = sim.plan_stages();
+        let blocks = stages.iter().flatten().filter(|u| u.1).count();
         println!(
-            "schedule: {} components in {} topo levels, {} combinational cycle blocks",
-            schedule.len(),
-            schedule.steps.len(),
-            schedule.cycle_blocks()
+            "plan: {} components in {} stages, {} kernels, {blocks} combinational cycle blocks",
+            sim.component_count(),
+            stages.len(),
+            sim.kernel_count(),
         );
     }
 }
@@ -336,7 +336,6 @@ struct Options {
     run: Option<u64>,
     run_model: bool,
     scheduler: Scheduler,
-    engine: liberty::Engine,
     threads: usize,
     /// `--batch N`: lockstep lanes seeded `0..N-1` (requires `--run`).
     batch: Option<usize>,
@@ -371,8 +370,8 @@ enum EmitKind {
 fn usage() -> ! {
     eprintln!(
         "usage: lssc [--lib FILE]... [--no-corelib] [--model A-F] [--run N] [--run-model]\n\
-         \x20           [--scheduler static|dynamic] [--engine interp|compiled]\n\
-         \x20           [--threads N] [--batch N] [--dump-tree] [--dump-dot] [--stats]\n\
+         \x20           [--scheduler static|dynamic] [--threads N] [--batch N]\n\
+         \x20           [--dump-tree] [--dump-dot] [--stats]\n\
          \x20           [--emit netlist-bin|netlist-json] [--output FILE]\n\
          \x20           [--timings] [--no-cache] [--cache-dir DIR]\n\
          \x20           [--naive-inference] [BUDGET-FLAGS] TARGET...\n\
@@ -802,7 +801,7 @@ fn run_build(args: impl Iterator<Item = String>) -> ExitCode {
 }
 
 /// Parses a `--mutate` value, exiting with usage on nonsense. Reference
-/// mutations (`reversed`, `single-pass`) and compiled-engine mutations
+/// mutations (`reversed`, `single-pass`) and kernel-stage mutations
 /// (`stale-commit`, `skip-barrier`) share the flag; exactly one side of
 /// the pair is non-`None`.
 fn parse_mutation(arg: Option<String>) -> (lss_verify::Mutation, lss_verify::KernelMutation) {
@@ -1320,7 +1319,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
         run: None,
         run_model: false,
         scheduler: Scheduler::Static,
-        engine: liberty::Engine::Interp,
         threads: 1,
         batch: None,
         emit_lss: false,
@@ -1360,14 +1358,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
                 Some("static") => opts.scheduler = Scheduler::Static,
                 Some("dynamic") => opts.scheduler = Scheduler::Dynamic,
                 _ => usage(),
-            },
-            "--engine" => match args.next().as_deref() {
-                Some("interp") => opts.engine = liberty::Engine::Interp,
-                Some("compiled") => opts.engine = liberty::Engine::Compiled,
-                _ => {
-                    eprintln!("--engine needs `interp` or `compiled`");
-                    usage();
-                }
             },
             "--threads" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) if n >= 1 => opts.threads = n,
@@ -1593,7 +1583,6 @@ fn real_main() -> ExitCode {
     }
     opts.budget.apply(&mut lse);
     lse.sim_options.scheduler = opts.scheduler;
-    lse.sim_options.engine = opts.engine;
     lse.sim_options.threads = opts.threads;
 
     let timings_name = if let Some(id) = opts.model {
@@ -1801,7 +1790,7 @@ fn real_main() -> ExitCode {
             stats.cycles, stats.comp_evals, stats.port_firings
         );
         if opts.stats {
-            print_sim_stats(&stats, Some(sim.static_schedule()));
+            print_sim_stats(&stats, Some(&sim));
         }
         for (path, event, table) in sim.collector_reports() {
             let kv: Vec<String> = table.iter().map(|(k, v)| format!("{k}={v}")).collect();

@@ -60,7 +60,7 @@ pub use lss_driver::{
 pub use lss_interp::CompileOptions;
 pub use lss_netlist::{reuse_stats, Netlist, ReuseStats};
 pub use lss_sim::{
-    build_batch, BatchSim, Engine, KernelMutation, Scheduler, SimOptions, SimStats, Simulator,
+    build_batch, BatchSim, KernelMutation, Scheduler, SimOptions, SimStats, Simulator,
 };
 pub use lss_types::SolverConfig;
 

@@ -73,14 +73,28 @@ fn run_with_stats_prints_engine_and_schedule_summary() {
         stdout.contains("events_dispatched"),
         "missing events_dispatched:\n{stdout}"
     );
-    // The schedule summary: 2 leaf components, no combinational cycles.
+    // The plan shape: the sink registers its input, so both leaves share
+    // one stage; both lower to kernels; no combinational cycles.
     assert!(
-        stdout.contains("schedule: 2 components"),
-        "missing schedule summary:\n{stdout}"
+        stdout.contains("plan: 2 components in 1 stages, 2 kernels, 0 combinational cycle blocks"),
+        "missing plan summary:\n{stdout}"
     );
-    assert!(
-        stdout.contains("0 combinational cycle blocks"),
-        "unexpected cycles:\n{stdout}"
+    let _ = std::fs::remove_file(&model);
+}
+
+#[test]
+fn engine_flag_is_gone() {
+    // One static engine: `--engine` is no longer an option.
+    let model = write_model("engine-flag");
+    let out = lssc()
+        .arg(&model)
+        .args(["--run", "1", "--engine", "compiled"])
+        .output()
+        .expect("spawn lssc");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "unknown option must be a usage error"
     );
     let _ = std::fs::remove_file(&model);
 }

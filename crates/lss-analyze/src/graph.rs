@@ -257,7 +257,7 @@ impl Condensation {
     /// of SCCs ending at it (sources are depth 0). Two SCCs with the same
     /// depth cannot depend on each other, so each depth class is a set of
     /// mutually independent schedule units — the parallelism structure the
-    /// compiled engine executes stage by stage.
+    /// static engine executes stage by stage.
     ///
     /// `g` must be the graph this condensation was computed from.
     pub fn stage_depths(&self, g: &DepGraph) -> Vec<usize> {

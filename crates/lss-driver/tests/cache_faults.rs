@@ -4,7 +4,9 @@
 //!
 //! Faults are injected through the `LSS_CACHE_FAULT` environment variable
 //! (see `lss_driver::cache`). The variable is process-global, so these
-//! tests live in their own integration binary and serialize on a mutex.
+//! tests live in their own integration binary and each holds one mutex
+//! from start to finish: a fault armed by one test must never reach
+//! another test's unfaulted builds.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -14,19 +16,22 @@ use lss_driver::{CacheOutcome, Driver};
 const MODEL: &str =
     "instance gen:source;\ninstance hole:sink;\ngen.out -> hole.in;\ngen.out :: int;";
 
-/// Serializes the tests and clears the fault on drop, so a panicking test
-/// cannot leak an armed fault into the next one.
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+/// Serializes the tests; hold the guard for the whole test.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Arms a fault and clears it on drop, so a panicking test cannot leak an
+/// armed fault into the next one.
+struct FaultGuard;
 
 impl FaultGuard {
     fn arm(fault: &str) -> Self {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let guard = LOCK
-            .get_or_init(Mutex::default)
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
         std::env::set_var("LSS_CACHE_FAULT", fault);
-        FaultGuard(guard)
+        FaultGuard
     }
 }
 
@@ -58,6 +63,7 @@ fn reference_netlist_json() -> String {
 
 #[test]
 fn unwritable_dir_degrades_to_cold_builds() {
+    let _serial = serial();
     let dir = temp_cache("unwritable");
     let reference = reference_netlist_json();
     {
@@ -82,6 +88,7 @@ fn unwritable_dir_degrades_to_cold_builds() {
 
 #[test]
 fn short_write_is_caught_by_the_integrity_gate() {
+    let _serial = serial();
     let dir = temp_cache("short-write");
     let reference = reference_netlist_json();
     {
@@ -112,6 +119,7 @@ fn short_write_is_caught_by_the_integrity_gate() {
 
 #[test]
 fn read_errors_degrade_warm_builds_to_cold_rebuilds() {
+    let _serial = serial();
     let dir = temp_cache("read-error");
     let reference = reference_netlist_json();
     // A healthy entry exists on disk...
@@ -140,6 +148,7 @@ fn read_errors_degrade_warm_builds_to_cold_rebuilds() {
 
 #[test]
 fn legacy_json_entries_are_detected_warned_about_and_replaced() {
+    let _serial = serial();
     let dir = temp_cache("legacy-json");
     let reference = reference_netlist_json();
 
@@ -193,6 +202,7 @@ fn legacy_json_entries_are_detected_warned_about_and_replaced() {
 
 #[test]
 fn concurrent_same_key_builds_publish_exactly_once() {
+    let _serial = serial();
     // Two sessions compiling the same project simultaneously must both
     // succeed, produce identical netlists, and end with exactly one
     // published cache entry — `link(2)`-based publish makes one writer
@@ -246,6 +256,7 @@ fn concurrent_same_key_builds_publish_exactly_once() {
 
 #[test]
 fn corrupt_entries_self_heal_so_republish_is_never_wedged() {
+    let _serial = serial();
     // Exactly-once publish refuses to overwrite an existing entry, so a
     // torn entry must be *removed* when its corruption is detected —
     // otherwise the rebuild could never republish and every warm session

@@ -41,7 +41,7 @@ pub fn build_sim(netlist: &Netlist, scheduler: Scheduler) -> Result<Simulator, S
 }
 
 /// Like [`build_sim`] but with full control over the engine options
-/// (compiled vs. interpreted engine, thread count, batch seed, ...).
+/// (scheduler, thread count, batch seed, ...).
 ///
 /// # Errors
 ///

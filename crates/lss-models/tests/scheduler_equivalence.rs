@@ -1,4 +1,4 @@
-//! The static topological scheduler and the dynamic worklist baseline must
+//! The static staged plan and the dynamic worklist baseline must
 //! be observationally equivalent: on every Table 3 model, the same values
 //! fire on the same ports in the same cycles, and every collector ends in
 //! the same state. (`comp_evals` legitimately differs — the static
@@ -52,13 +52,14 @@ fn run(
     (fires, collectors)
 }
 
-/// The engine must execute exactly the schedule the static analyzer derives:
-/// `lss-analyze`'s component-level dependency graph, condensed and ordered,
-/// is the single source of truth for evaluation order.
+/// The engine must execute exactly the plan the static analyzer derives:
+/// `lss-analyze`'s component-level dependency graph, condensed and grouped
+/// into stages, is the single source of truth for evaluation order. Every
+/// SCC appears exactly once, in its stage, and is a fixpoint unit exactly
+/// when it is cyclic.
 #[test]
 fn engine_schedule_matches_analyzer_condensation() {
     use lss_analyze::leaf_dep_graph;
-    use lss_sim::Schedule;
 
     let registry = lss_corelib::registry();
     for model in models() {
@@ -68,11 +69,36 @@ fn engine_schedule_matches_analyzer_condensation() {
         let wires = compiled.netlist.flatten();
         let comb = lss_sim::comb_info(&compiled.netlist, &registry);
         let deps = leaf_dep_graph(&compiled.netlist, &wires, &comb);
-        let expected = Schedule::from_condensation(&deps.graph.condense());
+        let cond = deps.graph.condense();
+        let expected: Vec<Vec<(Vec<usize>, bool)>> = cond
+            .stages(&deps.graph)
+            .into_iter()
+            .map(|stage| {
+                let mut units: Vec<_> = stage
+                    .into_iter()
+                    .map(|si| (cond.sccs[si].clone(), cond.cyclic[si]))
+                    .collect();
+                units.sort();
+                units
+            })
+            .collect();
+        let actual: Vec<Vec<(Vec<usize>, bool)>> = sim
+            .plan_stages()
+            .into_iter()
+            .map(|stage| {
+                let mut units: Vec<_> = stage.into_iter().map(|(c, f)| (c.to_vec(), f)).collect();
+                units.sort();
+                units
+            })
+            .collect();
         assert_eq!(
-            sim.static_schedule(),
-            &expected,
-            "model {}: engine schedule diverges from analyzer condensation",
+            actual, expected,
+            "model {}: engine plan diverges from analyzer condensation",
+            model.id
+        );
+        assert!(
+            sim.kernel_count() > 0,
+            "model {}: static plan lowered no kernels",
             model.id
         );
     }

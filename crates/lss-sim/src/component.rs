@@ -376,9 +376,9 @@ pub trait Component {
         self.input_is_combinational(input)
     }
 
-    /// The behavior's kernel lowering for the compiled engine, if any.
+    /// The behavior's kernel lowering for the static scheduler, if any.
     ///
-    /// Returning a [`KernelClass`] lets the compiled engine devirtualize
+    /// Returning a [`KernelClass`] lets the static plan devirtualize
     /// this instance into direct slot reads/writes over the flat value
     /// arena (no vtable, no change-detection snapshots). The description
     /// must mirror `eval`/`end_of_timestep` *exactly* — the kernel

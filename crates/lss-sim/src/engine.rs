@@ -5,10 +5,12 @@
 //!
 //! 1. **Combinational settle** — every leaf component's `eval` computes its
 //!    outputs from this cycle's inputs and current state. The *static*
-//!    scheduler runs components once each in precomputed topological order
-//!    (iterating genuine combinational cycles to a fixpoint); the *dynamic*
-//!    scheduler is the SystemC-style baseline that re-evaluates components
-//!    from a worklist until no output changes.
+//!    scheduler executes a precomputed plan: the dependency graph's
+//!    condensation grouped into stages, each component run once per cycle
+//!    (as a devirtualized kernel where its behavior has one), genuine
+//!    combinational cycles iterated to a fixpoint. The *dynamic* scheduler
+//!    is the SystemC-style baseline that re-evaluates components from a
+//!    worklist until no output changes.
 //! 2. **`end_of_timestep`** — synchronous state update, plus the
 //!    system-defined `end_of_timestep` userpoint on every instance (§4.3).
 //!
@@ -50,30 +52,18 @@ use crate::exec::{
     commit_stage, eval_stage, BatchSim, CompiledPlan, KernelMutation, SerialStep, StageInfo,
 };
 use crate::kernel::{lower, KernelUnit};
-use crate::sched::{Schedule, ScheduleStep};
 use crate::slots::SlotTable;
 
 /// Which combinational scheduler to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Precomputed topological order (LSE's approach \[12\]).
+    /// Precomputed staged plan (LSE's approach \[12\]): kernels where a
+    /// behavior has a lowering, the dyn `Component` path everywhere else.
     #[default]
     Static,
-    /// Worklist fixpoint (structural-OOP / SystemC-style baseline).
+    /// Worklist fixpoint (structural-OOP / SystemC-style baseline); every
+    /// leaf runs through its dyn `Component`.
     Dynamic,
-}
-
-/// Which settle-loop engine executes the schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Interpret boxed `Component`s through the vtable (the baseline; obeys
-    /// [`SimOptions::scheduler`]).
-    #[default]
-    Interp,
-    /// Lower the condensation into per-SCC compiled kernels executed stage
-    /// by stage with barrier-committed writes (implies static scheduling;
-    /// behaviors without a lowering fall back to the dyn path inline).
-    Compiled,
 }
 
 /// Simulation options.
@@ -81,17 +71,15 @@ pub enum Engine {
 pub struct SimOptions {
     /// Scheduler choice.
     pub scheduler: Scheduler,
-    /// Settle-loop engine choice.
-    pub engine: Engine,
-    /// Worker threads for the compiled engine's stage execution (1 =
-    /// in-line). Traces are byte-identical for every value: kernels write
-    /// through per-stage buffers committed at the stage barrier.
+    /// Worker threads for the static plan's kernel stages (1 = in-line).
+    /// Traces are byte-identical for every value: kernels write through
+    /// per-stage buffers committed at the stage barrier.
     pub threads: usize,
     /// Simulation seed, visible to behaviors via [`CompCtx::seed`] (the
     /// corelib source folds it into its counter). Batch lanes get one seed
     /// each; seed 0 reproduces unseeded runs exactly.
     pub seed: i64,
-    /// Injected compiled-engine bug for differential testing
+    /// Injected kernel-stage bug for differential testing
     /// ([`KernelMutation::None`] for correct execution).
     pub kernel_mutation: KernelMutation,
     /// Iteration cap for combinational-cycle fixpoints.
@@ -124,7 +112,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             scheduler: Scheduler::Static,
-            engine: Engine::Interp,
             threads: 1,
             seed: 0,
             kernel_mutation: KernelMutation::None,
@@ -352,12 +339,7 @@ pub struct Simulator {
     /// Sorted `(path, comp)` pairs; binary-searched at the API boundary.
     path_index: Vec<(String, usize)>,
     port_names: Vec<Vec<String>>,
-    static_schedule: Schedule,
-    /// Flattened schedule: `(start, len, is_fixpoint)` windows into
-    /// `sched_order`, so settling iterates without cloning step vectors.
-    sched_steps: Vec<(usize, usize, bool)>,
-    sched_order: Vec<usize>,
-    /// Compiled-engine plan (empty stages unless [`Engine::Compiled`]).
+    /// The static scheduler's staged plan.
     plan: CompiledPlan,
     /// Lowered kernels, contiguous per stage ([`StageInfo`] windows).
     kernels: Vec<KernelUnit>,
@@ -722,9 +704,14 @@ pub fn build(
         );
     }
 
-    // Static schedule: ask the behaviors which inputs their eval reads,
-    // then execute the analyzer's dependency-graph condensation — the same
-    // graph `lssc check`'s cycle detector reports on, built once here.
+    // Static plan: ask the behaviors which inputs their eval reads, then
+    // condense the analyzer's dependency graph — the same graph `lssc
+    // check`'s cycle detector reports on — and group its SCCs into stages
+    // of mutually independent units. Each acyclic singleton whose behavior
+    // describes a kernel is lowered; everything else (dyn behaviors,
+    // fixpoint blocks, instances with userpoints) stays on the serial dyn
+    // path inside its stage. The dynamic scheduler and the `check_types`
+    // write check both need every leaf on the dyn path, so neither lowers.
     let mut comb = CombInfo::all_combinational();
     for (c, &id) in leaf_ids.iter().enumerate() {
         fill_comb_info(&mut comb, netlist.instance(id), comps[c].as_ref());
@@ -732,72 +719,45 @@ pub fn build(
     let deps = leaf_dep_graph(netlist, &wires, &comb);
     debug_assert_eq!(deps.leaves, leaf_ids, "analyzer and engine leaf order");
     let cond = deps.graph.condense();
-    let static_schedule = Schedule::from_condensation(&cond);
-    let mut sched_steps = Vec::with_capacity(static_schedule.steps.len());
-    let mut sched_order = Vec::with_capacity(n);
-    for step in &static_schedule.steps {
-        match step {
-            ScheduleStep::Single(comp) => {
-                sched_steps.push((sched_order.len(), 1, false));
-                sched_order.push(*comp);
-            }
-            ScheduleStep::Fixpoint(block) => {
-                sched_steps.push((sched_order.len(), block.len(), true));
-                sched_order.extend_from_slice(block);
-            }
-        }
-    }
-
-    // Compiled plan: group the condensation's SCCs into dependency stages
-    // (mutually independent units per stage) and lower each acyclic
-    // singleton whose behavior describes a kernel. Everything else — dyn
-    // behaviors, fixpoint blocks, instances with userpoints — stays on the
-    // serial interpreter path inside its stage. Type checking lives on the
-    // dyn write path, so `check_types` disables lowering wholesale.
+    let lowering = opts.scheduler == Scheduler::Static && !opts.check_types;
     let mut plan = CompiledPlan::default();
     let mut kernels: Vec<KernelUnit> = Vec::new();
     let mut kernel_of: Vec<Option<usize>> = vec![None; n];
-    if opts.engine == Engine::Compiled {
-        for stage_sccs in cond.stages(&deps.graph) {
-            let kstart = kernels.len();
-            let sstart = plan.serial_steps.len();
-            for &si in &stage_sccs {
-                let scc = &cond.sccs[si];
-                let cyclic = cond.cyclic[si];
-                let lowered = if !cyclic && scc.len() == 1 && !opts.check_types {
-                    let c = scc[0];
-                    if states[c].userpoints.is_empty() {
-                        comps[c].kernel_class().and_then(|class| {
-                            lower(c, &class, &out_slots[c], &in_slots[c], &mut states[c].rtvs)
-                        })
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                };
-                match lowered {
-                    Some(unit) => {
-                        kernel_of[unit.comp] = Some(kernels.len());
-                        kernels.push(unit);
-                    }
-                    None => {
-                        plan.serial_steps.push(SerialStep {
-                            start: plan.serial_order.len(),
-                            len: scc.len(),
-                            fixpoint: cyclic,
-                        });
-                        plan.serial_order.extend_from_slice(scc);
-                    }
+    for stage_sccs in cond.stages(&deps.graph) {
+        let kstart = kernels.len();
+        let sstart = plan.serial_steps.len();
+        for &si in &stage_sccs {
+            let scc = &cond.sccs[si];
+            let cyclic = cond.cyclic[si];
+            let c = scc[0];
+            let lowered = if lowering && !cyclic && states[c].userpoints.is_empty() {
+                comps[c].kernel_class().and_then(|class| {
+                    lower(c, &class, &out_slots[c], &in_slots[c], &mut states[c].rtvs)
+                })
+            } else {
+                None
+            };
+            match lowered {
+                Some(unit) => {
+                    kernel_of[c] = Some(kernels.len());
+                    kernels.push(unit);
+                }
+                None => {
+                    plan.serial_steps.push(SerialStep {
+                        start: plan.serial_order.len(),
+                        len: scc.len(),
+                        fixpoint: cyclic,
+                    });
+                    plan.serial_order.extend_from_slice(scc);
                 }
             }
-            plan.stages.push(StageInfo {
-                kstart,
-                klen: kernels.len() - kstart,
-                sstart,
-                slen: plan.serial_steps.len() - sstart,
-            });
         }
+        plan.stages.push(StageInfo {
+            kstart,
+            klen: kernels.len() - kstart,
+            sstart,
+            slen: plan.serial_steps.len() - sstart,
+        });
     }
 
     // Collectors: resolve each onto its precomputed listener table —
@@ -952,9 +912,6 @@ pub fn build(
         paths,
         path_index,
         port_names,
-        static_schedule,
-        sched_steps,
-        sched_order,
         plan,
         kernels,
         kernel_of,
@@ -1005,16 +962,39 @@ impl Simulator {
         self.comps.len()
     }
 
-    /// Number of components executing as compiled kernels (0 on the interp
-    /// engine).
+    /// Number of components executing as kernels (0 under the dynamic
+    /// scheduler or with [`SimOptions::check_types`]).
     pub fn kernel_count(&self) -> usize {
         self.kernels.len()
     }
 
-    /// Number of dependency stages in the compiled plan (0 on the interp
-    /// engine).
+    /// Number of dependency stages in the static plan.
     pub fn stage_count(&self) -> usize {
         self.plan.stages.len()
+    }
+
+    /// The static plan as executed, stage by stage: each unit's components
+    /// and whether it is a combinational-cycle fixpoint block. Kernels come
+    /// first within a stage, then the serial dyn units.
+    pub fn plan_stages(&self) -> Vec<Vec<(&[usize], bool)>> {
+        self.plan
+            .stages
+            .iter()
+            .map(|st| {
+                let kernels = self.kernels[st.kstart..st.kstart + st.klen]
+                    .iter()
+                    .map(|k| (std::slice::from_ref(&k.comp), false));
+                let serial = self.plan.serial_steps[st.sstart..st.sstart + st.slen]
+                    .iter()
+                    .map(|s| {
+                        (
+                            &self.plan.serial_order[s.start..s.start + s.len],
+                            s.fixpoint,
+                        )
+                    });
+                kernels.chain(serial).collect()
+            })
+            .collect()
     }
 
     /// Per-leaf lowering outcome: `(path, lowered_to_kernel)`, in component
@@ -1035,11 +1015,6 @@ impl Simulator {
     /// Simulation counters.
     pub fn stats(&self) -> SimStats {
         self.stats
-    }
-
-    /// The static schedule (inspectable for tests/benches).
-    pub fn static_schedule(&self) -> &Schedule {
-        &self.static_schedule
     }
 
     fn with_comp<R>(
@@ -1255,10 +1230,9 @@ impl Simulator {
         for v in &mut self.core.values {
             *v = None;
         }
-        match (self.opts.engine, self.opts.scheduler) {
-            (Engine::Compiled, _) => self.settle_compiled()?,
-            (Engine::Interp, Scheduler::Static) => self.settle_static()?,
-            (Engine::Interp, Scheduler::Dynamic) => self.settle_dynamic()?,
+        match self.opts.scheduler {
+            Scheduler::Static => self.settle_staged()?,
+            Scheduler::Dynamic => self.settle_dynamic()?,
         }
         self.fire_port_events()?;
         if self.opts.check_protocols {
@@ -1305,53 +1279,33 @@ impl Simulator {
         Ok(())
     }
 
-    fn settle_static(&mut self) -> Result<(), SimError> {
-        for si in 0..self.sched_steps.len() {
-            let (start, len, fixpoint) = self.sched_steps[si];
-            self.settle_window(start, len, fixpoint, false)?;
-        }
-        Ok(())
-    }
-
-    /// The component id at position `j` of the active order array: the
-    /// static schedule's, or the compiled plan's serial order.
-    fn window_comp(&self, serial: bool, j: usize) -> usize {
-        if serial {
-            self.plan.serial_order[j]
-        } else {
-            self.sched_order[j]
-        }
-    }
-
-    /// Evaluates one schedule window through the interpreter: a single
+    /// Evaluates one serial step through the dyn path: a single
     /// component, or a combinational-cycle fixpoint block iterated until
     /// its outputs stop changing.
-    fn settle_window(
-        &mut self,
-        start: usize,
-        len: usize,
-        fixpoint: bool,
-        serial: bool,
-    ) -> Result<(), SimError> {
+    fn settle_window(&mut self, step: SerialStep) -> Result<(), SimError> {
+        let SerialStep {
+            start,
+            len,
+            fixpoint,
+        } = step;
         if !fixpoint {
-            let comp = self.window_comp(serial, start);
-            self.eval_comp(comp)?;
+            self.eval_comp(self.plan.serial_order[start])?;
             return Ok(());
         }
         let mut iters = 0;
         loop {
             let mut any = false;
             for j in start..start + len {
-                let comp = self.window_comp(serial, j);
-                any |= self.eval_comp(comp)?;
+                any |= self.eval_comp(self.plan.serial_order[j])?;
             }
             if !any {
                 break;
             }
             iters += 1;
             if iters > self.opts.max_fixpoint_iters {
-                let names: Vec<&str> = (start..start + len)
-                    .map(|j| self.paths[self.window_comp(serial, j)].as_str())
+                let names: Vec<&str> = self.plan.serial_order[start..start + len]
+                    .iter()
+                    .map(|&c| self.paths[c].as_str())
                     .collect();
                 return Err(SimError::new(format!(
                     "combinational cycle did not settle after {} iterations: {}",
@@ -1363,13 +1317,13 @@ impl Simulator {
         Ok(())
     }
 
-    /// The compiled settle loop: per dependency stage, evaluate the
-    /// stage's kernels (in parallel when configured) with writes buffered
-    /// and committed at the stage barrier, then run the stage's serial
-    /// units through the interpreter. Stage members are mutually
-    /// independent, so the barrier commit makes the result identical to
-    /// the interpreted static schedule — at every thread count.
-    fn settle_compiled(&mut self) -> Result<(), SimError> {
+    /// The static settle loop: per dependency stage, evaluate the stage's
+    /// kernels (in parallel when configured) with writes buffered and
+    /// committed at the stage barrier, then run the stage's serial units
+    /// through the dyn path. Stage members are mutually independent, so
+    /// the result is that of any topological order — at every thread
+    /// count.
+    fn settle_staged(&mut self) -> Result<(), SimError> {
         let mut held: VecDeque<(usize, Datum)> = VecDeque::new();
         for si in 0..self.plan.stages.len() {
             let stage = self.plan.stages[si];
@@ -1398,12 +1352,7 @@ impl Simulator {
                 self.kernel_buf = buf;
             }
             for sj in stage.sstart..stage.sstart + stage.slen {
-                let SerialStep {
-                    start,
-                    len,
-                    fixpoint,
-                } = self.plan.serial_steps[sj];
-                self.settle_window(start, len, fixpoint, true)?;
+                self.settle_window(self.plan.serial_steps[sj])?;
             }
         }
         // Only the skipped-barrier mutation holds writes back this long.

@@ -1,12 +1,11 @@
-//! The compiled engine's execution plan and staged settle loop.
+//! The static scheduler's execution plan and staged kernel evaluation.
 //!
-//! The static schedule is a topological order of the analyzer's Tarjan
-//! condensation; `lss-analyze`'s `Condensation::stages` additionally groups
-//! the SCCs into *stages* — sets of mutually independent schedule units.
-//! The compiled plan records, per stage, which units run as devirtualized
-//! [`Kernel`](crate::kernel::Kernel)s and which stay on the serial dyn
-//! `Component` path (behaviors without a lowering, and fixpoint blocks,
-//! which need the interpreter's change-detection machinery anyway).
+//! `lss-analyze`'s `Condensation::stages` groups the SCCs of the analyzer's
+//! Tarjan condensation into *stages* — sets of mutually independent
+//! schedule units, in dependency order. The plan records, per stage, which
+//! units run as devirtualized [`Kernel`](crate::kernel::Kernel)s and which
+//! stay on the serial dyn `Component` path (behaviors without a lowering,
+//! and fixpoint blocks, which need the dyn path's change detection).
 //!
 //! Execution is deterministic by construction: kernels buffer their writes
 //! and the engine commits each stage's buffer at a stage barrier, so the
@@ -22,7 +21,7 @@ use lss_types::Datum;
 use crate::component::SimError;
 use crate::kernel::KernelUnit;
 
-/// Deliberately injected compiled-engine bugs, in the spirit of
+/// Deliberately injected kernel-stage bugs, in the spirit of
 /// `lss-verify`'s `Mutation` knob on the reference simulator: each breaks
 /// an invariant the staged executor relies on, and the differential
 /// harness must catch (and minimize) the resulting trace divergence.
@@ -63,7 +62,7 @@ pub struct SerialStep {
     pub fixpoint: bool,
 }
 
-/// One stage of the compiled plan: a window of kernels (mutually
+/// One stage of the static plan: a window of kernels (mutually
 /// independent, barrier-committed) plus a window of serial steps.
 #[derive(Debug, Clone, Copy)]
 pub struct StageInfo {
@@ -77,7 +76,7 @@ pub struct StageInfo {
     pub slen: usize,
 }
 
-/// The lowered schedule the compiled engine executes.
+/// The staged schedule the static scheduler executes.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledPlan {
     /// Stages in dependency order.
@@ -86,18 +85,6 @@ pub struct CompiledPlan {
     pub serial_steps: Vec<SerialStep>,
     /// Component indices backing the serial steps.
     pub serial_order: Vec<usize>,
-}
-
-impl CompiledPlan {
-    /// Total kernel units across all stages.
-    pub fn kernel_count(&self) -> usize {
-        self.stages.iter().map(|s| s.klen).sum()
-    }
-
-    /// Stage count.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
 }
 
 /// Below this many kernels in a stage, spawning threads costs more than it
@@ -160,8 +147,8 @@ pub fn eval_stage(
 /// is byte-identical to a solo [`Simulator`](crate::Simulator) built with
 /// `SimOptions::seed = seeds[k]` — the golden batch snapshots pin this.
 ///
-/// This is the substrate for parameter sweeps: the netlist, schedule, and
-/// compiled plan are structurally identical across lanes (only the seed
+/// This is the substrate for parameter sweeps: the netlist and the staged
+/// plan are structurally identical across lanes (only the seed
 /// differs), while each lane keeps its own value arena and kernel state.
 pub struct BatchSim {
     lanes: Vec<crate::Simulator>,

@@ -1,21 +1,20 @@
 //! Compiled per-component kernels: devirtualized corelib behaviors.
 //!
-//! The interpreter walks the static schedule calling `Component::eval`
-//! through a vtable, snapshotting outputs for change detection and
-//! retracting unwritten lanes — machinery only fixpoint blocks need. For
-//! the hot corelib behaviors the netlist already tells us everything at
-//! build time, so the compiled engine lowers each such component into a
-//! [`Kernel`]: a monomorphized closure over resolved port *slots* in the
-//! flat value arena. Kernel `eval` is a pure function of the arena and the
+//! The dyn path calls `Component::eval` through a vtable, snapshotting
+//! outputs for change detection and retracting unwritten lanes — machinery
+//! only fixpoint blocks need. For the hot corelib behaviors the netlist
+//! already tells us everything at build time, so the static plan lowers
+//! each such component into a [`Kernel`]: a monomorphized closure over
+//! resolved port *slots* in the flat value arena. Kernel `eval` is a pure function of the arena and the
 //! kernel's own state that appends `(slot, value)` writes to a buffer; the
 //! executor (`exec.rs`) commits buffers at stage barriers, which is what
 //! makes multi-threaded stage execution deterministic.
 //!
 //! Every kernel mirrors its dyn counterpart's observable behavior exactly
 //! — same values, same `state_lines()`, same error messages. The
-//! three-way equivalence suite (workspace `tests/kernel_equivalence.rs`)
-//! and the differential fuzzer keep the two implementations pinned
-//! together.
+//! equivalence suite (workspace `tests/kernel_equivalence.rs`) and the
+//! differential fuzzer check the static engine against the reference
+//! simulator, which runs every leaf through its dyn `Component`.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -70,24 +69,7 @@ pub enum Kernel {
         out: Vec<usize>,
     },
     /// `corelib/queue.tar`.
-    Queue {
-        /// Driving slot per `in` lane.
-        inp: Vec<Option<usize>>,
-        /// Output slots, one per `out` lane.
-        out: Vec<usize>,
-        /// Output slots of `credit`.
-        credit: Vec<usize>,
-        /// Driving slot of `credit_in[0]` (`None` = unconnected).
-        credit_in: Option<usize>,
-        /// Buffer capacity.
-        depth: usize,
-        /// FIFO state.
-        buf: VecDeque<Datum>,
-        /// Protocol group for overflow diagnostics.
-        group: String,
-        /// Annotation span for overflow diagnostics.
-        span: Option<SrcSpan>,
-    },
+    Queue(Box<QueueKernel>),
     /// `corelib/alu.tar`.
     Alu {
         /// Driving slot per `a` lane.
@@ -102,66 +84,95 @@ pub enum Kernel {
         float: bool,
     },
     /// `corelib/issue.tar`.
-    Issue {
-        /// Driving slot per `in` lane.
-        inp: Vec<Option<usize>>,
-        /// Output slots of `credit`.
-        credit: Vec<usize>,
-        /// Output slots, one per `out` lane.
-        out: Vec<usize>,
-        /// Driving slot per `fu_credit` lane.
-        fu_credit: Vec<Option<usize>>,
-        /// Driving slot per `complete` lane.
-        complete: Vec<Option<usize>>,
-        /// Window capacity.
-        window_size: usize,
-        /// Maximum issues per cycle.
-        issue_width: usize,
-        /// Strict program-order issue when set.
-        in_order: bool,
-        /// Per-out-lane accepted op-class codes (0 = any).
-        classes: Vec<i64>,
-        /// The issue window.
-        window: VecDeque<FuInstr>,
-        /// In-flight destination registers (register → writers outstanding).
-        pending: HashMap<i64, u32>,
-        /// Selection computed in `eval`, reused by `end_of_timestep` (the
-        /// arena cannot change in between on a lowered component).
-        picks: Vec<(usize, u32)>,
-        /// Protocol group for overflow diagnostics.
-        group: String,
-        /// Annotation span for overflow diagnostics.
-        span: Option<SrcSpan>,
-    },
+    Issue(Box<IssueKernel>),
     /// `corelib/fu.tar`.
-    Fu {
-        /// Driving slot per `in` lane.
-        inp: Vec<Option<usize>>,
-        /// Output slots of `credit`.
-        credit: Vec<usize>,
-        /// Output slots, one per `done` lane.
-        done: Vec<usize>,
-        /// Driving slot per `grant_in` lane.
-        grant_in: Vec<Option<usize>>,
-        /// Output slots of `mem_req`.
-        mem_req: Vec<usize>,
-        /// Driving slot per `mem_resp` lane.
-        mem_resp: Vec<Option<usize>>,
-        /// Accept a new instruction every cycle when set.
-        pipelined: bool,
-        /// In-flight capacity.
-        max_inflight: usize,
-        /// Instruction in the address-generation stage.
-        agen: Option<FuInstr>,
-        /// Executing instructions with remaining cycle counts.
-        in_flight: Vec<(FuInstr, i64)>,
-        /// Finished instructions awaiting the (optional) CDB grant.
-        done_buf: VecDeque<FuInstr>,
-        /// Protocol group for overflow diagnostics.
-        group: String,
-        /// Annotation span for overflow diagnostics.
-        span: Option<SrcSpan>,
-    },
+    Fu(Box<FuKernel>),
+}
+
+/// [`Kernel::Queue`] state, boxed to keep the enum small.
+#[derive(Debug, Clone)]
+pub struct QueueKernel {
+    /// Driving slot per `in` lane.
+    inp: Vec<Option<usize>>,
+    /// Output slots, one per `out` lane.
+    out: Vec<usize>,
+    /// Output slots of `credit`.
+    credit: Vec<usize>,
+    /// Driving slot of `credit_in[0]` (`None` = unconnected).
+    credit_in: Option<usize>,
+    /// Buffer capacity.
+    depth: usize,
+    /// FIFO state.
+    buf: VecDeque<Datum>,
+    /// Protocol group for overflow diagnostics.
+    group: String,
+    /// Annotation span for overflow diagnostics.
+    span: Option<SrcSpan>,
+}
+
+/// [`Kernel::Issue`] state, boxed to keep the enum small.
+#[derive(Debug, Clone)]
+pub struct IssueKernel {
+    /// Driving slot per `in` lane.
+    inp: Vec<Option<usize>>,
+    /// Output slots of `credit`.
+    credit: Vec<usize>,
+    /// Output slots, one per `out` lane.
+    out: Vec<usize>,
+    /// Driving slot per `fu_credit` lane.
+    fu_credit: Vec<Option<usize>>,
+    /// Driving slot per `complete` lane.
+    complete: Vec<Option<usize>>,
+    /// Window capacity.
+    window_size: usize,
+    /// Maximum issues per cycle.
+    issue_width: usize,
+    /// Strict program-order issue when set.
+    in_order: bool,
+    /// Per-out-lane accepted op-class codes (0 = any).
+    classes: Vec<i64>,
+    /// The issue window.
+    window: VecDeque<FuInstr>,
+    /// In-flight destination registers (register → writers outstanding).
+    pending: HashMap<i64, u32>,
+    /// Selection computed in `eval`, reused by `end_of_timestep` (the
+    /// arena cannot change in between on a lowered component).
+    picks: Vec<(usize, u32)>,
+    /// Protocol group for overflow diagnostics.
+    group: String,
+    /// Annotation span for overflow diagnostics.
+    span: Option<SrcSpan>,
+}
+
+/// [`Kernel::Fu`] state, boxed to keep the enum small.
+#[derive(Debug, Clone)]
+pub struct FuKernel {
+    /// Driving slot per `in` lane.
+    inp: Vec<Option<usize>>,
+    /// Output slots of `credit`.
+    credit: Vec<usize>,
+    /// Output slots, one per `done` lane.
+    done: Vec<usize>,
+    /// Driving slot per `grant_in` lane.
+    grant_in: Vec<Option<usize>>,
+    /// Output slots of `mem_req`.
+    mem_req: Vec<usize>,
+    /// Driving slot per `mem_resp` lane.
+    mem_resp: Vec<Option<usize>>,
+    /// Accept a new instruction every cycle when set.
+    pipelined: bool,
+    /// In-flight capacity.
+    max_inflight: usize,
+    /// Instruction in the address-generation stage.
+    agen: Option<FuInstr>,
+    /// Executing instructions with remaining cycle counts.
+    in_flight: Vec<(FuInstr, i64)>,
+    /// Finished instructions awaiting the (optional) CDB grant.
+    done_buf: VecDeque<FuInstr>,
+    /// Protocol group for overflow diagnostics.
+    group: String,
+    /// Annotation span for overflow diagnostics.
+    span: Option<SrcSpan>,
 }
 
 /// The functional-unit kernel's decoded instruction — the devirtualized
@@ -415,14 +426,15 @@ impl Kernel {
                     }
                 }
             }
-            Kernel::Queue {
-                out: lanes,
-                credit,
-                credit_in,
-                depth,
-                buf,
-                ..
-            } => {
+            Kernel::Queue(q) => {
+                let QueueKernel {
+                    out: lanes,
+                    credit,
+                    credit_in,
+                    depth,
+                    buf,
+                    ..
+                } = &mut **q;
                 let emit = queue_emit_count(values, buf.len(), lanes.len(), *credit_in);
                 for (lane, item) in buf.iter().take(emit).enumerate() {
                     out.push((lanes[lane], item.clone()));
@@ -468,19 +480,20 @@ impl Kernel {
                     out.push((rs, result));
                 }
             }
-            Kernel::Issue {
-                credit,
-                out: out_row,
-                fu_credit,
-                window_size,
-                issue_width,
-                in_order,
-                classes,
-                window,
-                pending,
-                picks,
-                ..
-            } => {
+            Kernel::Issue(k) => {
+                let IssueKernel {
+                    credit,
+                    out: out_row,
+                    fu_credit,
+                    window_size,
+                    issue_width,
+                    in_order,
+                    classes,
+                    window,
+                    pending,
+                    picks,
+                    ..
+                } = &mut **k;
                 *picks = issue_select(
                     values,
                     window,
@@ -499,17 +512,18 @@ impl Kernel {
                     out.push((s, Datum::Int(free)));
                 }
             }
-            Kernel::Fu {
-                credit,
-                done,
-                mem_req,
-                pipelined,
-                max_inflight,
-                agen,
-                in_flight,
-                done_buf,
-                ..
-            } => {
+            Kernel::Fu(k) => {
+                let FuKernel {
+                    credit,
+                    done,
+                    mem_req,
+                    pipelined,
+                    max_inflight,
+                    agen,
+                    in_flight,
+                    done_buf,
+                    ..
+                } = &mut **k;
                 // Address generation: memory ops probe the cache one cycle
                 // after acceptance.
                 if let Some(instr) = agen {
@@ -564,16 +578,17 @@ impl Kernel {
                     *slot = read_lane(values, inp, lane);
                 }
             }
-            Kernel::Queue {
-                inp,
-                out,
-                credit_in,
-                depth,
-                buf,
-                group,
-                span,
-                ..
-            } => {
+            Kernel::Queue(q) => {
+                let QueueKernel {
+                    inp,
+                    out,
+                    credit_in,
+                    depth,
+                    buf,
+                    group,
+                    span,
+                    ..
+                } = &mut **q;
                 // Pop what was consumed this cycle, then accept arrivals;
                 // overflow means the producer violated credits.
                 let emitted = queue_emit_count(values, buf.len(), out.len(), *credit_in);
@@ -591,17 +606,18 @@ impl Kernel {
                     }
                 }
             }
-            Kernel::Issue {
-                inp,
-                complete,
-                window_size,
-                window,
-                pending,
-                picks,
-                group,
-                span,
-                ..
-            } => {
+            Kernel::Issue(k) => {
+                let IssueKernel {
+                    inp,
+                    complete,
+                    window_size,
+                    window,
+                    pending,
+                    picks,
+                    group,
+                    span,
+                    ..
+                } = &mut **k;
                 // The selection was computed in this cycle's eval against
                 // the same (final) arena; reuse it instead of re-selecting.
                 let picks = std::mem::take(picks);
@@ -654,17 +670,18 @@ impl Kernel {
                     window.push_back(instr);
                 }
             }
-            Kernel::Fu {
-                inp,
-                grant_in,
-                mem_resp,
-                agen,
-                in_flight,
-                done_buf,
-                group,
-                span,
-                ..
-            } => {
+            Kernel::Fu(k) => {
+                let FuKernel {
+                    inp,
+                    grant_in,
+                    mem_resp,
+                    agen,
+                    in_flight,
+                    done_buf,
+                    group,
+                    span,
+                    ..
+                } = &mut **k;
                 // Retire the granted result (or unconditionally without an
                 // arbiter).
                 if !done_buf.is_empty() {
@@ -772,7 +789,7 @@ pub fn lower(
             depth,
             group,
             span,
-        } => Kernel::Queue {
+        } => Kernel::Queue(Box::new(QueueKernel {
             inp: in_row(*inp)?,
             out: out_row(*out)?,
             credit: out_row(*credit)?,
@@ -781,7 +798,7 @@ pub fn lower(
             buf: VecDeque::new(),
             group: group.clone(),
             span: *span,
-        },
+        })),
         KernelClass::Alu {
             a,
             b,
@@ -807,7 +824,7 @@ pub fn lower(
             classes,
             group,
             span,
-        } => Kernel::Issue {
+        } => Kernel::Issue(Box::new(IssueKernel {
             inp: in_row(*inp)?,
             credit: out_row(*credit)?,
             out: out_row(*out)?,
@@ -822,7 +839,7 @@ pub fn lower(
             picks: Vec::new(),
             group: group.clone(),
             span: *span,
-        },
+        })),
         KernelClass::Fu {
             inp,
             credit,
@@ -834,7 +851,7 @@ pub fn lower(
             max_inflight,
             group,
             span,
-        } => Kernel::Fu {
+        } => Kernel::Fu(Box::new(FuKernel {
             inp: in_row(*inp)?,
             credit: out_row(*credit)?,
             done: out_row(*done)?,
@@ -848,7 +865,16 @@ pub fn lower(
             done_buf: VecDeque::new(),
             group: group.clone(),
             span: *span,
-        },
+        })),
     };
     Some(KernelUnit { comp, kernel })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn kernel_enum_stays_small() {
+        // ~2k kernels on a wide chain: large variants live behind a box.
+        assert!(std::mem::size_of::<super::Kernel>() <= 96);
+    }
 }

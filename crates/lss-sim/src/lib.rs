@@ -10,18 +10,16 @@
 //! * [`bsl`] — the interpreter for userpoint and collector BSL code;
 //! * [`slots`] — flat name/value tables ([`SlotTable`]) that back runtime
 //!   variables and collector state without per-cycle hashing;
-//! * [`sched`] — static concurrency scheduling (topological order with
-//!   fixpoint blocks for genuine combinational cycles), the LSE
-//!   optimization of \[12\];
-//! * [`engine`] — the cycle engine with both the static scheduler and a
-//!   SystemC-style dynamic (worklist fixpoint) baseline, plus the
+//! * [`engine`] — the cycle engine with the static scheduler (the staged
+//!   plan over the analyzer's condensation, LSE's optimization of \[12\])
+//!   and a SystemC-style dynamic (worklist fixpoint) baseline, plus the
 //!   aspect-oriented event/collector instrumentation of §4.5;
-//! * [`kernel`] — devirtualized corelib behaviors for the compiled engine:
+//! * [`kernel`] — devirtualized corelib behaviors for the static plan:
 //!   monomorphized slot-level kernels lowered from
 //!   [`lss_netlist::KernelClass`] metadata;
-//! * [`exec`] — the compiled engine's staged plan, barrier-committed
-//!   (optionally multi-threaded) settle loop, injected kernel mutations
-//!   for the differential harness, and lockstep batch simulation;
+//! * [`exec`] — the static plan's stages, barrier-committed (optionally
+//!   multi-threaded) kernel evaluation, injected kernel mutations for the
+//!   differential harness, and lockstep batch simulation;
 //! * [`wave`] — VCD and ASCII waveform output from the firing log.
 
 #![warn(missing_docs)]
@@ -31,7 +29,6 @@ pub mod component;
 pub mod engine;
 pub mod exec;
 pub mod kernel;
-pub mod sched;
 pub mod slots;
 pub mod wave;
 
@@ -40,10 +37,9 @@ pub use component::{
     BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
 };
 pub use engine::{
-    build, build_batch, comb_info, Engine, FiringRecord, Scheduler, SimOptions, SimStats, Simulator,
+    build, build_batch, comb_info, FiringRecord, Scheduler, SimOptions, SimStats, Simulator,
 };
 pub use exec::{BatchSim, CompiledPlan, KernelMutation};
 pub use kernel::{Kernel, KernelUnit};
-pub use sched::{schedule, Schedule, ScheduleStep};
 pub use slots::SlotTable;
 pub use wave::{to_ascii, to_vcd};

@@ -14,6 +14,20 @@ fn signal_name(record: &FiringRecord) -> String {
     format!("{}.{}[{}]", record.path, record.port, record.lane)
 }
 
+/// The VCD identifier of the `n`th signal: base-94 digits over the
+/// printable ASCII range `!`..`~`, one character for the first 94 signals.
+fn vcd_id(mut n: usize) -> String {
+    let mut id = String::new();
+    loop {
+        id.push(char::from(b'!' + (n % 94) as u8));
+        n /= 94;
+        if n == 0 {
+            return id;
+        }
+        n -= 1;
+    }
+}
+
 /// Renders a VCD (value change dump) document from a firing log.
 ///
 /// Integers and booleans become scalar/vector signals; any other datum is
@@ -21,12 +35,11 @@ fn signal_name(record: &FiringRecord) -> String {
 /// `timescale` is cycles-per-tick text, e.g. `"1ns"`.
 pub fn to_vcd(log: &[FiringRecord], timescale: &str) -> String {
     // Collect signals in stable order.
-    let mut signals: BTreeMap<String, char> = BTreeMap::new();
+    let mut signals: BTreeMap<String, String> = BTreeMap::new();
     for record in log {
         let name = signal_name(record);
         if !signals.contains_key(&name) {
-            // VCD identifiers: printable ASCII starting at '!'.
-            let id = char::from(b'!' + (signals.len() as u8 % 94));
+            let id = vcd_id(signals.len());
             signals.insert(name, id);
         }
     }
@@ -47,7 +60,7 @@ pub fn to_vcd(log: &[FiringRecord], timescale: &str) -> String {
     for (cycle, records) in by_cycle {
         let _ = writeln!(out, "#{cycle}");
         for record in records {
-            let id = signals[&signal_name(record)];
+            let id = &signals[&signal_name(record)];
             match &record.value {
                 Datum::Int(v) => {
                     let _ = writeln!(out, "b{:b} {id}", *v as u64);
@@ -190,6 +203,26 @@ mod tests {
         )];
         let vcd = to_vcd(&log, "1ns");
         assert!(vcd.contains("b11 !"));
+    }
+
+    #[test]
+    fn vcd_ids_stay_distinct_past_94_signals() {
+        let log: Vec<FiringRecord> = (0..300)
+            .map(|i| record(0, &format!("s{i:03}"), "out", 0, Datum::Int(i)))
+            .collect();
+        let vcd = to_vcd(&log, "1ns");
+        let mut ids = std::collections::HashMap::new();
+        for line in vcd.lines().filter(|l| l.starts_with("$var")) {
+            let f: Vec<&str> = line.split(' ').collect();
+            assert!(ids.insert(f[3], f[4]).is_none(), "id {} reused", f[3]);
+        }
+        assert_eq!(ids.len(), 300);
+        // Each change line `b<bits> <id>` carries its own signal's value.
+        for line in vcd.lines().filter(|l| l.starts_with('b')) {
+            let (bits, id) = line[1..].split_once(' ').unwrap();
+            let v = i64::from_str_radix(bits, 2).unwrap();
+            assert_eq!(ids[id], format!("s{v:03}.out[0]"));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! An LSS program is compiled once through the full driver pipeline, then
 //! run twice — on the production engine (`lss_sim::Simulator` with its
-//! static schedule) and on the naive [`RefSim`](crate::RefSim) fixpoint
+//! staged static plan) and on the naive [`RefSim`](crate::RefSim) fixpoint
 //! oracle — comparing the canonical `state_lines` dump after every cycle.
 //! Any divergence (a differing line, or a runtime error on one side only)
 //! is a [`Discrepancy`], the currency the fuzzer and the minimizer trade
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use lss_driver::{Driver, Elaborated};
 use lss_netlist::{from_binary, from_json, to_binary, to_json, Netlist};
-use lss_sim::{Engine, KernelMutation, Scheduler, SimOptions};
+use lss_sim::{KernelMutation, Scheduler};
 
 use crate::exhaustive::TypeDiscrepancy;
 use crate::refsim::{Mutation, RefSim};
@@ -28,11 +28,9 @@ pub struct DiffOptions {
     /// Injected reference bug (mutation testing only; [`Mutation::None`]
     /// for real verification runs).
     pub mutation: Mutation,
-    /// Injected compiled-engine bug (mutation testing only;
-    /// [`KernelMutation::None`] for real verification runs). The compiled
-    /// kernel engine always runs as a third simulator cross-checked against
-    /// the interpreter, so a mutation here must surface as a
-    /// [`Discrepancy::Kernel`].
+    /// Injected kernel-stage bug in the engine under test (mutation
+    /// testing only; [`KernelMutation::None`] for real verification runs).
+    /// It must surface as a `Trace` or `EngineError` against the reference.
     pub kernel_mutation: KernelMutation,
 }
 
@@ -80,16 +78,6 @@ pub enum Discrepancy {
         /// The reference's error.
         error: String,
     },
-    /// The compiled kernel engine diverges from the interpreter on the
-    /// same netlist (a lowering or stage-commit bug, not a frontend one).
-    Kernel {
-        /// First cycle whose post-step states (or step verdicts) differ
-        /// (0-based).
-        cycle: u64,
-        /// Lines present in exactly one dump (prefixed `interp:` /
-        /// `compiled:`), or a description of a step-verdict mismatch.
-        diff: Vec<String>,
-    },
     /// The netlist did not survive a JSON round-trip byte-identically.
     Roundtrip {
         /// What went wrong (parse error or first differing line).
@@ -128,13 +116,6 @@ impl std::fmt::Display for Discrepancy {
                     "reference error at cycle {cycle} (engine ran clean): {error}"
                 )
             }
-            Discrepancy::Kernel { cycle, diff } => {
-                writeln!(f, "compiled engine divergence at cycle {cycle}:")?;
-                for line in diff {
-                    writeln!(f, "  {line}")?;
-                }
-                Ok(())
-            }
             Discrepancy::Roundtrip { detail } => write!(f, "JSON round-trip: {detail}"),
             Discrepancy::Split { detail } => write!(f, "project split: {detail}"),
         }
@@ -150,7 +131,6 @@ impl Discrepancy {
             Discrepancy::Trace { .. } => "trace",
             Discrepancy::EngineError { .. } => "engine-error",
             Discrepancy::RefError { .. } => "ref-error",
-            Discrepancy::Kernel { .. } => "kernel",
             Discrepancy::Roundtrip { .. } => "roundtrip",
             Discrepancy::Split { .. } => "split",
         }
@@ -202,15 +182,8 @@ fn trace_diff(engine: &[String], reference: &[String]) -> Vec<String> {
     labeled_diff("engine:   ", engine, "reference:", reference)
 }
 
-fn kernel_diff(interp: &[String], compiled: &[String]) -> Vec<String> {
-    labeled_diff("interp:  ", interp, "compiled:", compiled)
-}
-
-/// Runs the compiled netlist on three simulators — the interpreter, the
-/// compiled kernel engine, and the naive reference — and compares state
-/// cycle-by-cycle. A compiled-vs-interpreter mismatch is reported as
-/// [`Discrepancy::Kernel`]; an interpreter-vs-reference mismatch keeps the
-/// original `Trace`/`EngineError`/`RefError` shapes.
+/// Runs the compiled netlist on the engine and on the naive reference and
+/// compares state cycle-by-cycle.
 ///
 /// Returns `Ok(None)` when the traces agree for all requested cycles.
 ///
@@ -224,71 +197,20 @@ pub fn diff_netlist(
     opts: &DiffOptions,
 ) -> Result<Option<Discrepancy>, String> {
     driver.sim_options.scheduler = opts.scheduler;
-    let mut engine = driver.simulator(netlist).map_err(|e| e.to_string())?;
-    let compiled_opts = SimOptions {
-        engine: Engine::Compiled,
-        kernel_mutation: opts.kernel_mutation,
-        ..driver.sim_options.clone()
-    };
-    let mut compiled = lss_sim::build(netlist, driver.registry(), compiled_opts)
-        .map_err(|e| format!("compiled engine build: {}", e.message))?;
+    // The kernel mutation breaks this engine only, not simulators built
+    // later from the same session.
+    driver.sim_options.kernel_mutation = opts.kernel_mutation;
+    let engine = driver.simulator(netlist);
+    driver.sim_options.kernel_mutation = KernelMutation::None;
+    let mut engine = engine.map_err(|e| e.to_string())?;
     let mut reference = RefSim::build(netlist, driver.registry(), opts.mutation)
         .map_err(|e| format!("reference build: {}", e.message))?;
     for cycle in 0..opts.cycles {
-        let engine_step = engine.step();
-        let compiled_step = compiled.step();
-        let ref_step = reference.step();
-        // The compiled engine must mirror the interpreter exactly: same
-        // verdict, same error message, same state.
-        match (&engine_step, &compiled_step) {
+        match (engine.step(), reference.step()) {
             (Ok(()), Ok(())) => {}
-            (Err(a), Err(b)) if a.message == b.message => {}
-            (Ok(()), Err(b)) => {
-                return Ok(Some(Discrepancy::Kernel {
-                    cycle,
-                    diff: vec![format!(
-                        "compiled engine failed where the interpreter ran clean: {}",
-                        b.message
-                    )],
-                }))
-            }
-            (Err(a), Ok(())) => {
-                return Ok(Some(Discrepancy::Kernel {
-                    cycle,
-                    diff: vec![format!(
-                        "interpreter failed where the compiled engine ran clean: {}",
-                        a.message
-                    )],
-                }))
-            }
-            (Err(a), Err(b)) => {
-                return Ok(Some(Discrepancy::Kernel {
-                    cycle,
-                    diff: vec![
-                        format!("interp:   error: {}", a.message),
-                        format!("compiled: error: {}", b.message),
-                    ],
-                }))
-            }
-        }
-        if engine_step.is_ok() {
-            let engine_lines = engine.state_lines();
-            let compiled_lines = compiled.state_lines();
-            if engine_lines != compiled_lines {
-                return Ok(Some(Discrepancy::Kernel {
-                    cycle,
-                    diff: kernel_diff(&engine_lines, &compiled_lines),
-                }));
-            }
-        }
-        match (engine_step, ref_step) {
-            (Ok(()), Ok(())) => {}
-            (Err(e), Err(_)) => {
-                // Both sides reject the cycle (e.g. a userpoint error):
-                // agreement, but nothing further to compare.
-                let _ = e;
-                return Ok(None);
-            }
+            // Both sides reject the cycle (e.g. a userpoint error):
+            // agreement, but nothing further to compare.
+            (Err(_), Err(_)) => return Ok(None),
             (Err(e), Ok(())) => {
                 return Ok(Some(Discrepancy::EngineError {
                     cycle,

@@ -3,6 +3,7 @@
 //! and minimized to a small repro (the mutation test for the harness
 //! itself).
 
+use lss_sim::Scheduler;
 use lss_verify::gen::Pin;
 use lss_verify::{
     difftest_source, generate, run_fuzz, DiffOptions, Discrepancy, FuzzConfig, GenConfig,
@@ -163,12 +164,19 @@ fn minimizer_shrinks_hand_built_finding_to_three_instances() {
     );
 }
 
+/// True for the discrepancy classes a kernel-stage bug can produce: the
+/// mutated engine's state diverges from the reference, or it fails a cycle
+/// the reference runs clean.
+fn engine_side(d: &Discrepancy) -> bool {
+    matches!(d.tag(), "trace" | "engine-error")
+}
+
 #[test]
 fn stale_commit_kernel_mutation_is_caught_and_minimized() {
-    // The compiled engine runs as a third simulator inside every difftest;
-    // an injected stage-commit bug (the last buffered write of each stage
-    // silently dropped) must surface as a `kernel` discrepancy and shrink
-    // to a small repro, exactly like the reference-simulator mutations.
+    // An injected stage-commit bug in the engine (the last buffered write
+    // of each stage silently dropped) must surface against the reference
+    // and shrink to a small repro, exactly like the reference-simulator
+    // mutations.
     let out = std::env::temp_dir().join("lss-verify-kernel-mutation");
     let _ = std::fs::remove_dir_all(&out);
     let cfg = FuzzConfig {
@@ -181,18 +189,17 @@ fn stale_commit_kernel_mutation_is_caught_and_minimized() {
         ..FuzzConfig::default()
     };
     let report = run_fuzz(&cfg, |_line| {});
-    let kernel_findings: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.discrepancy.tag() == "kernel")
-        .collect();
     assert!(
-        !kernel_findings.is_empty(),
-        "the stale-commit kernel mutation went undetected over {} programs: {:?}",
-        report.iters,
-        report.findings
+        !report.findings.is_empty(),
+        "the stale-commit kernel mutation went undetected over {} programs",
+        report.iters
     );
-    for finding in &kernel_findings {
+    for finding in &report.findings {
+        assert!(
+            engine_side(&finding.discrepancy),
+            "mutation misattributed: {}",
+            finding.discrepancy
+        );
         assert!(
             finding.minimized_insts <= 10,
             "kernel repro not minimal: {} instances (from {})",
@@ -214,7 +221,7 @@ fn skip_barrier_kernel_mutation_is_caught() {
     // The second injected kernel bug: all buffered writes held past the
     // stage barriers and committed only after the settle pass, so any
     // *combinational* consumer (the tee here) reads an absent value while
-    // the interpreter sees the real one. A pure delay chain cannot tell —
+    // the reference sees the real one. A pure delay chain cannot tell —
     // delays sample at end-of-timestep, after the late commit — which is
     // exactly why the repro needs the combinational hop.
     let opts = DiffOptions {
@@ -225,8 +232,8 @@ fn skip_barrier_kernel_mutation_is_caught() {
         .expect("harness-level failure")
         .expect("a skipped barrier must diverge across a combinational tee");
     assert!(
-        matches!(verdict, Discrepancy::Kernel { .. }),
-        "expected a kernel discrepancy, got: {verdict}"
+        engine_side(&verdict),
+        "expected an engine-side discrepancy, got: {verdict}"
     );
     // And the minimizer preserves the finding class while shrinking.
     let minimized = lss_verify::minimize(&chain_spec(), &verdict, &opts);
@@ -235,25 +242,24 @@ fn skip_barrier_kernel_mutation_is_caught() {
         "expected <= 3 instances after ddmin, got {}",
         minimized.spec.insts.len()
     );
-    assert_eq!(minimized.discrepancy.tag(), "kernel");
+    assert_eq!(minimized.discrepancy.tag(), verdict.tag());
 }
 
 #[test]
-fn kernel_mutations_do_not_confuse_the_reference_oracle() {
-    // A kernel mutation lives strictly on the compiled path: the
-    // interpreter-vs-reference comparison must still run clean, so every
-    // finding it produces is attributed to the compiled engine.
-    let opts = DiffOptions {
-        kernel_mutation: KernelMutation::StaleCommit,
-        ..DiffOptions::default()
-    };
-    let verdict = difftest_source("chain.lss", &chain_spec().render(), &opts)
-        .expect("harness-level failure")
-        .expect("a stale commit must diverge on the chain");
-    assert!(
-        matches!(verdict, Discrepancy::Kernel { .. }),
-        "mutation misattributed (should be kernel, not trace/ref): {verdict}"
-    );
+fn kernel_mutations_stay_off_the_dynamic_scheduler() {
+    // Kernels are lowered only for the static plan: the dynamic scheduler
+    // runs every leaf through its dyn `Component`, so a kernel mutation
+    // cannot reach it and the same chain diffs clean.
+    for mutation in [KernelMutation::StaleCommit, KernelMutation::SkipBarrier] {
+        let opts = DiffOptions {
+            scheduler: Scheduler::Dynamic,
+            kernel_mutation: mutation,
+            ..DiffOptions::default()
+        };
+        let verdict = difftest_source("chain.lss", &chain_spec().render(), &opts)
+            .expect("harness-level failure");
+        assert!(verdict.is_none(), "{mutation:?}: {verdict:?}");
+    }
 }
 
 #[test]

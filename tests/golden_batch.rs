@@ -1,5 +1,5 @@
 //! Golden batch-mode traces: batch lane `k` must be byte-identical to a
-//! solo compiled run with seed `k`.
+//! solo static-engine run with seed `k`.
 //!
 //! `build_batch` runs N lanes of one netlist in lockstep, each lane seeded
 //! independently. The contract that makes batch mode trustworthy is that a
@@ -24,15 +24,13 @@ use std::path::PathBuf;
 
 use lss_models::{compile_model, model};
 use lss_netlist::Netlist;
-use lss_sim::{build, build_batch, Engine, Scheduler, SimOptions};
+use lss_sim::{build, build_batch, SimOptions};
 
 const TRACE_CYCLES: u64 = 8;
 const SEEDS: [i64; 3] = [0, 1, 2];
 
-fn compiled_opts(seed: i64) -> SimOptions {
+fn seeded_opts(seed: i64) -> SimOptions {
     SimOptions {
-        scheduler: Scheduler::Static,
-        engine: Engine::Compiled,
         seed,
         ..Default::default()
     }
@@ -41,7 +39,7 @@ fn compiled_opts(seed: i64) -> SimOptions {
 /// One lane's (or one solo simulator's) rendered per-cycle trace.
 fn solo_trace(netlist: &Netlist, seed: i64) -> String {
     let registry = lss_corelib::registry();
-    let mut sim = build(netlist, &registry, compiled_opts(seed)).expect("solo build");
+    let mut sim = build(netlist, &registry, seeded_opts(seed)).expect("solo build");
     let mut out = String::new();
     for cycle in 0..TRACE_CYCLES {
         sim.step().expect("solo step");
@@ -58,7 +56,7 @@ fn solo_trace(netlist: &Netlist, seed: i64) -> String {
 /// lane, each holding that lane's per-cycle dump.
 fn batch_trace(netlist: &Netlist) -> Vec<String> {
     let registry = lss_corelib::registry();
-    let mut batch = build_batch(netlist, &registry, compiled_opts(0), &SEEDS).expect("batch build");
+    let mut batch = build_batch(netlist, &registry, seeded_opts(0), &SEEDS).expect("batch build");
     let mut lanes: Vec<String> = SEEDS
         .iter()
         .enumerate()

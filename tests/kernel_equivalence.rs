@@ -1,11 +1,11 @@
-//! Kernel-equivalence harness: the compiled engine must be observationally
-//! indistinguishable from the interpreter and from the naive fixpoint
-//! reference simulator.
+//! Kernel-equivalence harness: the static engine, with its kernels, must
+//! be observationally indistinguishable from the naive fixpoint reference
+//! simulator, which runs every leaf through its dyn `Component`.
 //!
-//! Three-way lockstep over all six Table 3 models and every single-file
-//! fuzz-corpus entry, comparing the canonical `state_lines()` dump after
-//! every cycle; plus a determinism check that the compiled engine's trace
-//! is byte-identical at `--threads 1`, `2`, and `8`.
+//! Lockstep over all six Table 3 models and every single-file fuzz-corpus
+//! entry, comparing the canonical `state_lines()` dump after every cycle;
+//! plus a determinism check that the engine's trace is byte-identical at
+//! `--threads 1`, `2`, and `8`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -13,75 +13,53 @@ use std::path::PathBuf;
 use lss_interp::CompileOptions;
 use lss_models::{compile_model, compile_source, models};
 use lss_netlist::Netlist;
-use lss_sim::{build, Engine, Scheduler, SimOptions, Simulator};
+use lss_sim::{build, SimOptions, Simulator};
 use lss_verify::{Mutation, RefSim};
 
 const CYCLES: u64 = 50;
 
-fn interp_opts() -> SimOptions {
-    SimOptions {
-        scheduler: Scheduler::Static,
-        ..Default::default()
-    }
-}
-
-fn compiled_opts(threads: usize) -> SimOptions {
-    SimOptions {
-        scheduler: Scheduler::Static,
-        engine: Engine::Compiled,
+fn build_engine(netlist: &Netlist, threads: usize) -> Simulator {
+    let opts = SimOptions {
         threads,
         ..Default::default()
-    }
-}
-
-fn build_engine(netlist: &Netlist, opts: SimOptions) -> Simulator {
+    };
     build(netlist, &lss_corelib::registry(), opts).expect("engine build")
 }
 
-/// Steps all three simulators in lockstep, comparing `state_lines()` after
-/// every cycle. Returns an error message naming the first divergence.
-fn three_way(netlist: &Netlist, name: &str, cycles: u64) -> Result<(), String> {
+/// Steps the engine and the reference in lockstep, comparing
+/// `state_lines()` after every cycle. Returns an error message naming the
+/// first divergence.
+fn against_refsim(netlist: &Netlist, name: &str, cycles: u64) -> Result<(), String> {
     let registry = lss_corelib::registry();
-    let mut interp = build_engine(netlist, interp_opts());
-    let mut compiled = build_engine(netlist, compiled_opts(1));
+    let mut engine = build_engine(netlist, 1);
     let mut reference =
         RefSim::build(netlist, &registry, Mutation::None).map_err(|e| format!("{name}: {e}"))?;
     reference.init().map_err(|e| format!("{name}: {e}"))?;
     for cycle in 0..cycles {
-        // All three must agree on success/failure as well as on state.
-        let ri = interp.step();
-        let rc = compiled.step();
-        let rr = reference.step();
-        match (&ri, &rc, &rr) {
-            (Ok(()), Ok(()), Ok(())) => {}
-            (Err(a), Err(b), Err(c)) => {
-                let (a, b, c) = (a.to_string(), b.to_string(), c.to_string());
-                if a == b && b == c {
+        // Both must agree on success/failure as well as on state.
+        match (engine.step(), reference.step()) {
+            (Ok(()), Ok(())) => {}
+            (Err(a), Err(b)) => {
+                let (a, b) = (a.to_string(), b.to_string());
+                if a == b {
                     return Ok(()); // agreed failure: equivalent behavior
                 }
                 return Err(format!(
-                    "{name} cycle {cycle}: engines disagree on error:\n  interp:   {a}\n  compiled: {b}\n  refsim:   {c}"
+                    "{name} cycle {cycle}: simulators disagree on error:\n  engine: {a}\n  refsim: {b}"
                 ));
             }
-            _ => {
+            (re, rr) => {
                 return Err(format!(
-                    "{name} cycle {cycle}: engines disagree on success: interp={ri:?} compiled={rc:?} refsim={rr:?}"
+                    "{name} cycle {cycle}: simulators disagree on success: engine={re:?} refsim={rr:?}"
                 ));
             }
         }
-        let li = interp.state_lines();
-        let lc = compiled.state_lines();
+        let le = engine.state_lines();
         let lr = reference.state_lines();
-        if li != lc {
-            let diff = first_diff(&li, &lc);
+        if le != lr {
+            let diff = first_diff(&le, &lr);
             return Err(format!(
-                "{name} cycle {cycle}: compiled diverges from interp:\n{diff}"
-            ));
-        }
-        if li != lr {
-            let diff = first_diff(&li, &lr);
-            return Err(format!(
-                "{name} cycle {cycle}: refsim diverges from interp:\n{diff}"
+                "{name} cycle {cycle}: engine diverges from refsim:\n{diff}"
             ));
         }
     }
@@ -100,12 +78,12 @@ fn first_diff(a: &[String], b: &[String]) -> String {
 }
 
 #[test]
-fn all_table3_models_agree_three_ways() {
+fn all_table3_models_agree_with_refsim() {
     let mut failures = Vec::new();
     for m in models() {
         let compiled =
             compile_model(m).unwrap_or_else(|e| panic!("model {} failed to compile:\n{e}", m.id));
-        if let Err(e) = three_way(&compiled.netlist, &format!("model {}", m.id), CYCLES) {
+        if let Err(e) = against_refsim(&compiled.netlist, &format!("model {}", m.id), CYCLES) {
             failures.push(e);
         }
     }
@@ -114,12 +92,12 @@ fn all_table3_models_agree_three_ways() {
 
 #[test]
 fn all_table3_models_lower_kernels() {
-    // The compiled engine must actually be compiled: on every Table 3
-    // model the bulk of the leaves lower to kernels (the whole point of
-    // the engine — the dyn fallback is for the exotic residue).
+    // The static engine must actually run kernels: on every Table 3 model
+    // the bulk of the leaves lower (the dyn fallback is for the exotic
+    // residue).
     for m in models() {
         let compiled = compile_model(m).expect("compile");
-        let sim = build_engine(&compiled.netlist, compiled_opts(1));
+        let sim = build_engine(&compiled.netlist, 1);
         assert!(
             sim.kernel_count() * 3 >= compiled.netlist.leaves().count(),
             "model {}: only {} of {} leaves lowered to kernels",
@@ -144,7 +122,7 @@ fn corpus_files() -> Vec<PathBuf> {
 }
 
 #[test]
-fn corpus_agrees_three_ways() {
+fn corpus_agrees_with_refsim() {
     let mut failures = Vec::new();
     for path in corpus_files() {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -153,16 +131,16 @@ fn corpus_agrees_three_ways() {
             Ok(c) => c,
             Err(_) => continue, // invalid corpus entries are covered elsewhere
         };
-        if let Err(e) = three_way(&compiled.netlist, &name, 30) {
+        if let Err(e) = against_refsim(&compiled.netlist, &name, 30) {
             failures.push(e);
         }
     }
     assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
 }
 
-/// Runs the compiled engine and returns its per-cycle trace as one string.
-fn compiled_trace(netlist: &Netlist, threads: usize, cycles: u64) -> String {
-    let mut sim = build_engine(netlist, compiled_opts(threads));
+/// Runs the engine and returns its per-cycle trace as one string.
+fn engine_trace(netlist: &Netlist, threads: usize, cycles: u64) -> String {
+    let mut sim = build_engine(netlist, threads);
     let mut out = String::new();
     for cycle in 0..cycles {
         sim.step().expect("step");
@@ -181,9 +159,9 @@ fn thread_count_does_not_change_the_trace() {
     // trace must be byte-identical at 1, 2 and 8 worker threads.
     let m = lss_models::model('C').expect("model C");
     let compiled = compile_model(m).expect("compile");
-    let t1 = compiled_trace(&compiled.netlist, 1, 40);
-    let t2 = compiled_trace(&compiled.netlist, 2, 40);
-    let t8 = compiled_trace(&compiled.netlist, 8, 40);
+    let t1 = engine_trace(&compiled.netlist, 1, 40);
+    let t2 = engine_trace(&compiled.netlist, 2, 40);
+    let t8 = engine_trace(&compiled.netlist, 8, 40);
     assert!(t1 == t2, "threads=2 trace differs from threads=1");
     assert!(t1 == t8, "threads=8 trace differs from threads=1");
 }
