@@ -16,8 +16,12 @@ cargo build --release
 # stages below drive ./target/release/lssc, so build the workspace too.
 cargo build --release --workspace
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
+echo "==> tier-1 and every workspace crate: cargo test -q --workspace"
+# The root package's tests (`cargo test -q`) are the tier-1 floor;
+# --workspace also runs every crate's unit and integration tests,
+# among them the kernel equivalence and batch golden suites, cache fault
+# injection, the CLI exit-code contract and the invalid-corpus replay.
+cargo test -q --workspace
 
 echo "==> analyzer: lssc check over examples and Table 3 models (deny LSS1xx)"
 mkdir -p target/analysis
@@ -96,10 +100,6 @@ rm -rf target/verify
 ./target/release/lssc fuzz --seed 2 --iters 200 --types-only
 ./target/release/lssc fuzz --seed 3 --iters 200 --sim-only
 
-echo "==> kernels: static-engine equivalence suite (engine vs refsim)"
-cargo test -q --test kernel_equivalence
-cargo test -q --test golden_batch
-
 echo "==> kernels: kernel fuzz smoke + injected-bug canaries (fixed seed)"
 # The sim-only loop above already checks the engine's kernels against the
 # reference inside every difftest; this stage additionally proves the
@@ -126,11 +126,6 @@ if [ -d target/verify ] && [ -n "$(ls -A target/verify)" ]; then
   ls target/verify >&2
   exit 1
 fi
-
-echo "==> robustness: cache fault injection + exit-code contract + invalid corpus"
-cargo test -q -p lss-driver --test cache_faults
-cargo test -q -p liberty --test cli
-cargo test -q --test corpus_invalid_replay
 
 echo "==> robustness: budget-exhaustion smoke (self-instantiation must exit 3 within 5s)"
 selfinst="$(mktemp /tmp/lss-ci-selfinst.XXXXXX.lss)"
@@ -219,5 +214,8 @@ cargo run --release -q -p bench --bin verify
 
 echo "==> robustness: BENCH_robustness.json (budget overhead < 3%, fuzz throughput)"
 cargo run --release -q -p bench --bin robustness
+
+echo "==> benchmark: smoke pass over every workload (oracles + RefSim on Table 3)"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "CI OK"

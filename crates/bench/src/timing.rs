@@ -28,13 +28,43 @@ pub fn measure<F: FnMut()>(name: impl Into<String>, warmup: u32, iters: u32, mut
     for _ in 0..warmup {
         f();
     }
-    let mut times: Vec<u64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
+    let times: Vec<u64> = (0..iters).map(|_| time(&mut f)).collect();
+    summarize(name, times)
+}
+
+/// Like [`measure`] for two cases at once, alternating their iterations so
+/// that drift in machine speed over the run hits both alike. Gates on the
+/// ratio between two cases should measure them this way.
+pub fn measure_pair<A: FnMut(), B: FnMut()>(
+    names: [String; 2],
+    warmup: u32,
+    iters: u32,
+    mut a: A,
+    mut b: B,
+) -> [Sample; 2] {
+    assert!(iters > 0, "need at least one measured iteration");
+    for _ in 0..warmup {
+        a();
+        b();
+    }
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for _ in 0..iters {
+        ta.push(time(&mut a));
+        tb.push(time(&mut b));
+    }
+    let [na, nb] = names;
+    [summarize(na, ta), summarize(nb, tb)]
+}
+
+fn time(f: &mut impl FnMut()) -> u64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos() as u64
+}
+
+/// Summarizes per-iteration times and prints the human-readable line.
+fn summarize(name: String, mut times: Vec<u64>) -> Sample {
+    let iters = times.len() as u32;
     times.sort_unstable();
     let median_ns = times[times.len() / 2];
     let mean_ns = times.iter().sum::<u64>() / times.len() as u64;
@@ -115,6 +145,21 @@ mod tests {
         });
         assert!(s.min_ns <= s.median_ns);
         assert_eq!(s.iters, 5);
+    }
+
+    #[test]
+    fn measure_pair_alternates_the_two_cases() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let [a, b] = measure_pair(
+            ["a".into(), "b".into()],
+            1,
+            3,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(order.into_inner(), "abababab".chars().collect::<Vec<_>>());
+        assert_eq!((a.name.as_str(), a.iters), ("a", 3));
+        assert_eq!((b.name.as_str(), b.iters), ("b", 3));
     }
 
     #[test]

@@ -114,16 +114,19 @@ impl Instr {
 
     /// Converts to the port datum representation.
     pub fn to_datum(&self) -> Datum {
-        Datum::Struct(vec![
-            ("pc".into(), Datum::Int(self.pc)),
-            ("op".into(), Datum::Int(self.op)),
-            ("dst".into(), Datum::Int(self.dst)),
-            ("src1".into(), Datum::Int(self.src1)),
-            ("src2".into(), Datum::Int(self.src2)),
-            ("lat".into(), Datum::Int(self.lat)),
-            ("tgt".into(), Datum::Int(self.tgt)),
-            ("taken".into(), Datum::Int(self.taken)),
-        ])
+        Datum::Struct(
+            vec![
+                ("pc".into(), Datum::Int(self.pc)),
+                ("op".into(), Datum::Int(self.op)),
+                ("dst".into(), Datum::Int(self.dst)),
+                ("src1".into(), Datum::Int(self.src1)),
+                ("src2".into(), Datum::Int(self.src2)),
+                ("lat".into(), Datum::Int(self.lat)),
+                ("tgt".into(), Datum::Int(self.tgt)),
+                ("taken".into(), Datum::Int(self.taken)),
+            ]
+            .into(),
+        )
     }
 
     /// Parses the port datum representation.

@@ -116,7 +116,9 @@ mod tests {
         assert!(env.declared_here("x"));
     }
 
+    // The guard is a `debug_assert`, so release builds do not panic.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "outermost")]
     fn popping_last_scope_panics() {
         Env::new().pop();

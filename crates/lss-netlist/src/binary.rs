@@ -385,7 +385,7 @@ pub fn write_datum(w: &mut Writer, d: &Datum) {
         Datum::Struct(fields) => {
             w.put_u8(5);
             w.put_varint(fields.len() as u64);
-            for (name, v) in fields {
+            for (name, v) in fields.iter() {
                 w.put_str(name);
                 write_datum(w, v);
             }
@@ -415,7 +415,7 @@ pub fn read_datum(r: &mut Reader<'_>) -> Result<Datum, String> {
                 let name = r.get_str()?;
                 fields.push((name, read_datum(r)?));
             }
-            Datum::Struct(fields)
+            Datum::Struct(fields.into())
         }
         other => return Err(format!("unknown datum tag {other}")),
     })

@@ -558,7 +558,8 @@ fn datum_from(v: &JsonValue) -> Result<Datum, String> {
                 members
                     .iter()
                     .map(|(k, v)| Ok((k.clone(), datum_from(v)?)))
-                    .collect::<Result<Vec<_>, String>>()?,
+                    .collect::<Result<Vec<_>, String>>()?
+                    .into(),
             ))
         }
         JsonValue::Null => Err("null is not a datum".to_string()),
@@ -1003,7 +1004,7 @@ mod tests {
         assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
         assert_eq!(datum_json(&Datum::Float(f64::NAN)), "{\"$f\":\"nan\"}");
         assert_eq!(
-            datum_json(&Datum::Struct(vec![("k".into(), Datum::Bool(true))])),
+            datum_json(&Datum::Struct(vec![("k".into(), Datum::Bool(true))].into())),
             "{\"k\":true}"
         );
     }

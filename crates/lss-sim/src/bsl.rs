@@ -662,14 +662,32 @@ mod tests {
     fn struct_field_access_and_update() {
         let mut vars = SlotTable::from_pairs([(
             "pkt",
-            Datum::Struct(vec![
-                ("dest".into(), Datum::Int(3)),
-                ("data".into(), Datum::Int(9)),
-            ]),
+            Datum::Struct(
+                vec![
+                    ("dest".into(), Datum::Int(3)),
+                    ("data".into(), Datum::Int(9)),
+                ]
+                .into(),
+            ),
         )]);
         let result = run("pkt.dest = pkt.dest + 1; return pkt.dest;", &[], &mut vars);
         assert_eq!(result, Some(Datum::Int(4)));
         assert_eq!(vars.get("pkt").unwrap().field("dest"), Some(&Datum::Int(4)));
+    }
+
+    #[test]
+    fn struct_field_update_leaves_a_shared_copy_unchanged() {
+        // Both variables hold the same shared struct payload; the update
+        // must copy it rather than write through to `orig`.
+        let pkt = Datum::Struct(vec![("dest".into(), Datum::Int(3))].into());
+        let mut vars = SlotTable::from_pairs([("pkt", pkt.clone()), ("orig", pkt)]);
+        let result = run("pkt.dest = 7; return orig.dest;", &[], &mut vars);
+        assert_eq!(result, Some(Datum::Int(3)));
+        assert_eq!(vars.get("pkt").unwrap().field("dest"), Some(&Datum::Int(7)));
+        assert_eq!(
+            vars.get("orig").unwrap().field("dest"),
+            Some(&Datum::Int(3))
+        );
     }
 
     #[test]

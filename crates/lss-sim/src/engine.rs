@@ -31,6 +31,13 @@
 //! build boundary (resolving netlist [`lss_netlist::Symbol`]s) and in
 //! error/report paths — the per-cycle path performs no string hashing,
 //! comparison, or allocation for name lookup.
+//!
+//! The per-cycle loops after settle walk lists built once in [`build`],
+//! not every component: the firing loop visits only output ports with
+//! `<port>_fire` listeners or a watched instance (the firing count is one
+//! flat pass over the value arena), the state update skips kernels whose
+//! `end_of_timestep` is a no-op, and declared-event dispatch visits only
+//! components that declare events.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -322,6 +329,16 @@ struct CollectorRt {
     state: SlotTable,
 }
 
+/// An output port the firing loop visits: it has `<port>_fire`
+/// listeners, or its instance is watched (or both).
+#[derive(Clone, Copy)]
+struct FireSite {
+    comp: usize,
+    port: usize,
+    /// The instance matches a [`Simulator::watch`] prefix.
+    watched: bool,
+}
+
 /// Selects a precomputed listener table for [`Simulator::dispatch`].
 #[derive(Clone, Copy)]
 enum Listeners {
@@ -358,6 +375,14 @@ pub struct Simulator {
     fire_listeners: Vec<Vec<Vec<usize>>>,
     /// comp -> declared event -> collector indices.
     event_listeners: Vec<Vec<Vec<usize>>>,
+    /// Output ports with fire listeners or a watched instance, sorted by
+    /// `(comp, port)`; rebuilt by [`Simulator::watch`].
+    fire_sites: Vec<FireSite>,
+    /// Components whose `end_of_timestep` can do work, in component order
+    /// (every dyn component; kernels with state to update).
+    eot_comps: Vec<usize>,
+    /// Components that declare at least one event, in component order.
+    event_comps: Vec<usize>,
     /// Argument names bound for `<port>_fire` dispatch.
     fire_arg_names: Vec<String>,
     /// Argument-name tables for declared events, indexed by argument count:
@@ -585,6 +610,11 @@ pub fn build(
             }
         }
     }
+    // The firing count relies on this: every arena slot is an output lane.
+    debug_assert_eq!(
+        out_slots.iter().flatten().map(Vec::len).sum::<usize>(),
+        slot_count
+    );
     let wires = netlist.flatten();
     let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
     // (dst comp, dst port, lane) resolved after components exist for
@@ -834,6 +864,14 @@ pub fn build(
         .iter()
         .map(|ports| ports.iter().flatten().copied().collect())
         .collect();
+    let eot_comps: Vec<usize> = (0..n)
+        .filter(|&c| kernel_of[c].is_none_or(|k| kernels[k].kernel.has_end_of_timestep()))
+        .collect();
+    // Kernel-lowered components stay eligible: `init` runs every
+    // component's dyn behavior, which may emit.
+    let event_comps: Vec<usize> = (0..n)
+        .filter(|&c| !states[c].event_names.is_empty())
+        .collect();
 
     // Protocol monitors: one per enforceable declared binding.
     let mut monitors = Vec::new();
@@ -895,7 +933,7 @@ pub fn build(
             }
         }
     }
-    Ok(Simulator {
+    let mut sim = Simulator {
         core: Core {
             cycle: 0,
             seed: opts.seed,
@@ -922,6 +960,9 @@ pub fn build(
         collectors,
         fire_listeners,
         event_listeners,
+        fire_sites: Vec::new(),
+        eot_comps,
+        event_comps,
         fire_arg_names: vec!["value".to_string(), "lane".to_string(), "cycle".to_string()],
         event_arg_names: Vec::new(),
         opts,
@@ -931,7 +972,9 @@ pub fn build(
         watch_prefixes: Vec::new(),
         firing_log: Vec::new(),
         firing_log_cap: 100_000,
-    })
+    };
+    sim.rebuild_fire_sites();
+    Ok(sim)
 }
 
 /// Builds a lockstep batch: one netlist, `seeds.len()` lanes, lane `k`
@@ -1243,8 +1286,10 @@ impl Simulator {
         // shared per-component table so `state_lines()` sees them); the
         // rest take the dyn path. Lowering is gated on the instance having
         // no userpoints, so the `end_of_timestep` userpoint hook cannot be
-        // skipped by a kernel.
-        for comp in 0..self.comps.len() {
+        // skipped by a kernel, and kernels whose update is a no-op are not
+        // in the list at all.
+        for i in 0..self.eot_comps.len() {
+            let comp = self.eot_comps[i];
             if let Some(k) = self.kernel_of[comp] {
                 self.kernels[k]
                     .kernel
@@ -1389,45 +1434,60 @@ impl Simulator {
         Ok(())
     }
 
-    fn fire_port_events(&mut self) -> Result<(), SimError> {
-        for comp in 0..self.comps.len() {
-            let watched = !self.watch_prefixes.is_empty()
-                && self
-                    .watch_prefixes
-                    .iter()
-                    .any(|p| self.paths[comp].starts_with(p.as_str()));
-            for port in 0..self.core.out_slots[comp].len() {
-                let lanes = self.core.out_slots[comp][port].len();
-                if lanes == 0 {
-                    continue;
+    /// Recomputes [`Simulator::fire_sites`] from the listener tables and
+    /// the watch prefixes.
+    fn rebuild_fire_sites(&mut self) {
+        let mut sites = Vec::new();
+        for (comp, ports) in self.core.out_slots.iter().enumerate() {
+            let watched = self
+                .watch_prefixes
+                .iter()
+                .any(|p| self.paths[comp].starts_with(p.as_str()));
+            for (port, lanes) in ports.iter().enumerate() {
+                if !lanes.is_empty() && (watched || !self.fire_listeners[comp][port].is_empty()) {
+                    sites.push(FireSite {
+                        comp,
+                        port,
+                        watched,
+                    });
                 }
-                let has_listeners = !self.fire_listeners[comp][port].is_empty();
-                for lane in 0..lanes {
-                    let slot = self.core.out_slots[comp][port][lane];
-                    // Values are cloned only on the observation paths; the
-                    // common unobserved firing just bumps the counter.
-                    if self.core.values[slot].is_none() {
-                        continue;
-                    }
-                    self.stats.port_firings += 1;
-                    if watched && self.firing_log.len() < self.firing_log_cap {
-                        let value = self.core.values[slot].clone().expect("checked above");
-                        self.firing_log.push(FiringRecord {
-                            cycle: self.core.cycle,
-                            path: self.paths[comp].clone(),
-                            port: self.port_names[comp][port].clone(),
-                            lane: lane as u32,
-                            value,
-                        });
-                    }
-                    if has_listeners {
-                        let args = vec![
-                            self.core.values[slot].clone().expect("checked above"),
-                            Datum::Int(lane as i64),
-                            Datum::Int(self.core.cycle as i64),
-                        ];
-                        self.dispatch(comp, Listeners::Fire(port), args)?;
-                    }
+            }
+        }
+        self.fire_sites = sites;
+    }
+
+    fn fire_port_events(&mut self) -> Result<(), SimError> {
+        // Every arena slot is an output lane (see `build`), so the firing
+        // count is one flat pass; only observed ports are visited per lane.
+        self.stats.port_firings += self.core.values.iter().filter(|v| v.is_some()).count() as u64;
+        for i in 0..self.fire_sites.len() {
+            let FireSite {
+                comp,
+                port,
+                watched,
+            } = self.fire_sites[i];
+            let has_listeners = !self.fire_listeners[comp][port].is_empty();
+            for lane in 0..self.core.out_slots[comp][port].len() {
+                let slot = self.core.out_slots[comp][port][lane];
+                let Some(value) = &self.core.values[slot] else {
+                    continue;
+                };
+                if watched && self.firing_log.len() < self.firing_log_cap {
+                    self.firing_log.push(FiringRecord {
+                        cycle: self.core.cycle,
+                        path: self.paths[comp].clone(),
+                        port: self.port_names[comp][port].clone(),
+                        lane: lane as u32,
+                        value: value.clone(),
+                    });
+                }
+                if has_listeners {
+                    let args = vec![
+                        value.clone(),
+                        Datum::Int(lane as i64),
+                        Datum::Int(self.core.cycle as i64),
+                    ];
+                    self.dispatch(comp, Listeners::Fire(port), args)?;
                 }
             }
         }
@@ -1435,7 +1495,8 @@ impl Simulator {
     }
 
     fn dispatch_declared_events(&mut self) -> Result<(), SimError> {
-        for comp in 0..self.comps.len() {
+        for i in 0..self.event_comps.len() {
+            let comp = self.event_comps[i];
             if self.core.states[comp].eval_events.is_empty()
                 && self.core.states[comp].eot_events.is_empty()
             {
@@ -1533,11 +1594,12 @@ impl Simulator {
     }
 
     /// Starts recording a firing log for instances whose path starts with
-    /// `prefix` (visualization/debugging support, §4.5). Call before
-    /// stepping; multiple prefixes accumulate. At most `cap` records are
+    /// `prefix` (visualization/debugging support, §4.5), from the next
+    /// cycle on; multiple prefixes accumulate. At most `cap` records are
     /// kept (default 100 000).
     pub fn watch(&mut self, prefix: impl Into<String>) {
         self.watch_prefixes.push(prefix.into());
+        self.rebuild_fire_sites();
     }
 
     /// Caps the firing log length.

@@ -212,16 +212,19 @@ impl FuInstr {
     }
 
     fn to_datum(self) -> Datum {
-        Datum::Struct(vec![
-            ("pc".into(), Datum::Int(self.pc)),
-            ("op".into(), Datum::Int(self.op)),
-            ("dst".into(), Datum::Int(self.dst)),
-            ("src1".into(), Datum::Int(self.src1)),
-            ("src2".into(), Datum::Int(self.src2)),
-            ("lat".into(), Datum::Int(self.lat)),
-            ("tgt".into(), Datum::Int(self.tgt)),
-            ("taken".into(), Datum::Int(self.taken)),
-        ])
+        Datum::Struct(
+            vec![
+                ("pc".into(), Datum::Int(self.pc)),
+                ("op".into(), Datum::Int(self.op)),
+                ("dst".into(), Datum::Int(self.dst)),
+                ("src1".into(), Datum::Int(self.src1)),
+                ("src2".into(), Datum::Int(self.src2)),
+                ("lat".into(), Datum::Int(self.lat)),
+                ("tgt".into(), Datum::Int(self.tgt)),
+                ("taken".into(), Datum::Int(self.taken)),
+            ]
+            .into(),
+        )
     }
 
     fn is_mem(self) -> bool {
@@ -545,6 +548,15 @@ impl Kernel {
             }
         }
         Ok(())
+    }
+
+    /// False for kernels whose [`Kernel::end_of_timestep`] does nothing;
+    /// the engine leaves them out of its per-cycle state-update walk.
+    pub fn has_end_of_timestep(&self) -> bool {
+        !matches!(
+            self,
+            Kernel::Source { .. } | Kernel::Tee { .. } | Kernel::Alu { .. }
+        )
     }
 
     /// Synchronous state update after settle, reading committed arena

@@ -199,7 +199,7 @@ mod tests {
             "f",
             "out",
             0,
-            Datum::Struct(vec![("pc".into(), Datum::Int(3))]),
+            Datum::Struct(vec![("pc".into(), Datum::Int(3))].into()),
         )];
         let vcd = to_vcd(&log, "1ns");
         assert!(vcd.contains("b11 !"));

@@ -629,6 +629,54 @@ fn firing_log_records_watched_values() {
 }
 
 #[test]
+fn watching_mid_run_logs_from_that_cycle_and_leaves_collectors_alone() {
+    let src = r#"
+        instance c:counter;
+        instance r:reg;
+        instance a:acc;
+        c.out -> r.in;
+        r.out -> a.in;
+        collector c : out_fire = "fires = fires + 1; sum = sum + value;";
+    "#;
+    for scheduler in [Scheduler::Static, Scheduler::Dynamic] {
+        let mut plain = sim_of(src, scheduler);
+        plain.run(8).unwrap();
+        let mut sim = sim_of(src, scheduler);
+        sim.run(3).unwrap();
+        assert!(sim.firing_log().is_empty(), "{scheduler:?}");
+        sim.watch("");
+        sim.run(5).unwrap();
+        // Cycles 3..8, the counter then the register on each.
+        let log: Vec<(u64, &str, Datum)> = sim
+            .firing_log()
+            .iter()
+            .map(|r| (r.cycle, r.path.as_str(), r.value.clone()))
+            .collect();
+        let expected: Vec<(u64, &str, Datum)> = (3..8)
+            .flat_map(|cy| {
+                [
+                    (cy, "c", Datum::Int(cy as i64)),
+                    (cy, "r", Datum::Int(cy as i64 - 1)),
+                ]
+            })
+            .collect();
+        assert_eq!(log, expected, "{scheduler:?}");
+        for stat in ["fires", "sum"] {
+            assert_eq!(
+                sim.collector_stat("c", "out_fire", stat),
+                plain.collector_stat("c", "out_fire", stat),
+                "{scheduler:?}: {stat}"
+            );
+        }
+        assert_eq!(
+            sim.collector_stat("c", "out_fire", "sum"),
+            Some(Datum::Int(28))
+        );
+        assert_eq!(sim.stats(), plain.stats(), "{scheduler:?}");
+    }
+}
+
+#[test]
 fn type_checking_mode_catches_behavior_type_violations() {
     // A deliberately broken behavior: declares int ports but sends bools.
     struct Liar {

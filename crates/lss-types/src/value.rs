@@ -5,6 +5,7 @@
 //! grammar [`Ty`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ty::Ty;
 
@@ -21,8 +22,12 @@ pub enum Datum {
     Str(String),
     /// Fixed-length array.
     Array(Vec<Datum>),
-    /// Record value with named fields.
-    Struct(Vec<(String, Datum)>),
+    /// Record value with named fields. The field list is shared: `clone`
+    /// bumps a reference count instead of copying every field name, so a
+    /// struct crossing a port costs no allocation. Updates go through
+    /// [`Datum::field_mut`], which copies on write, so sharing is never
+    /// observable.
+    Struct(Arc<Vec<(String, Datum)>>),
 }
 
 impl Datum {
@@ -54,12 +59,12 @@ impl Datum {
             Ty::Float => Datum::Float(0.0),
             Ty::String => Datum::Str(String::new()),
             Ty::Array(t, n) => Datum::Array(vec![Datum::default_for(t); *n]),
-            Ty::Struct(fields) => Datum::Struct(
+            Ty::Struct(fields) => Datum::Struct(Arc::new(
                 fields
                     .iter()
                     .map(|(n, t)| (n.clone(), Datum::default_for(t)))
                     .collect(),
-            ),
+            )),
         }
     }
 
@@ -124,10 +129,14 @@ impl Datum {
         }
     }
 
-    /// Mutable struct-field lookup by name.
+    /// Mutable struct-field lookup by name. Copies the field list first if
+    /// another value shares it (copy-on-write).
     pub fn field_mut(&mut self, name: &str) -> Option<&mut Datum> {
         match self {
-            Datum::Struct(fields) => fields.iter_mut().find(|(n, _)| n == name).map(|(_, v)| v),
+            Datum::Struct(fields) => {
+                let i = fields.iter().position(|(n, _)| n == name)?;
+                Some(&mut Arc::make_mut(fields)[i].1)
+            }
             _ => None,
         }
     }
@@ -215,7 +224,7 @@ mod tests {
     fn conformance_is_strict() {
         assert!(!Datum::Int(1).conforms_to(&Ty::Float));
         assert!(!Datum::Array(vec![Datum::Int(1)]).conforms_to(&Ty::Array(Box::new(Ty::Int), 2)));
-        let v = Datum::Struct(vec![("x".into(), Datum::Int(1))]);
+        let v = Datum::Struct(vec![("x".into(), Datum::Int(1))].into());
         assert!(!v.conforms_to(&Ty::record([("y", Ty::Int)])));
         assert!(v.conforms_to(&Ty::record([("x", Ty::Int)])));
     }
@@ -227,19 +236,24 @@ mod tests {
         assert_eq!(Datum::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Datum::from("hi").as_str(), Some("hi"));
         assert_eq!(Datum::Int(4).as_bool(), None);
-        let mut s = Datum::Struct(vec![("x".into(), Datum::Int(1))]);
+        let mut s = Datum::Struct(vec![("x".into(), Datum::Int(1))].into());
+        let shared = s.clone();
         assert_eq!(s.field("x"), Some(&Datum::Int(1)));
         *s.field_mut("x").unwrap() = Datum::Int(9);
         assert_eq!(s.field("x"), Some(&Datum::Int(9)));
+        assert_eq!(shared.field("x"), Some(&Datum::Int(1)), "copy on write");
         assert_eq!(s.field("nope"), None);
     }
 
     #[test]
     fn display() {
-        let v = Datum::Struct(vec![
-            ("a".into(), Datum::Array(vec![Datum::Int(1), Datum::Int(2)])),
-            ("b".into(), Datum::from("x")),
-        ]);
+        let v = Datum::Struct(
+            vec![
+                ("a".into(), Datum::Array(vec![Datum::Int(1), Datum::Int(2)])),
+                ("b".into(), Datum::from("x")),
+            ]
+            .into(),
+        );
         assert_eq!(v.to_string(), "{a: [1, 2], b: \"x\"}");
     }
 }

@@ -104,10 +104,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ctx.set_output(
                     self.out,
                     0,
-                    Datum::Struct(vec![
-                        ("base".into(), Datum::Int(0x1000)),
-                        ("len".into(), Datum::Int(4)),
-                    ]),
+                    Datum::Struct(
+                        vec![
+                            ("base".into(), Datum::Int(0x1000)),
+                            ("len".into(), Datum::Int(4)),
+                        ]
+                        .into(),
+                    ),
                 );
             }
             Ok(())
