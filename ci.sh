@@ -23,23 +23,23 @@ echo "==> tier-1 and every workspace crate: cargo test -q --workspace"
 # injection, the CLI exit-code contract and the invalid-corpus replay.
 cargo test -q --workspace
 
-echo "==> analyzer: lssc check over examples and Table 3 models (deny LSS1xx)"
+echo "==> analyzer: lssc check over examples, example projects and Table 3 models (deny LSS1xx)"
 mkdir -p target/analysis
 for m in A B C D E F; do
   ./target/release/lssc check --model "$m" --deny LSS1xx \
     --format sarif --output "target/analysis/model_${m}.sarif"
 done
-for f in examples/lss/*.lss; do
+for f in examples/lss/*.lss examples/lss/model_a examples/lss/model_e; do
   name="$(basename "$f" .lss)"
   ./target/release/lssc check "$f" --deny LSS1xx \
     --format sarif --output "target/analysis/example_${name}.sarif"
 done
 
-echo "==> protocol: composition checks clean over Table 3 models and examples"
+echo "==> protocol: composition checks clean over Table 3 models, examples and example projects"
 for m in A B C D E F; do
   ./target/release/lssc check --model "$m" --deny LSS105 --deny LSS107
 done
-for f in examples/lss/*.lss; do
+for f in examples/lss/*.lss examples/lss/model_a examples/lss/model_e; do
   ./target/release/lssc check "$f" --deny LSS105 --deny LSS107
 done
 

@@ -8,15 +8,15 @@
 //! Run with `cargo run -p bench --bin table1`.
 
 use bench::baselines::{static_structural, structural_oop};
-use liberty::Lse;
+use liberty::Driver;
 use lss_types::Ty;
 
 /// Compiles a snippet against the corelib, returning the netlist or the
 /// error text.
-fn lss(src: &str) -> Result<liberty::Compiled, String> {
-    let mut lse = Lse::with_corelib();
-    lse.add_source("probe.lss", src);
-    lse.compile().map_err(|e| e.to_string())
+fn lss(src: &str) -> Result<liberty::Elaborated, String> {
+    let mut driver = Driver::with_corelib();
+    driver.add_source("probe.lss", src);
+    driver.finish().map_err(|e| e.to_string())
 }
 
 fn check(name: &str, ok: bool, detail: &str) -> bool {

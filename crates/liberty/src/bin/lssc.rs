@@ -130,10 +130,11 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use liberty::types::BudgetCaps;
-use liberty::{AnalysisConfig, Driver, DriverError, Lse, Scheduler, StageTimings};
+use liberty::{AnalysisConfig, Driver, Scheduler, StageTimings};
 use lss_analyze::{to_jsonl, to_sarif_located, to_text_located, Code};
 use lss_netlist::{dump, reuse_stats};
+use lssd::session::resolve_cache_dir;
+use lssd::{Quota, Spec, Status};
 
 /// Renders the engine counters and the static plan's shape after a run.
 fn print_sim_stats(stats: &liberty::sim::SimStats, sim: Option<&liberty::Simulator>) {
@@ -154,127 +155,67 @@ fn print_sim_stats(stats: &liberty::sim::SimStats, sim: Option<&liberty::Simulat
     }
 }
 
-/// Where the netlist cache lives for this invocation, `None` = disabled.
-#[derive(Clone, Default)]
-struct CacheOpts {
-    disabled: bool,
-    dir: Option<String>,
+/// The session flags every compiling subcommand accepts: `--lib`,
+/// `--no-corelib`, `--naive-inference`, the cache flags and the budget
+/// flags. [`SessionArgs::spec`] turns them into the shared [`Spec`].
+#[derive(Default)]
+struct SessionArgs {
+    spec: Spec,
+    libs: Vec<String>,
+    no_cache: bool,
+    cache_dir: Option<PathBuf>,
 }
 
-impl CacheOpts {
-    /// Resolves the flags to a directory: `--no-cache` wins, then
-    /// `--cache-dir`, then `$LSS_CACHE_DIR`, then `target/lss-cache`.
-    fn resolve(&self) -> Option<PathBuf> {
-        if self.disabled {
-            return None;
-        }
-        if let Some(dir) = &self.dir {
-            return Some(PathBuf::from(dir));
-        }
-        match std::env::var_os("LSS_CACHE_DIR") {
-            Some(dir) => Some(PathBuf::from(dir)),
-            None => Some(PathBuf::from("target/lss-cache")),
-        }
-    }
-
-    /// Like [`CacheOpts::resolve`], but rejects an explicitly requested
-    /// cache directory that exists and is not a directory (a corrupt or
-    /// mistyped `--cache-dir` should fail loudly, not silently disable
-    /// caching file by file).
-    fn resolve_checked(&self) -> Result<Option<PathBuf>, String> {
-        let resolved = self.resolve();
-        if self.dir.is_some() {
-            if let Some(dir) = &resolved {
-                if dir.exists() && !dir.is_dir() {
-                    return Err(format!(
-                        "cache directory {} exists but is not a directory",
-                        dir.display()
-                    ));
-                }
-            }
-        }
-        Ok(resolved)
-    }
-}
-
-/// Resource-budget flags, shared by every compiling subcommand. Each
-/// flag maps to one `LSS4xx` diagnostic code (see docs/ROBUSTNESS.md);
-/// exhaustion exits with code 3 instead of 1.
-#[derive(Clone, Default)]
-struct BudgetFlags {
-    deadline_ms: Option<u64>,     // LSS401
-    max_steps: Option<u64>,       // LSS402
-    max_instances: Option<usize>, // LSS403
-    max_depth: Option<u32>,       // LSS404
-    solver_steps: Option<u64>,    // LSS405
-    expansion_cap: Option<usize>, // LSS406
-    max_netlist: Option<u64>,     // LSS407
-    max_cycles: Option<u64>,      // LSS408
-}
-
-impl BudgetFlags {
-    /// Consumes `arg` (and its value from `args`) if it is a budget flag;
-    /// returns `false` for anything else, leaving `args` untouched.
-    fn try_parse(&mut self, arg: &str, args: &mut impl Iterator<Item = String>) -> bool {
-        fn num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
-            match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => n,
-                None => usage(),
-            }
-        }
+impl SessionArgs {
+    /// Consumes `arg` (and its value from `args`) if it is a session
+    /// flag; returns `false` for anything else, leaving `args` untouched.
+    fn parse(&mut self, arg: &str, args: &mut impl Iterator<Item = String>) -> bool {
         match arg {
-            "--deadline-ms" => self.deadline_ms = Some(num(args)),
-            "--max-steps" => self.max_steps = Some(num(args)),
-            "--max-instances" => self.max_instances = Some(num(args)),
-            "--max-depth" => self.max_depth = Some(num(args)),
-            "--solver-steps" => self.solver_steps = Some(num(args)),
-            "--expansion-cap" => self.expansion_cap = Some(num(args)),
-            "--max-netlist" => self.max_netlist = Some(num(args)),
-            "--max-cycles" => self.max_cycles = Some(num(args)),
-            _ => return false,
+            "--lib" => self.libs.push(args.next().unwrap_or_else(|| usage())),
+            "--no-corelib" => self.spec.corelib = false,
+            "--naive-inference" => self.spec.naive = true,
+            "--no-cache" => self.no_cache = true,
+            "--cache-dir" => self.cache_dir = Some(args.next().unwrap_or_else(|| usage()).into()),
+            _ => return quota_flag(&mut self.spec.quota, arg, args),
         }
         true
     }
 
-    /// Applies the flags to a session: fuel caps go into the stage
-    /// options, wall-clock/depth/size caps arm the shared budget handle.
-    /// Call after any `--naive-inference` solver replacement.
-    fn apply(&self, driver: &mut Driver) {
-        if let Some(n) = self.max_steps {
-            driver.options.elab.max_steps = n;
-        }
-        if let Some(n) = self.max_instances {
-            driver.options.elab.max_instances = n;
-        }
-        if let Some(n) = self.max_depth {
-            driver.options.elab.max_depth = n as usize;
-        }
-        if let Some(n) = self.solver_steps {
-            driver.options.solver.step_budget = Some(n);
-        }
-        if let Some(n) = self.expansion_cap {
-            driver.options.solver.expansion_cap = n;
-        }
-        let caps = BudgetCaps {
-            deadline: self.deadline_ms.map(std::time::Duration::from_millis),
-            max_depth: self.max_depth,
-            max_netlist_items: self.max_netlist,
-            max_sim_cycles: self.max_cycles,
-        };
-        if caps != BudgetCaps::default() {
-            driver.set_budget(caps);
-        }
+    /// The spec with its cache directory resolved (an explicit
+    /// `--cache-dir` naming a file is a usage error) and its libraries
+    /// read.
+    fn spec(self) -> Result<Spec, ExitCode> {
+        let mut spec = self.spec;
+        spec.cache_dir = resolve_cache_dir(self.no_cache, self.cache_dir)
+            .map_err(|e| fail(Status::BadRequest, e))?;
+        spec.libs = read_units(&self.libs).map_err(|e| fail(Status::Error, e))?;
+        Ok(spec)
     }
 }
 
-/// Maps a pipeline failure to the documented exit code: 3 when a resource
-/// budget ran out (the diagnostics carry an `LSS4xx` code), 1 otherwise.
-fn failure_exit(e: &DriverError) -> ExitCode {
-    if e.is_budget_exhausted() {
-        ExitCode::from(3)
-    } else {
-        ExitCode::from(1)
-    }
+/// [`Quota::parse_flag`] with a bad value as a usage error.
+fn quota_flag(quota: &mut Quota, arg: &str, args: &mut impl Iterator<Item = String>) -> bool {
+    quota.parse_flag(arg, args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    })
+}
+
+/// Reads each named file as a `(name, text)` unit.
+fn read_units(names: &[String]) -> Result<Vec<(String, String)>, String> {
+    names
+        .iter()
+        .map(|name| match std::fs::read_to_string(name) {
+            Ok(text) => Ok((name.clone(), text)),
+            Err(e) => Err(format!("cannot read {name}: {e}")),
+        })
+        .collect()
+}
+
+/// Reports a failure on stderr and returns its exit code.
+fn fail(status: Status, message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{message}");
+    status.into()
 }
 
 /// One `--timings` JSON line: cache outcome plus per-stage milliseconds.
@@ -330,9 +271,7 @@ fn print_warnings(driver: &Driver) {
 
 struct Options {
     files: Vec<String>,
-    libs: Vec<String>,
-    corelib: bool,
-    model: Option<char>,
+    session: SessionArgs,
     run: Option<u64>,
     run_model: bool,
     scheduler: Scheduler,
@@ -348,11 +287,8 @@ struct Options {
     /// `--output FILE` for `--emit` (required for the binary format).
     output: Option<String>,
     stats: bool,
-    naive: bool,
     lint: bool,
     timings: bool,
-    cache: CacheOpts,
-    budget: BudgetFlags,
     watch: Vec<String>,
     vcd: Option<String>,
     wave: bool,
@@ -403,7 +339,7 @@ fn usage() -> ! {
          exit codes: 0 ok, 1 findings/compile error, 2 usage,\n\
          \x20           3 resource budget exhausted, 4 internal compiler error"
     );
-    std::process::exit(2);
+    std::process::exit(Status::BadRequest.exit_code().into());
 }
 
 /// Output format for `lssc check`.
@@ -415,15 +351,10 @@ enum CheckFormat {
 
 struct CheckOptions {
     files: Vec<String>,
-    libs: Vec<String>,
-    corelib: bool,
-    model: Option<char>,
-    naive: bool,
+    session: SessionArgs,
     format: CheckFormat,
     config: AnalysisConfig,
     output: Option<String>,
-    cache: CacheOpts,
-    budget: BudgetFlags,
 }
 
 /// Expands a `--deny` / `--allow` selector, exiting with usage on nonsense.
@@ -457,26 +388,16 @@ fn list_codes() {
 fn parse_check_args(args: impl Iterator<Item = String>) -> CheckOptions {
     let mut opts = CheckOptions {
         files: Vec::new(),
-        libs: Vec::new(),
-        corelib: true,
-        model: None,
-        naive: false,
+        session: SessionArgs::default(),
         format: CheckFormat::Text,
         config: AnalysisConfig::default(),
         output: None,
-        cache: CacheOpts::default(),
-        budget: BudgetFlags::default(),
     };
-    let mut args = args.peekable();
+    let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--lib" => match args.next() {
-                Some(f) => opts.libs.push(f),
-                None => usage(),
-            },
-            "--no-corelib" => opts.corelib = false,
             "--model" => match args.next().and_then(|m| m.chars().next()) {
-                Some(c) => opts.model = Some(c),
+                Some(c) => opts.session.spec.model = Some(c),
                 None => usage(),
             },
             "--format" => match args.next().as_deref() {
@@ -501,14 +422,8 @@ fn parse_check_args(args: impl Iterator<Item = String>) -> CheckOptions {
                 list_codes();
                 std::process::exit(0);
             }
-            "--no-cache" => opts.cache.disabled = true,
-            "--cache-dir" => match args.next() {
-                Some(d) => opts.cache.dir = Some(d),
-                None => usage(),
-            },
-            "--naive-inference" => opts.naive = true,
             "--help" | "-h" => usage(),
-            other if opts.budget.try_parse(other, &mut args) => {}
+            other if opts.session.parse(other, &mut args) => {}
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}");
                 usage();
@@ -516,7 +431,7 @@ fn parse_check_args(args: impl Iterator<Item = String>) -> CheckOptions {
             file => opts.files.push(file.to_string()),
         }
     }
-    if opts.files.is_empty() && opts.model.is_none() {
+    if opts.files.is_empty() && opts.session.spec.model.is_none() {
         usage();
     }
     opts
@@ -525,69 +440,31 @@ fn parse_check_args(args: impl Iterator<Item = String>) -> CheckOptions {
 /// The `lssc check` subcommand: compile, run the pass suite, render, gate.
 fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
     let opts = parse_check_args(args);
-    let cache_dir = match opts.cache.resolve_checked() {
-        Ok(dir) => dir,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+    let mut spec = match opts.session.spec() {
+        Ok(spec) => spec,
+        Err(code) => return code,
     };
-    let mut lse = if opts.corelib {
-        Lse::with_corelib()
-    } else {
-        Lse::new()
+    spec.roots = opts.files.iter().map(PathBuf::from).collect();
+    let mut driver = match spec.driver() {
+        Ok(driver) => driver,
+        Err((status, e)) => return fail(status, e),
     };
-    lse.set_cache_dir(cache_dir);
-    if opts.naive {
-        lse.options.solver = liberty::SolverConfig::naive().with_budget(50_000_000);
-    }
-    opts.budget.apply(&mut lse);
-    if let Some(id) = opts.model {
-        let Some(model) = lss_models::model(id) else {
-            eprintln!("no such model `{id}` (expected A-F)");
-            return ExitCode::from(2);
-        };
-        lse.add_source("cpu_lib.lss", lss_models::cpu_lib());
-        lse.add_source(&format!("model_{id}.lss"), model.source);
-    }
-    for lib in &opts.libs {
-        match std::fs::read_to_string(lib) {
-            Ok(text) => lse.add_library(lib, &text),
-            Err(e) => {
-                eprintln!("cannot read {lib}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    for file in &opts.files {
-        match std::fs::read_to_string(file) {
-            Ok(text) => lse.add_source(file, &text),
-            Err(e) => {
-                eprintln!("cannot read {file}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    let analyzed = match lse.analyze(&opts.config) {
+    let analyzed = match driver.analyze(&opts.config) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return failure_exit(&e);
-        }
+        Err(e) => return fail(Status::of(&e), e),
     };
-    print_warnings(&lse);
+    print_warnings(&driver);
 
     let analysis = &analyzed.analysis;
     let report = match opts.format {
-        CheckFormat::Text => to_text_located(&analysis.findings, Some(lse.sources())),
+        CheckFormat::Text => to_text_located(&analysis.findings, Some(driver.sources())),
         CheckFormat::Json => to_jsonl(&analysis.findings),
-        CheckFormat::Sarif => to_sarif_located(&analysis.findings, Some(lse.sources())),
+        CheckFormat::Sarif => to_sarif_located(&analysis.findings, Some(driver.sources())),
     };
     match &opts.output {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &report) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::from(1);
+                return fail(Status::Error, format_args!("cannot write {path}: {e}"));
             }
         }
         None => print!("{report}"),
@@ -600,7 +477,7 @@ fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
         analysis.denied
     );
     if analysis.denied > 0 {
-        ExitCode::from(1)
+        Status::Error.into()
     } else {
         ExitCode::SUCCESS
     }
@@ -608,47 +485,28 @@ fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
 
 struct BuildOptions {
     files: Vec<String>,
-    libs: Vec<String>,
-    corelib: bool,
+    session: SessionArgs,
     jobs: usize,
-    naive: bool,
     timings: bool,
-    cache: CacheOpts,
-    budget: BudgetFlags,
 }
 
 fn parse_build_args(args: impl Iterator<Item = String>) -> BuildOptions {
     let mut opts = BuildOptions {
         files: Vec::new(),
-        libs: Vec::new(),
-        corelib: true,
+        session: SessionArgs::default(),
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        naive: false,
         timings: false,
-        cache: CacheOpts::default(),
-        budget: BudgetFlags::default(),
     };
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--lib" => match args.next() {
-                Some(f) => opts.libs.push(f),
-                None => usage(),
-            },
-            "--no-corelib" => opts.corelib = false,
             "--jobs" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) if n >= 1 => opts.jobs = n,
                 _ => usage(),
             },
             "--timings" => opts.timings = true,
-            "--no-cache" => opts.cache.disabled = true,
-            "--cache-dir" => match args.next() {
-                Some(d) => opts.cache.dir = Some(d),
-                None => usage(),
-            },
-            "--naive-inference" => opts.naive = true,
             "--help" | "-h" => usage(),
-            other if opts.budget.try_parse(other, &mut args) => {}
+            other if opts.session.parse(other, &mut args) => {}
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}");
                 usage();
@@ -664,108 +522,86 @@ fn parse_build_args(args: impl Iterator<Item = String>) -> BuildOptions {
 
 /// Per-file result of a batch build, reassembled in input order.
 struct BuildReport {
-    summary: Result<String, String>,
+    /// The summary line, or the failure's status and message.
+    summary: Result<String, (Status, String)>,
     timings: Option<String>,
     warnings: Vec<String>,
-    /// True when the failure was budget exhaustion (drives exit code 3).
-    budget_exhausted: bool,
 }
 
 /// Compiles one build target — a single `.lss` file, a project root whose
 /// `import` closure is loaded with it, a directory holding an `lss.toml`,
 /// or the manifest itself — in its own driver session.
-fn build_one(file: &str, libs: &[(String, String)], opts: &BuildOptions) -> BuildReport {
-    let mut driver = if opts.corelib {
-        Driver::with_corelib()
-    } else {
-        Driver::new()
+fn build_one(file: &str, spec: &Spec, timings: bool) -> BuildReport {
+    let mut spec = spec.clone();
+    spec.roots = vec![file.into()];
+    let mut driver = match spec.driver() {
+        Ok(driver) => driver,
+        Err(failure) => {
+            return BuildReport {
+                summary: Err(failure),
+                timings: None,
+                warnings: Vec::new(),
+            }
+        }
     };
-    driver.set_cache_dir(opts.cache.resolve());
-    if opts.naive {
-        driver.options.solver = liberty::SolverConfig::naive().with_budget(50_000_000);
-    }
-    opts.budget.apply(&mut driver);
-    for (name, text) in libs {
-        driver.add_library(name, text);
-    }
-    if let Err(e) = driver.add_root_file(file) {
-        return BuildReport {
-            summary: Err(e),
-            timings: None,
-            warnings: Vec::new(),
-            budget_exhausted: false,
-        };
-    }
-    let mut budget_exhausted = false;
-    let mut modules = Vec::new();
-    let (summary, cache_name) = match driver.elaborate() {
-        Ok(elaborated) => {
-            modules = elaborated.modules.clone();
-            (
-                Ok(format!(
-                    "{file}: ok ({} instances, {} connections, cache {})",
-                    elaborated.netlist.instances.len(),
-                    elaborated.netlist.connections.len(),
-                    elaborated.cache.name()
-                )),
-                elaborated.cache.name(),
-            )
-        }
-        Err(e) => {
-            budget_exhausted = e.is_budget_exhausted();
-            (
-                Err(format!("{file}: error in stage `{}`\n{e}", e.stage)),
-                "none",
-            )
-        }
+    let (summary, cache_name, modules) = match driver.elaborate() {
+        Ok(elaborated) => (
+            Ok(format!(
+                "{file}: ok ({} instances, {} connections, cache {})",
+                elaborated.netlist.instances.len(),
+                elaborated.netlist.connections.len(),
+                elaborated.cache.name()
+            )),
+            elaborated.cache.name(),
+            elaborated.modules.clone(),
+        ),
+        Err(e) => (
+            Err((
+                Status::of(&e),
+                format!("{file}: error in stage `{}`\n{e}", e.stage),
+            )),
+            "none",
+            Vec::new(),
+        ),
     };
     BuildReport {
         summary,
-        timings: opts
-            .timings
-            .then(|| timings_json(file, cache_name, driver.timings(), &modules)),
+        timings: timings.then(|| timings_json(file, cache_name, driver.timings(), &modules)),
         warnings: driver.warnings().to_vec(),
-        budget_exhausted,
     }
 }
 
 /// The `lssc build` subcommand: batch-compile files over a thread pool.
 fn run_build(args: impl Iterator<Item = String>) -> ExitCode {
-    let opts = parse_build_args(args);
-    if let Err(e) = opts.cache.resolve_checked() {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
-    let mut libs = Vec::new();
-    for lib in &opts.libs {
-        match std::fs::read_to_string(lib) {
-            Ok(text) => libs.push((lib.clone(), text)),
-            Err(e) => {
-                eprintln!("cannot read {lib}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
+    let BuildOptions {
+        files,
+        session,
+        jobs,
+        timings,
+    } = parse_build_args(args);
+    let spec = match session.spec() {
+        Ok(spec) => spec,
+        Err(code) => return code,
+    };
 
-    let reports: Vec<Mutex<Option<BuildReport>>> =
-        opts.files.iter().map(|_| Mutex::new(None)).collect();
+    let reports: Vec<Mutex<Option<BuildReport>>> = files.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let workers = opts.jobs.min(opts.files.len());
+    let workers = jobs.min(files.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(file) = opts.files.get(i) else {
+                let Some(file) = files.get(i) else {
                     break;
                 };
-                let report = build_one(file, &libs, &opts);
+                let report = build_one(file, &spec, timings);
                 *reports[i].lock().unwrap() = Some(report);
             });
         }
     });
 
     let mut failed = 0usize;
-    let mut any_budget = false;
+    let mut exit = Status::Ok;
     for slot in &reports {
         let report = slot.lock().unwrap().take().expect("worker filled slot");
         for warning in &report.warnings {
@@ -773,10 +609,15 @@ fn run_build(args: impl Iterator<Item = String>) -> ExitCode {
         }
         match report.summary {
             Ok(line) => println!("{line}"),
-            Err(line) => {
+            Err((status, line)) => {
                 eprintln!("{line}");
                 failed += 1;
-                any_budget |= report.budget_exhausted;
+                // Budget exhaustion is the more specific failure: if any
+                // file hit a cap, the batch exits 3 so callers know a
+                // bigger budget may fix it.
+                if exit != Status::Budget {
+                    exit = status;
+                }
             }
         }
         if let Some(line) = report.timings {
@@ -785,19 +626,11 @@ fn run_build(args: impl Iterator<Item = String>) -> ExitCode {
     }
     eprintln!(
         "build: {} file(s), {} failed, {} job(s)",
-        opts.files.len(),
+        files.len(),
         failed,
         workers
     );
-    // Budget exhaustion is the more specific failure: if any file hit a
-    // cap, the batch exits 3 so callers know a bigger budget may fix it.
-    if any_budget {
-        ExitCode::from(3)
-    } else if failed > 0 {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit.into()
 }
 
 /// Parses a `--mutate` value, exiting with usage on nonsense. Reference
@@ -947,7 +780,7 @@ fn run_adversarial_cmd(opts: &FuzzCliOptions) -> ExitCode {
     if report.clean() {
         ExitCode::SUCCESS
     } else {
-        ExitCode::from(1)
+        Status::Error.into()
     }
 }
 
@@ -979,7 +812,7 @@ fn run_protocol_fuzz_cmd(opts: &FuzzCliOptions) -> ExitCode {
     if report.clean() {
         ExitCode::SUCCESS
     } else {
-        ExitCode::from(1)
+        Status::Error.into()
     }
 }
 
@@ -1039,7 +872,7 @@ fn run_fuzz_cmd(args: impl Iterator<Item = String>) -> ExitCode {
     if report.clean() {
         ExitCode::SUCCESS
     } else {
-        ExitCode::from(1)
+        Status::Error.into()
     }
 }
 
@@ -1130,21 +963,22 @@ fn run_difftest(args: impl Iterator<Item = String>) -> ExitCode {
     }
     eprintln!("difftest: {} file(s), {} failed", opts.files.len(), failed);
     if failed > 0 {
-        ExitCode::from(1)
+        Status::Error.into()
     } else {
         ExitCode::SUCCESS
     }
 }
 
 /// `lssc client`: the thin-client mode talking to a running `lssd`.
-/// Same exit-code contract as one-shot compilation (0 ok, 1 error or
-/// discrepancy, 2 usage, 3 budget exhausted, 4 daemon-side ICE), so
-/// scripts can swap `lssc FILE` for `lssc client ... compile FILE`
-/// without changing their error handling. Shed requests (`busy` after
-/// all retries) exit 75, the conventional "temporary failure; retry".
+/// The response status maps to the exit code through [`Status`], the
+/// same mapping one-shot compilation uses, so scripts can swap
+/// `lssc FILE` for `lssc client ... compile FILE` without changing their
+/// error handling.
 fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
+    use lss_netlist::jsonval::JsonValue;
+
     let mut endpoint: Option<lssd::Endpoint> = None;
-    let mut budget = BudgetFlags::default();
+    let mut quota = Quota::default();
     let mut libs: Vec<String> = Vec::new();
     let mut cycles: Option<u64> = None;
     let mut retry = true;
@@ -1154,9 +988,9 @@ fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
     let mut fault: Option<String> = None;
     let mut files: Vec<String> = Vec::new();
 
-    let mut args = args.peekable();
+    let mut args = args;
     while let Some(arg) = args.next() {
-        if budget.try_parse(&arg, &mut args) {
+        if quota_flag(&mut quota, &arg, &mut args) {
             continue;
         }
         match arg.as_str() {
@@ -1205,37 +1039,18 @@ fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
     let mut request = lssd::Request::new(verb);
     request.model = model;
     request.fault = fault;
+    request.quota = quota;
     if let Some(n) = cycles {
         request.cycles = n;
     }
-    request.quota = lssd::Quota {
-        deadline_ms: budget.deadline_ms,
-        max_steps: budget.max_steps,
-        max_instances: budget.max_instances.map(|n| n as u64),
-        max_depth: budget.max_depth,
-        solver_steps: budget.solver_steps,
-        expansion_cap: budget.expansion_cap.map(|n| n as u64),
-        max_netlist: budget.max_netlist,
-        max_cycles: budget.max_cycles,
-    };
-    for (dest, names) in [(&mut request.libs, &libs), (&mut request.sources, &files)] {
-        for name in names {
-            match std::fs::read_to_string(name) {
-                Ok(text) => dest.push((name.clone(), text)),
-                Err(e) => {
-                    eprintln!("cannot read {name}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
+    match (read_units(&libs), read_units(&files)) {
+        (Ok(libs), Ok(sources)) => (request.libs, request.sources) = (libs, sources),
+        (Err(e), _) | (_, Err(e)) => return fail(Status::Error, e),
     }
 
     let mut client = match lssd::Client::connect(&endpoint) {
         Ok(client) => client,
-        Err(e) => {
-            eprintln!("cannot connect to lssd: {e}");
-            return ExitCode::from(1);
-        }
+        Err(e) => return fail(Status::Error, format_args!("cannot connect to lssd: {e}")),
     };
     let sent = if retry {
         client.request_with_retry(&request)
@@ -1244,33 +1059,23 @@ fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
     };
     let response = match sent {
         Ok(value) => value,
-        Err(e) => {
-            eprintln!("client error: {e}");
-            return ExitCode::from(1);
-        }
+        Err(e) => return fail(Status::Error, format_args!("client error: {e}")),
     };
 
     let status = response
         .get("status")
-        .and_then(lss_netlist::jsonval::JsonValue::as_str)
-        .unwrap_or("")
-        .to_string();
-    if let Some(error) = response
-        .get("error")
-        .and_then(lss_netlist::jsonval::JsonValue::as_str)
-    {
+        .and_then(JsonValue::as_str)
+        .unwrap_or("");
+    if let Some(error) = response.get("error").and_then(JsonValue::as_str) {
         eprintln!("{status}: {error}");
     }
     if dump_netlist {
         // The raw netlist JSON, byte-identical to `--emit netlist-json`
         // from a one-shot build (pinned by the chaos suite and ci.sh).
-        if let Some(netlist) = response
-            .get("netlist")
-            .and_then(lss_netlist::jsonval::JsonValue::as_str)
-        {
+        if let Some(netlist) = response.get("netlist").and_then(JsonValue::as_str) {
             print!("{netlist}");
         }
-    } else if let lss_netlist::jsonval::JsonValue::Object(members) = &response {
+    } else if let JsonValue::Object(members) = &response {
         for (key, value) in members {
             if key == "netlist" {
                 if let Some(text) = value.as_str() {
@@ -1279,43 +1084,38 @@ fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
                 continue;
             }
             match value {
-                lss_netlist::jsonval::JsonValue::Str(s) => println!("{key}: {s}"),
+                JsonValue::Str(s) => println!("{key}: {s}"),
                 other => println!("{key}: {other}"),
             }
         }
     }
 
-    match status.as_str() {
-        "ok" => {
+    match Status::parse(status) {
+        Some(Status::Ok) => {
             // `difftest` disagreement and `check` findings are failures
             // even though the daemon served them fine.
             let disagree = response
                 .get("agree")
-                .is_some_and(|v| matches!(v, lss_netlist::jsonval::JsonValue::Bool(false)));
+                .is_some_and(|v| matches!(v, JsonValue::Bool(false)));
             let findings = response
                 .get("errors")
-                .and_then(lss_netlist::jsonval::JsonValue::as_i64)
+                .and_then(JsonValue::as_i64)
                 .unwrap_or(0);
             if disagree || findings > 0 {
-                ExitCode::from(1)
+                Status::Error.into()
             } else {
                 ExitCode::SUCCESS
             }
         }
-        "budget" => ExitCode::from(3),
-        "ice" => ExitCode::from(4),
-        "bad-request" => ExitCode::from(2),
-        "busy" => ExitCode::from(75),
-        _ => ExitCode::from(1),
+        Some(status) => status.into(),
+        None => Status::Error.into(),
     }
 }
 
 fn parse_args(args: impl Iterator<Item = String>) -> Options {
     let mut opts = Options {
         files: Vec::new(),
-        libs: Vec::new(),
-        corelib: true,
-        model: None,
+        session: SessionArgs::default(),
         run: None,
         run_model: false,
         scheduler: Scheduler::Static,
@@ -1328,11 +1128,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
         emit: None,
         output: None,
         stats: false,
-        naive: false,
         lint: false,
         timings: false,
-        cache: CacheOpts::default(),
-        budget: BudgetFlags::default(),
         watch: Vec::new(),
         vcd: None,
         wave: false,
@@ -1340,13 +1137,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--lib" => match args.next() {
-                Some(f) => opts.libs.push(f),
-                None => usage(),
-            },
-            "--no-corelib" => opts.corelib = false,
             "--model" => match args.next().and_then(|m| m.chars().next()) {
-                Some(c) => opts.model = Some(c),
+                Some(c) => opts.session.spec.model = Some(c),
                 None => usage(),
             },
             "--run" => match args.next().and_then(|n| n.parse().ok()) {
@@ -1386,11 +1178,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             "--stats" => opts.stats = true,
             "--lint" => opts.lint = true,
             "--timings" => opts.timings = true,
-            "--no-cache" => opts.cache.disabled = true,
-            "--cache-dir" => match args.next() {
-                Some(d) => opts.cache.dir = Some(d),
-                None => usage(),
-            },
             "--watch" => match args.next() {
                 Some(p) => opts.watch.push(p),
                 None => usage(),
@@ -1400,9 +1187,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
                 None => usage(),
             },
             "--wave" => opts.wave = true,
-            "--naive-inference" => opts.naive = true,
             "--help" | "-h" => usage(),
-            other if opts.budget.try_parse(other, &mut args) => {}
+            other if opts.session.parse(other, &mut args) => {}
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}");
                 usage();
@@ -1410,7 +1196,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             file => opts.files.push(file.to_string()),
         }
     }
-    if opts.files.is_empty() && opts.model.is_none() {
+    if opts.files.is_empty() && opts.session.spec.model.is_none() {
         usage();
     }
     if opts.batch.is_some() && opts.run.is_none() {
@@ -1426,17 +1212,6 @@ fn ice_dir() -> PathBuf {
     std::env::var_os("LSS_ICE_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/ice"))
-}
-
-/// A printable message from a panic payload.
-fn payload_str(payload: &dyn std::any::Any) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Builds the replayable crash report: version, full command line, panic
@@ -1473,7 +1248,7 @@ fn install_ice_hook() {
     std::panic::set_hook(Box::new(|info| {
         use std::io::Write as _;
 
-        let message = payload_str(info.payload());
+        let message = lssd::payload_str(info.payload());
         // A panic raised while *printing* (stdout/stderr closed under us,
         // e.g. `lssc ... | head`) is not a compiler bug: no report, no
         // banner. Attempting to print here would panic again and abort
@@ -1528,8 +1303,8 @@ fn main() -> ExitCode {
         // A print panic from a closed stdout/stderr is the reader going
         // away, not an ICE: exit like a SIGPIPE death (128 + 13), the code
         // shell pipelines already expect from `lssc ... | head`.
-        Err(payload) if is_broken_pipe(&payload_str(&*payload)) => ExitCode::from(141),
-        Err(_) => ExitCode::from(4),
+        Err(payload) if is_broken_pipe(&lssd::payload_str(&*payload)) => ExitCode::from(141),
+        Err(_) => Status::Ice.into(),
     }
 }
 
@@ -1565,54 +1340,23 @@ fn real_main() -> ExitCode {
         _ => {}
     }
     let opts = parse_args(argv);
-    let cache_dir = match opts.cache.resolve_checked() {
-        Ok(dir) => dir,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+    let timings_name = match opts.session.spec.model {
+        Some(id) => format!("model_{id}"),
+        None => opts.files[0].clone(),
     };
-    let mut lse = if opts.corelib {
-        Lse::with_corelib()
-    } else {
-        Lse::new()
+    let mut spec = match opts.session.spec() {
+        Ok(spec) => spec,
+        Err(code) => return code,
     };
-    lse.set_cache_dir(cache_dir);
-    if opts.naive {
-        lse.options.solver = liberty::SolverConfig::naive().with_budget(50_000_000);
-    }
-    opts.budget.apply(&mut lse);
-    lse.sim_options.scheduler = opts.scheduler;
-    lse.sim_options.threads = opts.threads;
-
-    let timings_name = if let Some(id) = opts.model {
-        let Some(model) = lss_models::model(id) else {
-            eprintln!("no such model `{id}` (expected A-F)");
-            return ExitCode::from(2);
-        };
-        lse.add_source("cpu_lib.lss", lss_models::cpu_lib());
-        lse.add_source(&format!("model_{id}.lss"), model.source);
-        format!("model_{id}")
-    } else {
-        opts.files[0].clone()
+    // A target may be a plain file, a project root with imports, a
+    // directory with an `lss.toml`, or the manifest itself.
+    spec.roots = opts.files.iter().map(PathBuf::from).collect();
+    let mut driver = match spec.driver() {
+        Ok(driver) => driver,
+        Err((status, e)) => return fail(status, e),
     };
-    for lib in &opts.libs {
-        match std::fs::read_to_string(lib) {
-            Ok(text) => lse.add_library(lib, &text),
-            Err(e) => {
-                eprintln!("cannot read {lib}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    for file in &opts.files {
-        // A target may be a plain file, a project root with imports, a
-        // directory with an `lss.toml`, or the manifest itself.
-        if let Err(e) = lse.add_root_file(file) {
-            eprintln!("{e}");
-            return ExitCode::from(1);
-        }
-    }
+    driver.sim_options.scheduler = opts.scheduler;
+    driver.sim_options.threads = opts.threads;
 
     if opts.emit_lss {
         // Canonical pretty-printing of the user's sources (not the corelib).
@@ -1623,21 +1367,17 @@ fn real_main() -> ExitCode {
             let mut diags = liberty::ast::DiagnosticBag::new();
             let program = liberty::ast::parse(id, &text, &mut diags);
             if diags.has_errors() {
-                eprintln!("{}", diags.render(&sources));
-                return ExitCode::from(1);
+                return fail(Status::Error, diags.render(&sources));
             }
             print!("{}", liberty::ast::pretty::program_to_string(&program));
         }
     }
 
-    let compiled = match lse.compile() {
+    let compiled = match driver.elaborate() {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return failure_exit(&e);
-        }
+        Err(e) => return fail(Status::of(&e), e),
     };
-    print_warnings(&lse);
+    print_warnings(&driver);
     eprintln!(
         "compiled: {} instances, {} connections, {} type constraints \
          ({} unification steps, {} branches)",
@@ -1663,13 +1403,14 @@ fn real_main() -> ExitCode {
     match opts.emit {
         Some(EmitKind::NetlistBin) => {
             let Some(out) = &opts.output else {
-                eprintln!("--emit netlist-bin needs --output FILE (binary data)");
-                return ExitCode::from(2);
+                return fail(
+                    Status::BadRequest,
+                    "--emit netlist-bin needs --output FILE (binary data)",
+                );
             };
             let bytes = lss_netlist::to_binary(&compiled.netlist);
             if let Err(e) = std::fs::write(out, &bytes) {
-                eprintln!("cannot write {out}: {e}");
-                return ExitCode::from(1);
+                return fail(Status::Error, format_args!("cannot write {out}: {e}"));
             }
             eprintln!(
                 "wrote {out} ({} bytes, format {})",
@@ -1680,8 +1421,7 @@ fn real_main() -> ExitCode {
         Some(EmitKind::NetlistJson) => match &opts.output {
             Some(out) => {
                 if let Err(e) = std::fs::write(out, lss_netlist::to_json(&compiled.netlist)) {
-                    eprintln!("cannot write {out}: {e}");
-                    return ExitCode::from(1);
+                    return fail(Status::Error, format_args!("cannot write {out}: {e}"));
                 }
                 eprintln!("wrote {out}");
             }
@@ -1693,19 +1433,16 @@ fn real_main() -> ExitCode {
     if opts.lint {
         // Same semantics as `lssc check --format text` with the default
         // configuration: denied findings make the exit code nonzero.
-        let analyzed = match lse.analyze(&AnalysisConfig::default()) {
+        let analyzed = match driver.analyze(&AnalysisConfig::default()) {
             Ok(a) => a,
-            Err(e) => {
-                eprintln!("{e}");
-                return failure_exit(&e);
-            }
+            Err(e) => return fail(Status::of(&e), e),
         };
         if analyzed.analysis.is_clean() {
             println!("lint: clean");
         } else {
             print!(
                 "{}",
-                to_text_located(&analyzed.analysis.findings, Some(lse.sources()))
+                to_text_located(&analyzed.analysis.findings, Some(driver.sources()))
             );
         }
         lint_denied = analyzed.analysis.denied;
@@ -1731,10 +1468,7 @@ fn real_main() -> ExitCode {
                     print_sim_stats(&stats.sim, None);
                 }
             }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(1);
-            }
+            Err(e) => return fail(Status::Error, e),
         }
     } else if let (Some(cycles), Some(lanes)) = (opts.run, opts.batch) {
         // Lockstep batch: one netlist, N lanes seeded 0..N-1. Lane k's
@@ -1742,19 +1476,18 @@ fn real_main() -> ExitCode {
         let seeds: Vec<i64> = (0..lanes as i64).collect();
         let mut batch = match liberty::build_batch(
             &compiled.netlist,
-            lse.registry(),
-            lse.sim_options.clone(),
+            driver.registry(),
+            driver.sim_options.clone(),
             &seeds,
         ) {
             Ok(b) => b,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(1);
-            }
+            Err(e) => return fail(Status::Error, e),
         };
         if let Err(e) = batch.run(cycles) {
-            eprintln!("batch simulation failed: {e}");
-            return ExitCode::from(if e.budget_code().is_some() { 3 } else { 1 });
+            return fail(
+                Status::of_sim(&e),
+                format_args!("batch simulation failed: {e}"),
+            );
         }
         println!("batch: {lanes} lane(s), {cycles} cycles each");
         for k in 0..batch.lane_count() {
@@ -1767,22 +1500,18 @@ fn real_main() -> ExitCode {
             );
         }
     } else if let Some(cycles) = opts.run {
-        let mut sim = match lse.simulator(&compiled.netlist) {
+        let mut sim = match driver.simulator(&compiled.netlist) {
             Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(1);
-            }
+            Err(e) => return fail(Status::of(&e), e),
         };
         for prefix in &opts.watch {
             sim.watch(prefix.clone());
         }
         if let Err(e) = sim.run(cycles) {
-            eprintln!("simulation failed: {e}");
             // A budget-tagged stop (LSS408 cycle cap, LSS401 deadline) is
             // resource exhaustion, not a model failure: exit 3, like the
             // compile-time budgets.
-            return ExitCode::from(if e.budget_code().is_some() { 3 } else { 1 });
+            return fail(Status::of_sim(&e), format_args!("simulation failed: {e}"));
         }
         let stats = sim.stats();
         println!(
@@ -1809,8 +1538,7 @@ fn real_main() -> ExitCode {
         if let Some(path) = &opts.vcd {
             let vcd = liberty::sim::to_vcd(sim.firing_log(), "1ns");
             if let Err(e) = std::fs::write(path, vcd) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::from(1);
+                return fail(Status::Error, format_args!("cannot write {path}: {e}"));
             }
             eprintln!("wrote {path}");
         }
@@ -1821,14 +1549,16 @@ fn real_main() -> ExitCode {
             timings_json(
                 &timings_name,
                 compiled.cache.name(),
-                lse.timings(),
+                driver.timings(),
                 &compiled.modules
             )
         );
     }
     if lint_denied > 0 {
-        eprintln!("lint: {lint_denied} finding(s) denied");
-        return ExitCode::from(1);
+        return fail(
+            Status::Error,
+            format_args!("lint: {lint_denied} finding(s) denied"),
+        );
     }
     ExitCode::SUCCESS
 }

@@ -1130,3 +1130,88 @@ fn emit_netlist_bin_round_trips_byte_identically() {
     let _ = std::fs::remove_file(&out_b);
     let _ = std::fs::remove_file(&model);
 }
+
+#[test]
+fn check_accepts_project_roots_and_matches_lint() {
+    let dir = write_project("check-root");
+    // The example project has findings, so the comparison is not vacuous.
+    let example = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/lss/model_a");
+    for root in [&dir, &example] {
+        let check = lssc()
+            .args(["check", "--no-cache"])
+            .arg(root)
+            .output()
+            .expect("spawn lssc");
+        let stderr = String::from_utf8_lossy(&check.stderr);
+        assert_eq!(check.status.code(), Some(0), "{root:?}:\n{stderr}");
+        assert!(stderr.contains("finding(s)"), "{stderr}");
+
+        let lint = lssc()
+            .args(["--no-cache", "--lint"])
+            .arg(root)
+            .output()
+            .expect("spawn lssc");
+        assert_eq!(lint.status.code(), Some(0));
+        let linted = String::from_utf8_lossy(&lint.stdout);
+        let expected = if linted == "lint: clean\n" {
+            ""
+        } else {
+            &*linted
+        };
+        assert_eq!(String::from_utf8_lossy(&check.stdout), expected, "{root:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `lssc client ... compile` and one-shot `lssc` map the same outcome to
+/// the same exit code (docs/SERVICE.md).
+#[test]
+fn client_and_one_shot_exit_codes_agree() {
+    let server = lssd::Server::bind(lssd::ServerConfig::default()).expect("bind lssd");
+    let addr = server.tcp_addr().expect("tcp address").to_string();
+    let drain = server.drain_handle();
+    let serving = std::thread::spawn(move || server.run());
+
+    let clean = write_model("parity-ok");
+    let broken = write_source("parity-parse", "instance x:");
+    let recursive = write_source("parity-depth", SELF_INSTANTIATING);
+    let cases: [(&str, &[&str], Option<&PathBuf>, i32); 4] = [
+        ("clean source", &[], Some(&clean), 0),
+        ("compile error", &[], Some(&broken), 1),
+        ("unknown model", &["--model", "Z"], None, 2),
+        ("depth budget", &["--max-depth", "8"], Some(&recursive), 3),
+    ];
+    for (case, flags, file, expected) in cases {
+        let one_shot = lssc()
+            .arg("--no-cache")
+            .args(flags)
+            .args(file)
+            .output()
+            .expect("spawn lssc");
+        let client = lssc()
+            .args(["client", "--tcp", &addr])
+            .args(flags)
+            .arg("compile")
+            .args(file)
+            .output()
+            .expect("spawn lssc client");
+        assert_eq!(
+            one_shot.status.code(),
+            Some(expected),
+            "{case}, one-shot:\n{}",
+            String::from_utf8_lossy(&one_shot.stderr)
+        );
+        assert_eq!(
+            client.status.code(),
+            Some(expected),
+            "{case}, client:\n{}",
+            String::from_utf8_lossy(&client.stderr)
+        );
+    }
+
+    drain.drain();
+    serving.join().expect("server thread").expect("server run");
+    for file in [&clean, &broken, &recursive] {
+        let _ = std::fs::remove_file(file);
+    }
+}

@@ -877,15 +877,6 @@ impl Driver {
         Ok(elaborated)
     }
 
-    /// Alias for [`Driver::elaborate`] mirroring the old facade verb.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Driver::elaborate`].
-    pub fn compile(&mut self) -> Result<Arc<Elaborated>, DriverError> {
-        self.elaborate()
-    }
-
     /// Consumes the session and returns the elaborated artifact by value
     /// (for callers that need to move the netlist out).
     ///

@@ -147,60 +147,6 @@ fn read_errors_degrade_warm_builds_to_cold_rebuilds() {
 }
 
 #[test]
-fn legacy_json_entries_are_detected_warned_about_and_replaced() {
-    let _serial = serial();
-    let dir = temp_cache("legacy-json");
-    let reference = reference_netlist_json();
-
-    // Populate the cache, then regress the entry to the retired format-1
-    // JSON envelope: same key, `.json` extension, pre-binary payload.
-    let built = session(&dir).elaborate().expect("cold build");
-    assert_eq!(built.cache, CacheOutcome::Miss);
-    let entry = std::fs::read_dir(&dir)
-        .expect("cache dir")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .find(|p| {
-            p.extension().is_some_and(|x| x == "bin")
-                && !p.file_name().unwrap().to_string_lossy().starts_with('p')
-        })
-        .expect("build entry written");
-    let legacy = entry.with_extension("json");
-    std::fs::write(
-        &legacy,
-        "{\"version\": 1, \"format\": 3, \"netlist\": {\"instances\": []}}",
-    )
-    .unwrap();
-    std::fs::remove_file(&entry).unwrap();
-
-    // The warm session must recognize the stale format, say so, rebuild
-    // from sources, and write a fresh binary entry.
-    let mut warm = session(&dir);
-    let rebuilt = warm.elaborate().expect("rebuild past legacy entry");
-    assert_eq!(
-        rebuilt.cache,
-        CacheOutcome::Miss,
-        "legacy entry must not hit"
-    );
-    assert_eq!(lss_netlist::to_json(&rebuilt.netlist), reference);
-    assert!(
-        warm.warnings()
-            .iter()
-            .any(|w| w.contains("legacy") && w.contains("JSON")),
-        "legacy format must be named in the warning: {:?}",
-        warm.warnings()
-    );
-    assert!(entry.exists(), "binary entry must be rewritten");
-    assert!(!legacy.exists(), "legacy JSON entry must be cleaned up");
-
-    // The replacement entry serves a clean hit.
-    let hit = session(&dir).elaborate().expect("clean hit");
-    assert_eq!(hit.cache, CacheOutcome::Hit);
-    assert_eq!(lss_netlist::to_json(&hit.netlist), reference);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn concurrent_same_key_builds_publish_exactly_once() {
     let _serial = serial();
     // Two sessions compiling the same project simultaneously must both

@@ -8,8 +8,9 @@
 //! * [`Netlist::flatten`] — resolution of hierarchical pass-through ports
 //!   into direct leaf-to-leaf [`Wire`]s for the simulator;
 //! * [`stats`] — the reuse metrics behind the paper's Table 2;
-//! * [`lint`] — advisory static model checks (unconnected inputs, dangling
-//!   hierarchical ports, suspicious width mismatches);
+//! * [`lint`] — the advisory static model checks (unconnected inputs,
+//!   dangling hierarchical ports, suspicious width mismatches), each run
+//!   as its own pass by `lss-analyze`;
 //! * [`json`] — complete JSON serialization ([`to_json`] / [`from_json`]
 //!   round-trip) for the driver's netlist cache and external tooling;
 //! * [`dump`] — ASCII-tree and GraphViz renderings.
@@ -46,7 +47,7 @@ pub use kernel::{KernelAluOp, KernelClass};
 pub use link::{link, DeferredConnection, DeferredEndpoint, LinkError, LinkUnit};
 pub use lint::{
     check_dangling_hierarchical, check_isolated, check_unbound_collectors, check_unconnected,
-    check_width_mismatch, lint, Lint, LintKind,
+    check_width_mismatch, Lint, LintKind,
 };
 pub use netlist::{
     Collector, Connection, Dir, ElabStats, Endpoint, EventDecl, InstRef, Instance, InstanceId,

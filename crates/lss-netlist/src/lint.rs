@@ -63,21 +63,6 @@ impl fmt::Display for Lint {
     }
 }
 
-/// Runs all lints over the netlist.
-///
-/// This is a thin aggregation shim over the individual `check_*`
-/// functions; the pass-manager framework in `lss-analyze` registers each
-/// check as its own pass with a stable diagnostic code.
-pub fn lint(netlist: &Netlist) -> Vec<Lint> {
-    let mut findings = Vec::new();
-    check_unconnected(netlist, &mut findings);
-    check_isolated(netlist, &mut findings);
-    check_dangling_hierarchical(netlist, &mut findings);
-    check_width_mismatch(netlist, &mut findings);
-    check_unbound_collectors(netlist, &mut findings);
-    findings
-}
-
 /// Unconnected inputs/outputs on leaves that have at least one connected
 /// port ([`LintKind::UnconnectedInput`], [`LintKind::UnconnectedOutput`]).
 pub fn check_unconnected(netlist: &Netlist, findings: &mut Vec<Lint>) {
@@ -276,6 +261,13 @@ mod tests {
         )
     }
 
+    /// Runs one check over `netlist`.
+    fn run(check: fn(&Netlist, &mut Vec<Lint>), netlist: &Netlist) -> Vec<Lint> {
+        let mut findings = Vec::new();
+        check(netlist, &mut findings);
+        findings
+    }
+
     #[test]
     fn reports_unconnected_ports_on_partially_wired_leaves() {
         let mut n = Netlist::new();
@@ -291,7 +283,7 @@ mod tests {
         });
         n.instance_mut(a).ports[0].width = 1;
         n.instance_mut(b).ports[0].width = 1;
-        let findings = lint(&n);
+        let findings = run(check_unconnected, &n);
         assert!(findings
             .iter()
             .any(|l| l.kind == LintKind::UnconnectedInput && l.subject == "b.aux"));
@@ -304,7 +296,10 @@ mod tests {
     fn reports_isolated_instances_once() {
         let mut n = Netlist::new();
         leaf(&mut n, "lonely", &[("in", Dir::In), ("out", Dir::Out)]);
-        let findings = lint(&n);
+        // The isolated-instance check reports it; the unconnected-port
+        // check must not report it again.
+        assert!(run(check_unconnected, &n).is_empty());
+        let findings = run(check_isolated, &n);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind, LintKind::IsolatedInstance);
     }
@@ -328,7 +323,7 @@ mod tests {
         });
         n.instance_mut(g).ports[0].width = 1;
         n.instance_mut(h).ports[0].width = 1;
-        let findings = lint(&n);
+        let findings = run(check_dangling_hierarchical, &n);
         assert!(
             findings
                 .iter()
@@ -346,7 +341,7 @@ mod tests {
         n.instance_mut(id).ports[1].scheme = lss_types::Scheme::Var(shared);
         n.instance_mut(id).ports[0].width = 3;
         n.instance_mut(id).ports[1].width = 1;
-        let findings = lint(&n);
+        let findings = run(check_width_mismatch, &n);
         assert!(
             findings.iter().any(|l| l.kind == LintKind::WidthMismatch),
             "{findings:?}"
@@ -380,7 +375,7 @@ mod tests {
                 code: "n = n + 1;".into(),
             });
         }
-        let findings = lint(&n);
+        let findings = run(check_unbound_collectors, &n);
         let unbound: Vec<_> = findings
             .iter()
             .filter(|l| l.kind == LintKind::UnboundCollector)
@@ -400,7 +395,15 @@ mod tests {
         });
         n.instance_mut(a).ports[0].width = 1;
         n.instance_mut(b).ports[0].width = 1;
-        assert!(lint(&n).is_empty());
+        for check in [
+            check_unconnected,
+            check_isolated,
+            check_dangling_hierarchical,
+            check_width_mismatch,
+            check_unbound_collectors,
+        ] {
+            assert!(run(check, &n).is_empty());
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use lssd::server::log_line;
-use lssd::{Endpoint, Quota, Server, ServerConfig};
+use lssd::session::{flag_value, resolve_cache_dir};
+use lssd::{Endpoint, Server, ServerConfig};
 
 /// Set from the signal handler; the watcher thread bridges it to the
 /// server's drain flag. Signal handlers may only do async-signal-safe
@@ -79,15 +80,7 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn parse_num(flag: &str, value: Option<String>) -> u64 {
-    let Some(text) = value else {
-        usage_error(&format!("{flag} needs a value"));
-    };
-    match text.parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => usage_error(&format!(
-            "{flag} needs a non-negative integer, got `{text}`"
-        )),
-    }
+    flag_value(flag, value).unwrap_or_else(|e| usage_error(&e))
 }
 
 fn main() {
@@ -99,7 +92,6 @@ fn main() {
     let mut cache_dir: Option<PathBuf> = None;
     let mut no_cache = false;
     let mut print_addr = false;
-    let mut quota = Quota::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -137,17 +129,11 @@ fn main() {
             "--no-cache" => no_cache = true,
             "--chaos" => cfg.chaos = true,
             "--print-addr" => print_addr = true,
-            "--deadline-ms" => quota.deadline_ms = Some(parse_num(&arg, args.next())),
-            "--max-steps" => quota.max_steps = Some(parse_num(&arg, args.next())),
-            "--max-instances" => quota.max_instances = Some(parse_num(&arg, args.next())),
-            "--max-depth" => {
-                quota.max_depth = Some(parse_num(&arg, args.next()).min(u32::MAX as u64) as u32);
-            }
-            "--solver-steps" => quota.solver_steps = Some(parse_num(&arg, args.next())),
-            "--expansion-cap" => quota.expansion_cap = Some(parse_num(&arg, args.next())),
-            "--max-netlist" => quota.max_netlist = Some(parse_num(&arg, args.next())),
-            "--max-cycles" => quota.max_cycles = Some(parse_num(&arg, args.next())),
-            other => usage_error(&format!("unknown option `{other}`")),
+            other => match cfg.quota.parse_flag(other, &mut args) {
+                Ok(true) => {}
+                Ok(false) => usage_error(&format!("unknown option `{other}`")),
+                Err(e) => usage_error(&e),
+            },
         }
     }
 
@@ -155,16 +141,7 @@ fn main() {
         usage_error("pick a listen address: --socket PATH or --tcp ADDR");
     };
     cfg.endpoint = endpoint;
-    cfg.quota = quota;
-    cfg.cache_dir = if no_cache {
-        None
-    } else {
-        Some(cache_dir.unwrap_or_else(|| {
-            std::env::var_os("LSS_CACHE_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("target/lss-cache"))
-        }))
-    };
+    cfg.cache_dir = resolve_cache_dir(no_cache, cache_dir).unwrap_or_else(|e| usage_error(&e));
 
     let server = match Server::bind(cfg) {
         Ok(server) => server,

@@ -17,6 +17,7 @@ use lss_types::SplitMix64;
 
 use crate::proto::{read_frame, write_frame, FrameError, Request};
 use crate::server::Endpoint;
+use crate::session::Status;
 
 /// Maximum `busy` retries before giving up.
 const MAX_RETRIES: u32 = 8;
@@ -111,7 +112,8 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             let value = self.request(request)?;
-            let busy = value.get("status").and_then(JsonValue::as_str) == Some("busy");
+            let status = value.get("status").and_then(JsonValue::as_str);
+            let busy = status.and_then(Status::parse) == Some(Status::Busy);
             if !busy || attempt >= MAX_RETRIES {
                 return Ok(value);
             }

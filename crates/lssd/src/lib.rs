@@ -19,7 +19,10 @@
 //!   boundary that converts worker crashes into `ice` responses, and
 //!   graceful drain on SIGTERM;
 //! * [`client`] — a thin blocking client with jittered exponential
-//!   backoff on `busy`, used by `lssc client` and the service bench.
+//!   backoff on `busy`, used by `lssc client` and the service bench;
+//! * [`session`] — the session core `lssc` shares: one [`Spec`] →
+//!   driver setup, the [`Quota`] flags, the cache-dir resolver, and the
+//!   [`Status`] → exit-code mapping.
 //!
 //! Protocol and semantics are documented in `docs/SERVICE.md`; the
 //! chaos suite in `tests/chaos.rs` pins every robustness claim above.
@@ -27,10 +30,12 @@
 pub mod client;
 pub mod proto;
 pub mod server;
+pub mod session;
 
 pub use client::Client;
 pub use proto::{read_frame, write_frame, FrameError, Quota, Request, Verb, MAX_FRAME};
 pub use server::{DrainHandle, Endpoint, Server, ServerConfig};
+pub use session::{Spec, Status};
 
 /// Renders a panic payload for an `ice` response (panics carry `&str`
 /// or `String` in practice).

@@ -22,6 +22,8 @@ use lss_netlist::json::escape;
 use lss_netlist::jsonval::{parse_json, JsonValue};
 use lss_types::BudgetCaps;
 
+use crate::session::Status;
+
 /// Hard cap on one frame's body, request or response. Large enough for
 /// any Table 3 model netlist, small enough that a hostile 4 GiB length
 /// prefix cannot make the daemon allocate.
@@ -499,9 +501,9 @@ impl ObjBuilder {
 }
 
 /// Renders the standard response heads.
-pub fn response(status: &str) -> ObjBuilder {
+pub fn response(status: Status) -> ObjBuilder {
     let mut obj = ObjBuilder::new();
-    obj.str("status", status);
+    obj.str("status", status.name());
     obj
 }
 

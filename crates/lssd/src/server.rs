@@ -32,9 +32,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lss_driver::{Driver, DriverError, Elaborated};
-use lss_netlist::jsonval::JsonValue;
 
-use crate::proto::{read_frame, response, write_frame, FrameError, Quota, Request, Verb};
+use crate::proto::{
+    read_frame, response, write_frame, FrameError, ObjBuilder, Quota, Request, Verb,
+};
+use crate::session::{Spec, Status};
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -406,7 +408,7 @@ fn session(mut stream: Stream, shared: &Shared) {
             Err(FrameError::Closed | FrameError::Truncated | FrameError::Cancelled) => return,
             Err(e @ (FrameError::Oversized(_) | FrameError::TimedOut)) => {
                 // Typed shed, then close: the framing is now unsynced.
-                let body = response("bad-request")
+                let body = response(Status::BadRequest)
                     .str("error", &e.to_string())
                     .finish();
                 let _ = write_frame(&mut stream, body.as_bytes());
@@ -415,10 +417,10 @@ fn session(mut stream: Stream, shared: &Shared) {
             Err(FrameError::Io(_)) => return,
         };
         let body = match Request::parse(&frame) {
-            Ok(request) => handle(&request, shared),
+            Ok(request) => handle(request, shared),
             // A malformed request costs one response, not the
             // connection: framing is still synced.
-            Err(e) => response("bad-request").str("error", &e).finish(),
+            Err(e) => response(Status::BadRequest).str("error", &e).finish(),
         };
         shared.counters.served.fetch_add(1, Ordering::Relaxed);
         if write_frame(&mut stream, body.as_bytes()).is_err() {
@@ -434,25 +436,26 @@ fn session(mut stream: Stream, shared: &Shared) {
 /// Routes one request. Control verbs bypass the gate (they are O(1) and
 /// must work under full load — `stats` during saturation is the whole
 /// point); work verbs pass admission and run behind the panic boundary.
-fn handle(request: &Request, shared: &Shared) -> String {
+fn handle(request: Request, shared: &Shared) -> String {
     match request.verb {
-        Verb::Ping => response("ok").bool("pong", true).finish(),
+        Verb::Ping => response(Status::Ok).bool("pong", true).finish(),
         Verb::Stats => stats_response(shared),
         Verb::Shutdown => {
             shared.drain.store(true, Ordering::SeqCst);
-            response("ok").bool("draining", true).finish()
+            response(Status::Ok).bool("draining", true).finish()
         }
         Verb::Compile | Verb::Check | Verb::Simulate | Verb::Difftest | Verb::Chaos => {
             match shared.gate.admit(shared.cfg.admit_wait) {
                 Admission::Busy { retry_after_ms } => {
                     shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                    response("busy")
+                    response(Status::Busy)
                         .num("retry_after_ms", retry_after_ms)
                         .str("error", "all workers busy and the queue is full")
                         .finish()
                 }
                 Admission::Granted => {
                     let permit = Permit(&shared.gate);
+                    let verb = request.verb;
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         execute(request, shared)
                     }));
@@ -461,12 +464,12 @@ fn handle(request: &Request, shared: &Shared) -> String {
                         Ok(body) => body,
                         Err(payload) => {
                             shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-                            response("ice")
+                            response(Status::Ice)
                                 .str(
                                     "error",
                                     &format!(
                                         "internal error while serving `{}`: {}",
-                                        request.verb.name(),
+                                        verb.name(),
                                         crate::payload_str(payload.as_ref())
                                     ),
                                 )
@@ -484,7 +487,7 @@ fn stats_response(shared: &Shared) -> String {
     let (active, queued) = (gate.active, gate.queued);
     drop(gate);
     let c = &shared.counters;
-    response("ok")
+    response(Status::Ok)
         .num("uptime_ms", shared.started.elapsed().as_millis() as u64)
         .num("workers", shared.cfg.workers as u64)
         .num("queue_cap", shared.cfg.queue as u64)
@@ -499,53 +502,6 @@ fn stats_response(shared: &Shared) -> String {
         .num("connections", c.connections.load(Ordering::Relaxed))
         .bool("chaos", shared.cfg.chaos)
         .finish()
-}
-
-/// Builds the per-request compilation session: fresh driver, shared
-/// disk cache, clamped quota armed as stage options + budget handle.
-fn new_driver(request: &Request, shared: &Shared) -> Result<(Driver, Quota), String> {
-    let quota = request.quota.clamp(shared.cfg.quota);
-    let mut driver = Driver::with_corelib();
-    driver.set_cache_dir(shared.cfg.cache_dir.clone());
-    if let Some(n) = quota.max_steps {
-        driver.options.elab.max_steps = n;
-    }
-    if let Some(n) = quota.max_instances {
-        driver.options.elab.max_instances = n as usize;
-    }
-    if let Some(n) = quota.max_depth {
-        driver.options.elab.max_depth = n as usize;
-    }
-    if let Some(n) = quota.solver_steps {
-        driver.options.solver.step_budget = Some(n);
-    }
-    if let Some(n) = quota.expansion_cap {
-        driver.options.solver.expansion_cap = n as usize;
-    }
-    let caps = quota.budget_caps();
-    if caps != Default::default() {
-        driver.set_budget(caps);
-    }
-    if let Some(id) = request.model {
-        if lss_models::model(id).is_none() {
-            return Err(format!("no such model `{id}` (expected A-F)"));
-        }
-        driver.add_source("cpu_lib.lss", lss_models::cpu_lib());
-        driver.add_source(
-            &format!("model_{id}.lss"),
-            lss_models::model(id).expect("checked").source,
-        );
-    }
-    for (name, text) in &request.libs {
-        driver.add_library(name, text);
-    }
-    for (name, text) in &request.sources {
-        driver.add_source(name, text);
-    }
-    if request.model.is_none() && request.sources.is_empty() {
-        return Err("request needs `sources` or `model`".into());
-    }
-    Ok((driver, quota))
 }
 
 /// Compiles through the hot map: probe by cache key, else elaborate and
@@ -569,44 +525,65 @@ fn compile(
     Ok((elaborated, tier))
 }
 
-/// Maps a pipeline failure to its wire status: `budget` with the
-/// `LSS4xx` code for quota exhaustion, `error` otherwise.
-fn driver_error_response(e: &DriverError, shared: &Shared) -> String {
-    match e.budget_code() {
-        Some(code) => {
-            shared.counters.budget_stops.fetch_add(1, Ordering::Relaxed);
-            response("budget")
-                .str("code", code)
-                .str("stage", e.stage.name())
-                .str("error", e.rendered())
-                .finish()
-        }
-        None => response("error")
-            .str("stage", e.stage.name())
-            .str("error", e.rendered())
-            .finish(),
+/// A failed stage's response head: `budget` responses carry the
+/// `LSS4xx` code and count as budget stops.
+fn failure(
+    shared: &Shared,
+    status: Status,
+    code: Option<&str>,
+    stage: &str,
+    error: &str,
+) -> ObjBuilder {
+    let mut body = response(status);
+    if status == Status::Budget {
+        shared.counters.budget_stops.fetch_add(1, Ordering::Relaxed);
     }
+    if let Some(code) = code {
+        body.str("code", code);
+    }
+    body.str("stage", stage).str("error", error);
+    body
+}
+
+fn stage_failure(e: &DriverError, shared: &Shared) -> String {
+    failure(
+        shared,
+        Status::of(e),
+        e.budget_code(),
+        e.stage.name(),
+        e.rendered(),
+    )
+    .finish()
 }
 
 /// Executes a work verb. Runs inside the panic boundary with a gate
 /// permit held.
-fn execute(request: &Request, shared: &Shared) -> String {
+fn execute(request: Request, shared: &Shared) -> String {
     // Chaos faults are daemon-level, not compilations: route them before
     // any driver setup (they need no sources and obey no quota).
     if request.verb == Verb::Chaos {
-        return execute_chaos(request, shared);
+        return execute_chaos(&request, shared);
     }
-    let (mut driver, _quota) = match new_driver(request, shared) {
-        Ok(pair) => pair,
-        Err(e) => return response("bad-request").str("error", &e).finish(),
+    let (verb, cycles) = (request.verb, request.cycles);
+    let spec = Spec {
+        model: request.model,
+        libs: request.libs,
+        sources: request.sources,
+        quota: request.quota.clamp(shared.cfg.quota),
+        cache_dir: shared.cfg.cache_dir.clone(),
+        ..Spec::default()
     };
-    match request.verb {
+    let mut driver = match spec.driver() {
+        Ok(driver) => driver,
+        Err((status, e)) => return response(status).str("error", &e).finish(),
+    };
+    match verb {
         Verb::Compile => {
             let (elaborated, tier) = match compile(&mut driver, shared) {
                 Ok(done) => done,
-                Err(e) => return driver_error_response(&e, shared),
+                Err(e) => return stage_failure(&e, shared),
             };
-            response("ok")
+            response(Status::Ok)
                 .str("cache", tier)
                 .num("instances", elaborated.netlist.instances.len() as u64)
                 .num("connections", elaborated.netlist.connections.len() as u64)
@@ -617,10 +594,10 @@ fn execute(request: &Request, shared: &Shared) -> String {
         Verb::Check => {
             let analyzed = match driver.analyze(&lss_analyze::AnalysisConfig::default()) {
                 Ok(a) => a,
-                Err(e) => return driver_error_response(&e, shared),
+                Err(e) => return stage_failure(&e, shared),
             };
             let (errors, warnings, infos) = analyzed.analysis.counts();
-            response("ok")
+            response(Status::Ok)
                 .num("findings", analyzed.analysis.findings.len() as u64)
                 .num("errors", errors as u64)
                 .num("warnings", warnings as u64)
@@ -635,61 +612,55 @@ fn execute(request: &Request, shared: &Shared) -> String {
         Verb::Simulate => {
             let (elaborated, tier) = match compile(&mut driver, shared) {
                 Ok(done) => done,
-                Err(e) => return driver_error_response(&e, shared),
+                Err(e) => return stage_failure(&e, shared),
             };
             let mut sim = match driver.simulator(&elaborated.netlist) {
                 Ok(s) => s,
-                Err(e) => return driver_error_response(&e, shared),
+                Err(e) => return stage_failure(&e, shared),
             };
-            match sim.run(request.cycles) {
+            match sim.run(cycles) {
                 Ok(()) => {
                     let stats = sim.stats();
-                    response("ok")
+                    response(Status::Ok)
                         .str("cache", tier)
                         .num("cycles", stats.cycles)
                         .num("comp_evals", stats.comp_evals)
                         .num("port_firings", stats.port_firings)
                         .finish()
                 }
-                Err(e) => match e.budget_code() {
-                    // The simulator's in-loop budget check: a runaway
-                    // simulate is shed mid-run with its LSS4xx code.
-                    Some(code) => {
-                        shared.counters.budget_stops.fetch_add(1, Ordering::Relaxed);
-                        response("budget")
-                            .str("code", code)
-                            .str("stage", "simulate")
-                            .str("error", &e.to_string())
-                            .num("cycles", sim.stats().cycles)
-                            .finish()
+                // The simulator's in-loop budget check: a runaway
+                // simulate is shed mid-run with its LSS4xx code.
+                Err(e) => {
+                    let status = Status::of_sim(&e);
+                    let mut body =
+                        failure(shared, status, e.budget_code(), "simulate", &e.to_string());
+                    if status == Status::Budget {
+                        body.num("cycles", sim.stats().cycles);
                     }
-                    None => response("error")
-                        .str("stage", "simulate")
-                        .str("error", &e.to_string())
-                        .finish(),
-                },
+                    body.finish()
+                }
             }
         }
         Verb::Difftest => {
-            let Some((name, text)) = request.sources.first() else {
-                return response("bad-request")
+            let Some((name, text)) = spec.sources.first() else {
+                return response(Status::BadRequest)
                     .str("error", "difftest needs at least one source")
                     .finish();
             };
             let opts = lss_verify::DiffOptions {
-                cycles: request.cycles,
+                cycles,
                 ..lss_verify::DiffOptions::default()
             };
             match lss_verify::difftest_source(name, text, &opts) {
-                Ok(None) => response("ok")
+                Ok(None) => response(Status::Ok)
                     .bool("agree", true)
-                    .num("cycles", request.cycles)
+                    .num("cycles", cycles)
                     .finish(),
-                Ok(Some(discrepancy)) => response("ok")
+                Ok(Some(discrepancy)) => response(Status::Ok)
                     .bool("agree", false)
                     .str("discrepancy", &discrepancy.to_string())
                     .finish(),
-                Err(e) => response("error").str("error", &e).finish(),
+                Err(e) => response(Status::Error).str("error", &e).finish(),
             }
         }
         Verb::Chaos | Verb::Ping | Verb::Stats | Verb::Shutdown => {
@@ -702,7 +673,7 @@ fn execute(request: &Request, shared: &Shared) -> String {
 /// exercises a robustness boundary the chaos suite then asserts on.
 fn execute_chaos(request: &Request, shared: &Shared) -> String {
     if !shared.cfg.chaos {
-        return response("bad-request")
+        return response(Status::BadRequest)
             .str(
                 "error",
                 "chaos faults are disabled (start lssd with --chaos)",
@@ -715,11 +686,11 @@ fn execute_chaos(request: &Request, shared: &Shared) -> String {
         // bench saturate admission control deterministically.
         Some("worker-sleep") => {
             std::thread::sleep(Duration::from_millis(250));
-            response("ok").bool("slept", true).finish()
+            response(Status::Ok).bool("slept", true).finish()
         }
         Some("cache-corrupt") => {
             let corrupted = corrupt_cache(shared);
-            response("ok").num("corrupted", corrupted).finish()
+            response(Status::Ok).num("corrupted", corrupted).finish()
         }
         Some("hot-poison") => {
             // Panic *while holding the hot-map lock*: proves the
@@ -728,7 +699,7 @@ fn execute_chaos(request: &Request, shared: &Shared) -> String {
             let _ = guard.len();
             panic!("injected panic while holding the hot-map lock");
         }
-        other => response("bad-request")
+        other => response(Status::BadRequest)
             .str(
                 "error",
                 &format!(
@@ -766,15 +737,6 @@ fn corrupt_cache(shared: &Shared) -> u64 {
     // Drop the hot map too, so the next compile actually re-reads disk.
     shared.hot_lock().clear();
     corrupted
-}
-
-/// A client-side status summary of a raw response, shared by `lssc
-/// client` and the benches.
-pub fn status_of(value: &JsonValue) -> &str {
-    value
-        .get("status")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("")
 }
 
 /// Writes one line to stderr ignoring failures (the daemon must never

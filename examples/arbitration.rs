@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --example arbitration`.
 
-use liberty::Lse;
+use liberty::Driver;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Case 1: three producers funnel into one consumer. The funnel must
@@ -27,9 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fn1.out -> hole.in;
         s0.out :: int;
     "#;
-    let mut lse = Lse::with_corelib();
-    lse.add_source("narrow.lss", narrowing);
-    let compiled = lse.compile()?;
+    let mut driver = Driver::with_corelib();
+    driver.add_source("narrow.lss", narrowing);
+    let compiled = driver.elaborate()?;
     let funnel = compiled.netlist.find("fn1").unwrap();
     println!(
         "narrowing use: in.width={} out.width={} -> arbiter instantiated: {}",
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         funnel.port("out").unwrap().width,
         compiled.netlist.find("fn1.arb").is_some(),
     );
-    let mut sim = lse.simulator(&compiled.netlist)?;
+    let mut sim = driver.simulator(&compiled.netlist)?;
     println!("rotating arbitration picks a different source each cycle:");
     for _ in 0..4 {
         sim.step()?;
@@ -58,9 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fn1.out -> hole.in;
         s0.out :: int;
     "#;
-    let mut lse2 = Lse::with_corelib();
-    lse2.add_source("pass.lss", passthrough);
-    let compiled2 = lse2.compile()?;
+    let mut driver2 = Driver::with_corelib();
+    driver2.add_source("pass.lss", passthrough);
+    let compiled2 = driver2.elaborate()?;
     println!(
         "\npass-through use: arbiter instantiated: {} (policy parameter never demanded)",
         compiled2.netlist.find("fn1.arb").is_some(),
@@ -70,9 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // error — the funnel exported the parameter because its use requires
     // one, exactly Figure 12's behavior.
     let missing_policy = narrowing.replace("fn1.arbitration_policy = \"return cycle;\";", "");
-    let mut lse3 = Lse::with_corelib();
-    lse3.add_source("missing.lss", &missing_policy);
-    match lse3.compile() {
+    let mut driver3 = Driver::with_corelib();
+    driver3.add_source("missing.lss", &missing_policy);
+    match driver3.elaborate() {
         Ok(_) => panic!("expected the missing policy to be required"),
         Err(e) => {
             let rendered = e.to_string();

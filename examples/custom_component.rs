@@ -12,7 +12,7 @@
 
 use liberty::sim::{BuildError, CompCtx, Component, SimError};
 use liberty::types::Datum;
-use liberty::Lse;
+use liberty::Driver;
 
 /// A DMA-style burst engine: accepts a descriptor (base address, length)
 /// and then streams one word address per cycle on `mem_addr` until the
@@ -136,7 +136,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         collector dma : burst_started = "bursts = bursts + 1; last_len = arg1;";
     "#;
 
-    let mut lse = Lse::with_corelib();
+    let mut driver = Driver::with_corelib();
     // Extend the registry with the user behaviors.
     let mut registry = liberty::corelib::registry();
     registry.register("nic/burst.tar", BurstEngine::new);
@@ -146,11 +146,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sent: false,
         }) as Box<dyn Component>)
     });
-    lse.set_registry(registry);
-    lse.add_library("nic_lib.lss", nic_lib);
-    lse.add_source("model.lss", model);
+    driver.set_registry(registry);
+    driver.add_library("nic_lib.lss", nic_lib);
+    driver.add_source("model.lss", model);
 
-    let compiled = lse.compile()?;
+    let compiled = driver.elaborate()?;
     println!(
         "NIC model: {} instances; dma.desc inferred as `{}`",
         compiled.netlist.instances.len(),
@@ -165,7 +165,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .unwrap()
     );
 
-    let mut sim = lse.simulator(&compiled.netlist)?;
+    let mut sim = driver.simulator(&compiled.netlist)?;
     sim.watch("dma");
     sim.run(8)?;
     println!("\nburst engine activity:");

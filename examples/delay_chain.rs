@@ -6,7 +6,7 @@
 //! Run with `cargo run --example delay_chain`.
 
 use liberty::netlist::dump;
-use liberty::Lse;
+use liberty::Driver;
 
 fn chain_model(n: usize) -> String {
     // Figure 9: instantiate the corelib delayn (Figure 8) with n stages.
@@ -25,9 +25,9 @@ fn chain_model(n: usize) -> String {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One source file, three different machines: the length is a parameter.
     for n in [3usize, 6, 12] {
-        let mut lse = Lse::with_corelib();
-        lse.add_source("chain.lss", &chain_model(n));
-        let compiled = lse.compile()?;
+        let mut driver = Driver::with_corelib();
+        driver.add_source("chain.lss", &chain_model(n));
+        let compiled = driver.elaborate()?;
         println!(
             "n = {n:>2}: {} instances, {} leaf-to-leaf wires",
             compiled.netlist.instances.len(),
@@ -36,9 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Figure 2's block diagram, reconstructed from the n=3 netlist.
-    let mut lse = Lse::with_corelib();
-    lse.add_source("chain.lss", &chain_model(3));
-    let compiled = lse.compile()?;
+    let mut driver = Driver::with_corelib();
+    driver.add_source("chain.lss", &chain_model(3));
+    let compiled = driver.elaborate()?;
     println!("\ninstance hierarchy (Figure 2):");
     print!("{}", dump::tree(&compiled.netlist));
 
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Simulate: a value entering the chain appears 3 cycles later.
-    let mut sim = lse.simulator(&compiled.netlist)?;
+    let mut sim = driver.simulator(&compiled.netlist)?;
     println!("\nsimulation (source counts up; the chain delays by 3):");
     for _ in 0..6 {
         sim.step()?;

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --example instrumentation`.
 
-use liberty::Lse;
+use liberty::Driver;
 
 const MODEL: &str = r#"
     instance gen:source;
@@ -17,10 +17,10 @@ const MODEL: &str = r#"
 "#;
 
 fn run_with(probes: &str) -> Result<liberty::Simulator, String> {
-    let mut lse = Lse::with_corelib();
-    lse.add_source("model.lss", &format!("{MODEL}\n{probes}"));
-    let compiled = lse.compile().map_err(|e| e.to_string())?;
-    let mut sim = lse
+    let mut driver = Driver::with_corelib();
+    driver.add_source("model.lss", &format!("{MODEL}\n{probes}"));
+    let compiled = driver.elaborate().map_err(|e| e.to_string())?;
+    let mut sim = driver
         .simulator(&compiled.netlist)
         .map_err(|e| e.to_string())?;
     sim.run(10).map_err(|e| e.to_string())?;

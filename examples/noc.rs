@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --example noc`.
 
-use liberty::Lse;
+use liberty::Driver;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Each node emits packets (its node id as payload); destinations are
@@ -43,9 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         collector sw.arbs[0] : out_fire = "delivered = delivered + 1;";
     "#;
 
-    let mut lse = Lse::with_corelib();
-    lse.add_source("noc.lss", model);
-    let compiled = lse.compile()?;
+    let mut driver = Driver::with_corelib();
+    driver.add_source("noc.lss", model);
+    let compiled = driver.elaborate()?;
     println!(
         "4-node NoC: {} instances ({} from the library), {} connections",
         compiled.netlist.instances.len(),
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compiled.netlist.connections.len()
     );
 
-    let mut sim = lse.simulator(&compiled.netlist)?;
+    let mut sim = driver.simulator(&compiled.netlist)?;
     sim.watch("sw.arbs");
     sim.run(4)?;
     println!("\nswitch outputs over 4 cycles (node i sends 100*(i+1)+cycle):");

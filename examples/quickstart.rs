@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use liberty::Lse;
+use liberty::Driver;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 1(b): the structural specification. Two value generators feed
@@ -23,11 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         block1.out :: int;
     "#;
 
-    let mut lse = Lse::with_corelib();
-    lse.add_source("adder.lss", model);
+    let mut driver = Driver::with_corelib();
+    driver.add_source("adder.lss", model);
 
     // Compile: LSS code executes now, producing the static netlist.
-    let compiled = lse.compile()?;
+    let compiled = driver.elaborate()?;
     println!(
         "elaborated {} instances, {} connections",
         compiled.netlist.instances.len(),
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Figure 1(c)'s behavioral code lives in the registered `alu` behavior;
     // simulate a few cycles and watch the sums appear.
-    let mut sim = lse.simulator(&compiled.netlist)?;
+    let mut sim = driver.simulator(&compiled.netlist)?;
     println!("\ncycle-by-cycle adder output:");
     for _ in 0..5 {
         sim.step()?;

@@ -1,5 +1,5 @@
-//! Architectural gate: every consumer compiles through `lss_driver` (or
-//! the `liberty::Lse` facade over it). Direct calls into the raw
+//! Architectural gate: every consumer compiles through `lss_driver`
+//! (re-exported as `liberty::Driver`). Direct calls into the raw
 //! `lss_interp::compile` entry point bypass staged artifacts, timings, and
 //! the netlist cache, so they are banned outside the driver layer itself.
 //!

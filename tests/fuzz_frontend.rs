@@ -124,9 +124,9 @@ fn elaboration_never_panics_on_parsed_soup() {
             .map(|_| PIECES[rng.index(PIECES.len())])
             .collect::<Vec<_>>()
             .join("\n");
-        let mut lse = liberty::Lse::with_corelib();
-        lse.add_source("soup.lss", &input);
+        let mut driver = liberty::Driver::with_corelib();
+        driver.add_source("soup.lss", &input);
         // Ok or Err both fine; panics are not.
-        let _ = lse.compile();
+        let _ = driver.elaborate();
     }
 }

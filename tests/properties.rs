@@ -92,9 +92,11 @@ fn lss_expressions_evaluate_correctly() {
     for case in 0..64 {
         let expr = IntExpr::gen(&mut rng, 4);
         let src = format!("instance d:delay;\nd.initial_state = {};", expr.render());
-        let mut lse = liberty::Lse::with_corelib();
-        lse.add_source("prop.lss", &src);
-        let compiled = lse.compile().unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let mut driver = liberty::Driver::with_corelib();
+        driver.add_source("prop.lss", &src);
+        let compiled = driver
+            .elaborate()
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
         let got = compiled.netlist.find("d").unwrap().params["initial_state"]
             .as_int()
             .unwrap();
@@ -253,14 +255,16 @@ fn delay_chains_conserve_values() {
             gen.out :: int;
             "#
         );
-        let mut lse = liberty::Lse::with_corelib();
-        lse.add_source("chain.lss", &src);
-        let compiled = lse.compile().unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let mut driver = liberty::Driver::with_corelib();
+        driver.add_source("chain.lss", &src);
+        let compiled = driver
+            .elaborate()
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
         for scheduler in [liberty::Scheduler::Static, liberty::Scheduler::Dynamic] {
-            let mut lse2 = liberty::Lse::with_corelib();
-            lse2.sim_options.scheduler = scheduler;
-            lse2.add_source("chain.lss", &src);
-            let mut sim = lse2
+            let mut driver2 = liberty::Driver::with_corelib();
+            driver2.sim_options.scheduler = scheduler;
+            driver2.add_source("chain.lss", &src);
+            let mut sim = driver2
                 .simulator(&compiled.netlist)
                 .unwrap_or_else(|e| panic!("case {case}: {e}"));
             sim.run(cycles)

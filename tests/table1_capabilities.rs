@@ -4,12 +4,13 @@
 //! in-repo baseline representatives.
 
 use liberty::types::{Datum, Ty};
-use liberty::Lse;
+use liberty::Driver;
 
-fn compile(src: &str) -> liberty::Compiled {
-    let mut lse = Lse::with_corelib();
-    lse.add_source("probe.lss", src);
-    lse.compile()
+fn compile(src: &str) -> liberty::Elaborated {
+    let mut driver = Driver::with_corelib();
+    driver.add_source("probe.lss", src);
+    driver
+        .finish()
         .unwrap_or_else(|e| panic!("compile failed:\n{e}"))
 }
 
@@ -186,9 +187,9 @@ mod baseline_limitations {
             q2.out -> q3.in;
             q3.out -> k.in;
         "#;
-        let mut lse = liberty::Lse::with_corelib();
-        lse.add_source("m.lss", src);
-        let compiled = lse.compile().unwrap();
+        let mut driver = liberty::Driver::with_corelib();
+        driver.add_source("m.lss", src);
+        let compiled = driver.elaborate().unwrap();
         let stats = liberty::reuse_stats(&compiled.netlist);
         // Four polymorphic components would need explicit instantiation in
         // OOP; LSS needed zero.

@@ -1,20 +1,22 @@
 //! Cross-crate integration tests for use-based specialization (§6),
-//! exercised through the public `liberty::Lse` API.
+//! exercised through the public `liberty::Driver` API.
 
 use liberty::types::Datum;
-use liberty::Lse;
+use liberty::Driver;
 
-fn compile(src: &str) -> liberty::Compiled {
-    let mut lse = Lse::with_corelib();
-    lse.add_source("test.lss", src);
-    lse.compile()
+fn compile(src: &str) -> liberty::Elaborated {
+    let mut driver = Driver::with_corelib();
+    driver.add_source("test.lss", src);
+    driver
+        .finish()
         .unwrap_or_else(|e| panic!("compile failed:\n{e}"))
 }
 
 fn compile_err(src: &str) -> String {
-    let mut lse = Lse::with_corelib();
-    lse.add_source("test.lss", src);
-    lse.compile()
+    let mut driver = Driver::with_corelib();
+    driver.add_source("test.lss", src);
+    driver
+        .elaborate()
         .expect_err("expected a compile error")
         .to_string()
 }
@@ -58,8 +60,8 @@ fn width_zero_means_unconnected_port_semantics() {
         gen.out :: int;
         "#,
     );
-    let mut lse = Lse::with_corelib();
-    lse.add_source(
+    let mut driver = Driver::with_corelib();
+    driver.add_source(
         "again.lss",
         r#"
         instance gen:source;
@@ -70,7 +72,7 @@ fn width_zero_means_unconnected_port_semantics() {
         gen.out :: int;
         "#,
     );
-    let mut sim = lse.simulator(&compiled.netlist).unwrap();
+    let mut sim = driver.simulator(&compiled.netlist).unwrap();
     sim.run(5).unwrap();
     assert_eq!(sim.rtv("hole", "count").unwrap().as_int(), Some(4));
 }
