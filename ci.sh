@@ -94,6 +94,9 @@ fi
 echo "==> pipeline: BENCH_pipeline.json (cold vs warm, largest model)"
 cargo run --release -q -p bench --bin pipeline
 
+echo "==> §8: BENCH_sim_speed.json (static never slower than dynamic, >= 2x on model C)"
+cargo bench -q -p bench --bench sim_speed
+
 echo "==> verify: bounded differential fuzz smoke (fixed seeds)"
 rm -rf target/verify
 ./target/release/lssc fuzz --seed 1 --iters 200

@@ -65,18 +65,6 @@ fn classes_param(spec: &CompSpec, port_width: u32) -> Result<Vec<i64>, BuildErro
     Ok(classes)
 }
 
-/// Class-matching for FU lanes: `0` accepts anything, `1..=6` match one
-/// [`OpClass`] exactly, `7` is a memory unit (loads and stores), and `8` is
-/// an integer-side unit (ALU ops, multiplies, and branches).
-fn class_accepts(class: i64, op: OpClass) -> bool {
-    match class {
-        0 => true,
-        7 => matches!(op, OpClass::Load | OpClass::Store),
-        8 => matches!(op, OpClass::IAlu | OpClass::IMul | OpClass::Branch),
-        c => c == op as i64,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Fetch
 // ---------------------------------------------------------------------------
@@ -356,7 +344,7 @@ impl Dispatch {
             for lane in 0..lanes {
                 if !lane_used[lane]
                     && lane_credit[lane] > 0
-                    && class_accepts(*self.classes.get(lane).unwrap_or(&0), op)
+                    && op.accepted_by(*self.classes.get(lane).unwrap_or(&0))
                 {
                     lane_used[lane] = true;
                     lane_credit[lane] -= 1;
@@ -496,7 +484,7 @@ impl Issue {
                 for lane in 0..lanes {
                     if !lane_used[lane]
                         && lane_credit[lane] > 0
-                        && class_accepts(*self.classes.get(lane).unwrap_or(&0), op)
+                        && op.accepted_by(*self.classes.get(lane).unwrap_or(&0))
                     {
                         lane_used[lane] = true;
                         lane_credit[lane] -= 1;
@@ -670,7 +658,7 @@ impl Component for Fu {
         // acceptance.
         if let Some(instr) = &self.agen {
             let op = instr.op_class();
-            if matches!(op, OpClass::Load | OpClass::Store) && ctx.width(self.mem_req) > 0 {
+            if op.is_mem() && ctx.width(self.mem_req) > 0 {
                 ctx.set_output(self.mem_req, 0, Datum::Int(instr.tgt));
             }
         }
@@ -702,15 +690,14 @@ impl Component for Fu {
         // so a 1-cycle operation completes in the same step it enters.
         if let Some(instr) = self.agen.take() {
             let op = instr.op_class();
-            let lat =
-                if matches!(op, OpClass::Load | OpClass::Store) && ctx.width(self.mem_resp) > 0 {
-                    match ctx.input(self.mem_resp, 0) {
-                        Some(Datum::Int(l)) => l.max(1),
-                        _ => instr.lat.max(1),
-                    }
-                } else {
-                    instr.lat.max(1)
-                };
+            let lat = if op.is_mem() && ctx.width(self.mem_resp) > 0 {
+                match ctx.input(self.mem_resp, 0) {
+                    Some(Datum::Int(l)) => l.max(1),
+                    _ => instr.lat.max(1),
+                }
+            } else {
+                instr.lat.max(1)
+            };
             self.in_flight.push((instr, lat));
         }
         let mut finished = Vec::new();

@@ -8,58 +8,12 @@
 //! that the paper's structural metrics and examples depend on.
 //!
 //! An instruction travels through ports as a `Datum::Struct` with the
-//! fields of [`INSTR_TYPE_LSS`]; this module provides the builders and
-//! accessors.
+//! fields of [`INSTR_TYPE_LSS`]; [`Instr`] and [`OpClass`] come from the
+//! codec in `lss_netlist::instr`, which the engine's kernels share.
 
-use lss_types::{Datum, SplitMix64, Ty};
-
-/// Operation classes (the `op` field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpClass {
-    /// No-op / bubble.
-    Nop = 0,
-    /// Integer ALU.
-    IAlu = 1,
-    /// Integer multiply/divide.
-    IMul = 2,
-    /// Floating point.
-    Fp = 3,
-    /// Memory load.
-    Load = 4,
-    /// Memory store.
-    Store = 5,
-    /// Branch.
-    Branch = 6,
-}
-
-impl OpClass {
-    /// Decodes the integer encoding used in instruction structs.
-    pub fn from_code(code: i64) -> Option<OpClass> {
-        Some(match code {
-            0 => OpClass::Nop,
-            1 => OpClass::IAlu,
-            2 => OpClass::IMul,
-            3 => OpClass::Fp,
-            4 => OpClass::Load,
-            5 => OpClass::Store,
-            6 => OpClass::Branch,
-            _ => return None,
-        })
-    }
-
-    /// Default execution latency in cycles.
-    pub fn latency(self) -> i64 {
-        match self {
-            OpClass::Nop => 1,
-            OpClass::IAlu => 1,
-            OpClass::IMul => 3,
-            OpClass::Fp => 4,
-            OpClass::Load => 2,
-            OpClass::Store => 1,
-            OpClass::Branch => 1,
-        }
-    }
-}
+use lss_netlist::INSTR_FIELDS;
+pub use lss_netlist::{Instr, OpClass};
+use lss_types::{SplitMix64, Ty};
 
 /// The LSS type of an instruction, for port declarations in corelib.lss.
 pub const INSTR_TYPE_LSS: &str =
@@ -68,86 +22,11 @@ pub const INSTR_TYPE_LSS: &str =
 /// The ground [`Ty`] matching [`INSTR_TYPE_LSS`].
 pub fn instr_ty() -> Ty {
     Ty::Struct(
-        ["pc", "op", "dst", "src1", "src2", "lat", "tgt", "taken"]
+        INSTR_FIELDS
             .iter()
             .map(|f| (f.to_string(), Ty::Int))
             .collect(),
     )
-}
-
-/// A decoded instruction (component-side view of the struct datum).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Instr {
-    /// Program counter.
-    pub pc: i64,
-    /// Operation class code.
-    pub op: i64,
-    /// Destination register (-1 = none).
-    pub dst: i64,
-    /// First source register (-1 = none).
-    pub src1: i64,
-    /// Second source register (-1 = none).
-    pub src2: i64,
-    /// Execution latency in cycles.
-    pub lat: i64,
-    /// Branch target / memory address.
-    pub tgt: i64,
-    /// Branch outcome (1 = taken); carried with the instruction because the
-    /// trace is synthetic.
-    pub taken: i64,
-}
-
-impl Instr {
-    /// A no-op bubble.
-    pub fn nop(pc: i64) -> Instr {
-        Instr {
-            pc,
-            op: OpClass::Nop as i64,
-            dst: -1,
-            src1: -1,
-            src2: -1,
-            lat: 1,
-            tgt: 0,
-            taken: 0,
-        }
-    }
-
-    /// Converts to the port datum representation.
-    pub fn to_datum(&self) -> Datum {
-        Datum::Struct(
-            vec![
-                ("pc".into(), Datum::Int(self.pc)),
-                ("op".into(), Datum::Int(self.op)),
-                ("dst".into(), Datum::Int(self.dst)),
-                ("src1".into(), Datum::Int(self.src1)),
-                ("src2".into(), Datum::Int(self.src2)),
-                ("lat".into(), Datum::Int(self.lat)),
-                ("tgt".into(), Datum::Int(self.tgt)),
-                ("taken".into(), Datum::Int(self.taken)),
-            ]
-            .into(),
-        )
-    }
-
-    /// Parses the port datum representation.
-    pub fn from_datum(datum: &Datum) -> Option<Instr> {
-        let f = |name: &str| datum.field(name)?.as_int();
-        Some(Instr {
-            pc: f("pc")?,
-            op: f("op")?,
-            dst: f("dst")?,
-            src1: f("src1")?,
-            src2: f("src2")?,
-            lat: f("lat")?,
-            tgt: f("tgt")?,
-            taken: f("taken")?,
-        })
-    }
-
-    /// The op class, defaulting to `Nop` for out-of-range codes.
-    pub fn op_class(&self) -> OpClass {
-        OpClass::from_code(self.op).unwrap_or(OpClass::Nop)
-    }
 }
 
 /// Instruction-mix percentages for the synthetic workload. Values are

@@ -96,10 +96,10 @@ impl Value {
             Datum::Float(v) => Value::Float(*v),
             Datum::Str(s) => Value::Str(s.clone()),
             Datum::Array(items) => Value::Array(items.iter().map(Value::from_datum).collect()),
-            Datum::Struct(fields) => {
+            Datum::Struct(rec) => {
                 // Struct data at compile time is uncommon; represent it as an
                 // array of field values (positional) for parameter plumbing.
-                Value::Array(fields.iter().map(|(_, v)| Value::from_datum(v)).collect())
+                Value::Array(rec.values().iter().map(Value::from_datum).collect())
             }
         }
     }

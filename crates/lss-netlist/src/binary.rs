@@ -382,10 +382,10 @@ pub fn write_datum(w: &mut Writer, d: &Datum) {
                 write_datum(w, item);
             }
         }
-        Datum::Struct(fields) => {
+        Datum::Struct(rec) => {
             w.put_u8(5);
-            w.put_varint(fields.len() as u64);
-            for (name, v) in fields.iter() {
+            w.put_varint(rec.values().len() as u64);
+            for (name, v) in rec.iter() {
                 w.put_str(name);
                 write_datum(w, v);
             }
@@ -415,7 +415,7 @@ pub fn read_datum(r: &mut Reader<'_>) -> Result<Datum, String> {
                 let name = r.get_str()?;
                 fields.push((name, read_datum(r)?));
             }
-            Datum::Struct(fields.into())
+            Datum::record(fields)
         }
         other => return Err(format!("unknown datum tag {other}")),
     })
@@ -950,6 +950,27 @@ mod tests {
     use super::*;
     use crate::json::{from_json, to_json};
     use crate::netlist::testutil::{add, ep};
+
+    #[test]
+    fn struct_bytes_are_pinned() {
+        let d = Datum::record([
+            ("pc", Datum::Int(4096)),
+            ("name", Datum::from("x\"y")),
+            ("xs", Datum::Array(vec![Datum::Int(1), Datum::Int(-2)])),
+            ("f", Datum::Float(1.5)),
+            ("inner", Datum::record([("b", Datum::Bool(true))])),
+        ]);
+        let bytes: [u8; 50] = [
+            5, 5, 2, 112, 99, 0, 128, 64, 4, 110, 97, 109, 101, 3, 3, 120, 34, 121, 2, 120, 115, 4,
+            2, 0, 2, 0, 3, 1, 102, 2, 0, 0, 0, 0, 0, 0, 248, 63, 5, 105, 110, 110, 101, 114, 5, 1,
+            1, 98, 1, 1,
+        ];
+        let mut w = Writer::new();
+        write_datum(&mut w, &d);
+        assert_eq!(w.finish(), bytes);
+        let back = read_datum(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back, d);
+    }
 
     fn sample() -> Netlist {
         let mut n = Netlist::new();

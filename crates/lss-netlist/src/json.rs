@@ -56,7 +56,7 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-fn datum_json(d: &Datum) -> String {
+pub(crate) fn datum_json(d: &Datum) -> String {
     match d {
         Datum::Int(v) => v.to_string(),
         Datum::Bool(b) => b.to_string(),
@@ -80,8 +80,8 @@ fn datum_json(d: &Datum) -> String {
             let inner: Vec<String> = items.iter().map(datum_json).collect();
             format!("[{}]", inner.join(","))
         }
-        Datum::Struct(fields) => {
-            let inner: Vec<String> = fields
+        Datum::Struct(rec) => {
+            let inner: Vec<String> = rec
                 .iter()
                 .map(|(k, v)| format!("\"{}\":{}", escape(k), datum_json(v)))
                 .collect();
@@ -533,7 +533,7 @@ fn scheme_from(v: &JsonValue) -> Result<Scheme, String> {
     }
 }
 
-fn datum_from(v: &JsonValue) -> Result<Datum, String> {
+pub(crate) fn datum_from(v: &JsonValue) -> Result<Datum, String> {
     match v {
         JsonValue::Int(n) => Ok(Datum::Int(*n)),
         JsonValue::Float(f) => Ok(Datum::Float(*f)),
@@ -554,12 +554,11 @@ fn datum_from(v: &JsonValue) -> Result<Datum, String> {
                     };
                 }
             }
-            Ok(Datum::Struct(
+            Ok(Datum::record(
                 members
                     .iter()
-                    .map(|(k, v)| Ok((k.clone(), datum_from(v)?)))
-                    .collect::<Result<Vec<_>, String>>()?
-                    .into(),
+                    .map(|(k, v)| Ok((k.as_str(), datum_from(v)?)))
+                    .collect::<Result<Vec<_>, String>>()?,
             ))
         }
         JsonValue::Null => Err("null is not a datum".to_string()),
@@ -1004,9 +1003,25 @@ mod tests {
         assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
         assert_eq!(datum_json(&Datum::Float(f64::NAN)), "{\"$f\":\"nan\"}");
         assert_eq!(
-            datum_json(&Datum::Struct(vec![("k".into(), Datum::Bool(true))].into())),
+            datum_json(&Datum::record([("k", Datum::Bool(true))])),
             "{\"k\":true}"
         );
+    }
+
+    #[test]
+    fn struct_json_is_pinned() {
+        let text = r#"{"pc":4096,"name":"x\"y","xs":[1,-2],"f":1.5,"inner":{"b":true}}"#;
+        let d = Datum::record([
+            ("pc", Datum::Int(4096)),
+            ("name", Datum::from("x\"y")),
+            ("xs", Datum::Array(vec![Datum::Int(1), Datum::Int(-2)])),
+            ("f", Datum::Float(1.5)),
+            ("inner", Datum::record([("b", Datum::Bool(true))])),
+        ]);
+        assert_eq!(datum_json(&d), text);
+        let back = datum_from(&crate::jsonval::parse_json(text).unwrap()).unwrap();
+        assert_eq!(back, d);
+        assert_eq!(datum_json(&back), text);
     }
 
     #[test]

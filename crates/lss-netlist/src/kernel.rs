@@ -126,8 +126,8 @@ pub enum KernelClass {
     },
     /// `corelib/fu.tar`: the pipelined functional unit with an
     /// address-generation stage, optional cache-port and CDB-grant
-    /// interfaces. Instructions travel as `Datum::Struct` values; the
-    /// kernel reads the `op`/`lat`/`tgt` fields directly.
+    /// interfaces. Instructions travel as `Datum::Struct` values, which
+    /// the kernel reads and builds with the shared [`crate::instr`] codec.
     Fu {
         /// `in` port index.
         inp: usize,

@@ -13,7 +13,9 @@
 //!   as its own pass by `lss-analyze`;
 //! * [`json`] — complete JSON serialization ([`to_json`] / [`from_json`]
 //!   round-trip) for the driver's netlist cache and external tooling;
-//! * [`dump`] — ASCII-tree and GraphViz renderings.
+//! * [`dump`] — ASCII-tree and GraphViz renderings;
+//! * [`instr`] — the instruction codec shared by the CPU behaviors and the
+//!   engine's kernels.
 //!
 //! # Example
 //!
@@ -29,6 +31,7 @@
 
 pub mod binary;
 pub mod dump;
+pub mod instr;
 pub mod intern;
 pub mod json;
 pub mod jsonval;
@@ -40,6 +43,7 @@ pub mod protocol;
 pub mod stats;
 
 pub use binary::{from_binary, to_binary, BIN_FORMAT};
+pub use instr::{instr_layout, Instr, OpClass, INSTR_FIELDS};
 pub use intern::{CollectorId, EventId, Interner, PortId, RtvId, SlotId, Symbol, UserpointId};
 pub use json::{from_json, from_value, to_json, JSON_FORMAT};
 pub use jsonval::{parse_json, JsonValue};

@@ -662,13 +662,7 @@ mod tests {
     fn struct_field_access_and_update() {
         let mut vars = SlotTable::from_pairs([(
             "pkt",
-            Datum::Struct(
-                vec![
-                    ("dest".into(), Datum::Int(3)),
-                    ("data".into(), Datum::Int(9)),
-                ]
-                .into(),
-            ),
+            Datum::record([("dest", Datum::Int(3)), ("data", Datum::Int(9))]),
         )]);
         let result = run("pkt.dest = pkt.dest + 1; return pkt.dest;", &[], &mut vars);
         assert_eq!(result, Some(Datum::Int(4)));
@@ -679,7 +673,7 @@ mod tests {
     fn struct_field_update_leaves_a_shared_copy_unchanged() {
         // Both variables hold the same shared struct payload; the update
         // must copy it rather than write through to `orig`.
-        let pkt = Datum::Struct(vec![("dest".into(), Datum::Int(3))].into());
+        let pkt = Datum::record([("dest", Datum::Int(3))]);
         let mut vars = SlotTable::from_pairs([("pkt", pkt.clone()), ("orig", pkt)]);
         let result = run("pkt.dest = 7; return orig.dest;", &[], &mut vars);
         assert_eq!(result, Some(Datum::Int(3)));

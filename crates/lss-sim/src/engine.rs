@@ -34,10 +34,10 @@
 //!
 //! The per-cycle loops after settle walk lists built once in [`build`],
 //! not every component: the firing loop visits only output ports with
-//! `<port>_fire` listeners or a watched instance (the firing count is one
-//! flat pass over the value arena), the state update skips kernels whose
-//! `end_of_timestep` is a no-op, and declared-event dispatch visits only
-//! components that declare events.
+//! `<port>_fire` listeners or a watched instance (the firing count and the
+//! value reset use the list of slots written that cycle), the state update
+//! skips kernels whose `end_of_timestep` is a no-op, and declared-event
+//! dispatch visits only components that declare events.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -182,6 +182,10 @@ struct Core {
     cycle: u64,
     seed: i64,
     values: Vec<Option<Datum>>,
+    /// The present slots, each listed once, in the order they were
+    /// written: the cycle's port firings, and what the reset at the top of
+    /// the next cycle clears.
+    live: Vec<usize>,
     /// Per-slot flag: written during the current component evaluation.
     written: Vec<bool>,
     states: Vec<CompState>,
@@ -195,6 +199,32 @@ struct Core {
     port_types: Vec<Vec<Option<(String, Ty)>>>,
     /// First type violation observed during the current eval, if any.
     type_violation: Option<String>,
+}
+
+impl Core {
+    /// Stores a port value and lists its slot for the next reset.
+    fn write(&mut self, slot: usize, value: Datum) {
+        if self.values[slot].replace(value).is_none() {
+            self.live.push(slot);
+        }
+    }
+
+    /// Withdraws a port value (fixpoint retraction). Rare, and the slot
+    /// was most likely written recently, so the search runs from the end.
+    fn retract(&mut self, slot: usize) {
+        if self.values[slot].take().is_some() {
+            if let Some(i) = self.live.iter().rposition(|&s| s == slot) {
+                self.live.swap_remove(i);
+            }
+        }
+    }
+
+    /// Makes every port value absent again.
+    fn reset_values(&mut self) {
+        for s in self.live.drain(..) {
+            self.values[s] = None;
+        }
+    }
 }
 
 struct Ctx<'a> {
@@ -239,7 +269,7 @@ impl CompCtx for Ctx<'_> {
                     Some(format!("port `{name}` expects {ty}, behavior sent {value}"));
             }
         }
-        self.core.values[slot] = Some(value);
+        self.core.write(slot, value);
         self.core.written[slot] = true;
     }
 
@@ -938,6 +968,7 @@ pub fn build(
             cycle: 0,
             seed: opts.seed,
             values: vec![None; slot_count],
+            live: Vec::new(),
             written: vec![false; slot_count],
             states,
             port_types,
@@ -1075,9 +1106,24 @@ impl Simulator {
         result
     }
 
-    fn eval_comp(&mut self, comp: usize) -> Result<bool, SimError> {
+    /// Evaluates one component. The static plan's acyclic serial steps
+    /// call this directly: such a component runs once per cycle on outputs
+    /// that start the cycle absent, so there is nothing to retract and no
+    /// change to detect.
+    fn eval_once(&mut self, comp: usize) -> Result<(), SimError> {
         self.stats.comp_evals += 1;
         self.core.states[comp].eval_events.clear();
+        self.with_comp(comp, |c, ctx| c.eval(ctx))
+            .map_err(|e| self.locate(comp, e))?;
+        if let Some(violation) = self.core.type_violation.take() {
+            return Err(self.locate(comp, SimError::new(violation)));
+        }
+        Ok(())
+    }
+
+    /// Evaluates one component inside a fixpoint block or under the
+    /// dynamic scheduler; returns whether any of its outputs changed.
+    fn eval_comp(&mut self, comp: usize) -> Result<bool, SimError> {
         // During eval the component still *sees* the outputs of its previous
         // evaluation (self-loops observe their own last value), but any
         // output lane it does not write this time is retracted afterwards —
@@ -1093,14 +1139,10 @@ impl Simulator {
         for &s in &self.out_flat[comp] {
             self.core.written[s] = false;
         }
-        self.with_comp(comp, |c, ctx| c.eval(ctx))
-            .map_err(|e| self.locate(comp, e))?;
-        if let Some(violation) = self.core.type_violation.take() {
-            return Err(self.locate(comp, SimError::new(violation)));
-        }
+        self.eval_once(comp)?;
         for &s in &self.out_flat[comp] {
             if !self.core.written[s] {
-                self.core.values[s] = None;
+                self.core.retract(s);
             }
         }
         let changed = self.out_flat[comp]
@@ -1270,9 +1312,7 @@ impl Simulator {
             self.init()?;
         }
         // New cycle: all port values start absent.
-        for v in &mut self.core.values {
-            *v = None;
-        }
+        self.core.reset_values();
         match self.opts.scheduler {
             Scheduler::Static => self.settle_staged()?,
             Scheduler::Dynamic => self.settle_dynamic()?,
@@ -1334,8 +1374,7 @@ impl Simulator {
             fixpoint,
         } = step;
         if !fixpoint {
-            self.eval_comp(self.plan.serial_order[start])?;
-            return Ok(());
+            return self.eval_once(self.plan.serial_order[start]);
         }
         let mut iters = 0;
         loop {
@@ -1388,12 +1427,9 @@ impl Simulator {
                     return Err(self.locate(comp, e));
                 }
                 self.stats.comp_evals += stage.klen as u64;
-                commit_stage(
-                    &mut buf,
-                    &mut self.core.values,
-                    self.opts.kernel_mutation,
-                    &mut held,
-                );
+                commit_stage(&mut buf, self.opts.kernel_mutation, &mut held, |slot, v| {
+                    self.core.write(slot, v)
+                });
                 self.kernel_buf = buf;
             }
             for sj in stage.sstart..stage.sstart + stage.slen {
@@ -1402,7 +1438,7 @@ impl Simulator {
         }
         // Only the skipped-barrier mutation holds writes back this long.
         for (slot, v) in held {
-            self.core.values[slot] = Some(v);
+            self.core.write(slot, v);
         }
         Ok(())
     }
@@ -1458,8 +1494,9 @@ impl Simulator {
 
     fn fire_port_events(&mut self) -> Result<(), SimError> {
         // Every arena slot is an output lane (see `build`), so the firing
-        // count is one flat pass; only observed ports are visited per lane.
-        self.stats.port_firings += self.core.values.iter().filter(|v| v.is_some()).count() as u64;
+        // count is the number of present slots; only observed ports are
+        // visited per lane.
+        self.stats.port_firings += self.core.live.len() as u64;
         for i in 0..self.fire_sites.len() {
             let FireSite {
                 comp,

@@ -203,14 +203,14 @@ impl BatchSim {
     }
 }
 
-/// Commits one stage's buffered writes into the arena, applying the
-/// injected mutation. Returns writes held back by
+/// Commits one stage's buffered writes into the arena through `write`,
+/// applying the injected mutation. Returns writes held back by
 /// [`KernelMutation::SkipBarrier`] via `held`.
 pub fn commit_stage(
     buf: &mut Vec<(usize, Datum)>,
-    values: &mut [Option<Datum>],
     mutation: KernelMutation,
     held: &mut VecDeque<(usize, Datum)>,
+    mut write: impl FnMut(usize, Datum),
 ) {
     match mutation {
         KernelMutation::StaleCommit => {
@@ -223,6 +223,6 @@ pub fn commit_stage(
         KernelMutation::None => {}
     }
     for (slot, v) in buf.drain(..) {
-        values[slot] = Some(v);
+        write(slot, v);
     }
 }

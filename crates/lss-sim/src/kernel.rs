@@ -18,7 +18,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use lss_netlist::{KernelAluOp, KernelClass, RtvId, SrcSpan};
+use lss_netlist::{Instr, KernelAluOp, KernelClass, RtvId, SrcSpan};
 use lss_types::Datum;
 
 use crate::component::SimError;
@@ -132,7 +132,7 @@ pub struct IssueKernel {
     /// Per-out-lane accepted op-class codes (0 = any).
     classes: Vec<i64>,
     /// The issue window.
-    window: VecDeque<FuInstr>,
+    window: VecDeque<Instr>,
     /// In-flight destination registers (register → writers outstanding).
     pending: HashMap<i64, u32>,
     /// Selection computed in `eval`, reused by `end_of_timestep` (the
@@ -164,98 +164,15 @@ pub struct FuKernel {
     /// In-flight capacity.
     max_inflight: usize,
     /// Instruction in the address-generation stage.
-    agen: Option<FuInstr>,
+    agen: Option<Instr>,
     /// Executing instructions with remaining cycle counts.
-    in_flight: Vec<(FuInstr, i64)>,
+    in_flight: Vec<(Instr, i64)>,
     /// Finished instructions awaiting the (optional) CDB grant.
-    done_buf: VecDeque<FuInstr>,
+    done_buf: VecDeque<Instr>,
     /// Protocol group for overflow diagnostics.
     group: String,
     /// Annotation span for overflow diagnostics.
     span: Option<SrcSpan>,
-}
-
-/// The functional-unit kernel's decoded instruction — the devirtualized
-/// twin of the corelib's `Instr`, kept field-for-field identical so the
-/// kernel re-serializes instructions in the same canonical order the dyn
-/// path does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuInstr {
-    pc: i64,
-    op: i64,
-    dst: i64,
-    src1: i64,
-    src2: i64,
-    lat: i64,
-    tgt: i64,
-    taken: i64,
-}
-
-/// `OpClass::Load` / `OpClass::Store` codes from the corelib instruction
-/// model (the only op classes the functional unit inspects).
-const OP_LOAD: i64 = 4;
-const OP_STORE: i64 = 5;
-
-impl FuInstr {
-    fn from_datum(datum: &Datum) -> Option<FuInstr> {
-        let f = |name: &str| datum.field(name)?.as_int();
-        Some(FuInstr {
-            pc: f("pc")?,
-            op: f("op")?,
-            dst: f("dst")?,
-            src1: f("src1")?,
-            src2: f("src2")?,
-            lat: f("lat")?,
-            tgt: f("tgt")?,
-            taken: f("taken")?,
-        })
-    }
-
-    fn to_datum(self) -> Datum {
-        Datum::Struct(
-            vec![
-                ("pc".into(), Datum::Int(self.pc)),
-                ("op".into(), Datum::Int(self.op)),
-                ("dst".into(), Datum::Int(self.dst)),
-                ("src1".into(), Datum::Int(self.src1)),
-                ("src2".into(), Datum::Int(self.src2)),
-                ("lat".into(), Datum::Int(self.lat)),
-                ("tgt".into(), Datum::Int(self.tgt)),
-                ("taken".into(), Datum::Int(self.taken)),
-            ]
-            .into(),
-        )
-    }
-
-    fn is_mem(self) -> bool {
-        self.op == OP_LOAD || self.op == OP_STORE
-    }
-}
-
-/// `OpClass` codes the issue window's class constraints reference.
-const OP_IALU: i64 = 1;
-const OP_IMUL: i64 = 2;
-const OP_BRANCH: i64 = 6;
-
-/// Out-of-range op codes behave as `Nop` (code 0), mirroring
-/// `OpClass::from_code(..).unwrap_or(Nop)` on the dyn path.
-fn op_norm(op: i64) -> i64 {
-    if (0..=6).contains(&op) {
-        op
-    } else {
-        0
-    }
-}
-
-/// Mirrors the corelib's `class_accepts`: which op classes an out lane's
-/// class constraint admits (0 = any, 7 = memory, 8 = integer side).
-fn class_accepts(class: i64, op: i64) -> bool {
-    match class {
-        0 => true,
-        7 => op == OP_LOAD || op == OP_STORE,
-        8 => op == OP_IALU || op == OP_IMUL || op == OP_BRANCH,
-        c => c == op,
-    }
 }
 
 fn reg_ready(pending: &HashMap<i64, u32>, reg: i64) -> bool {
@@ -267,7 +184,7 @@ fn reg_ready(pending: &HashMap<i64, u32>, reg: i64) -> bool {
 #[allow(clippy::too_many_arguments)]
 fn issue_select(
     values: &[Option<Datum>],
-    window: &VecDeque<FuInstr>,
+    window: &VecDeque<Instr>,
     pending: &HashMap<i64, u32>,
     fu_credit: &[Option<usize>],
     out_lanes: usize,
@@ -294,7 +211,7 @@ fn issue_select(
         if picks.len() >= issue_width {
             break;
         }
-        let op = op_norm(instr.op);
+        let op = instr.op_class();
         // RAW on sources; conservative WAW on destination.
         let ready = reg_ready(pending, instr.src1)
             && reg_ready(pending, instr.src2)
@@ -304,7 +221,7 @@ fn issue_select(
             for (lane, used) in lane_used.iter_mut().enumerate() {
                 if !*used
                     && lane_credit[lane] > 0
-                    && class_accepts(*classes.get(lane).unwrap_or(&0), op)
+                    && op.accepted_by(*classes.get(lane).unwrap_or(&0))
                 {
                     *used = true;
                     lane_credit[lane] -= 1;
@@ -322,9 +239,9 @@ fn issue_select(
 }
 
 fn fu_can_accept(
-    agen: &Option<FuInstr>,
-    in_flight: &[(FuInstr, i64)],
-    done_buf: &VecDeque<FuInstr>,
+    agen: &Option<Instr>,
+    in_flight: &[(Instr, i64)],
+    done_buf: &VecDeque<Instr>,
     pipelined: bool,
     max_inflight: usize,
 ) -> bool {
@@ -530,7 +447,7 @@ impl Kernel {
                 // Address generation: memory ops probe the cache one cycle
                 // after acceptance.
                 if let Some(instr) = agen {
-                    if instr.is_mem() {
+                    if instr.op_class().is_mem() {
                         if let Some(&s) = mem_req.first() {
                             out.push((s, Datum::Int(instr.tgt)));
                         }
@@ -652,7 +569,7 @@ impl Kernel {
                     let Some(d) = s.and_then(|s| values[s].as_ref()) else {
                         continue;
                     };
-                    let instr = FuInstr::from_datum(d).ok_or_else(|| {
+                    let instr = Instr::from_datum(d).ok_or_else(|| {
                         SimError::new(format!("malformed instruction datum: {d}"))
                     })?;
                     if instr.dst >= 0 {
@@ -669,7 +586,7 @@ impl Kernel {
                     let Some(d) = s.and_then(|s| values[s].as_ref()) else {
                         continue;
                     };
-                    let instr = FuInstr::from_datum(d).ok_or_else(|| {
+                    let instr = Instr::from_datum(d).ok_or_else(|| {
                         SimError::new(format!("malformed instruction datum: {d}"))
                     })?;
                     if window.len() >= *window_size {
@@ -714,7 +631,7 @@ impl Kernel {
                 // hierarchy; then advance, so a 1-cycle operation completes
                 // in the same step it enters.
                 if let Some(instr) = agen.take() {
-                    let lat = if instr.is_mem() && !mem_resp.is_empty() {
+                    let lat = if instr.op_class().is_mem() && !mem_resp.is_empty() {
                         match read_lane(values, mem_resp, 0) {
                             Some(Datum::Int(l)) => l.max(1),
                             _ => instr.lat.max(1),
@@ -737,7 +654,7 @@ impl Kernel {
                 }
                 // Accept a new instruction.
                 if let Some(d) = read_lane(values, inp, 0) {
-                    let instr = FuInstr::from_datum(&d).ok_or_else(|| {
+                    let instr = Instr::from_datum(&d).ok_or_else(|| {
                         SimError::new(format!("malformed instruction datum: {d}"))
                     })?;
                     if agen.is_some() {

@@ -89,7 +89,7 @@ fn first_int(datum: &Datum) -> Option<i64> {
         Datum::Int(v) => Some(*v),
         Datum::Bool(b) => Some(*b as i64),
         Datum::Array(items) => items.iter().find_map(first_int),
-        Datum::Struct(fields) => fields.iter().find_map(|(_, v)| first_int(v)),
+        Datum::Struct(rec) => rec.values().iter().find_map(first_int),
         _ => None,
     }
 }
@@ -199,7 +199,7 @@ mod tests {
             "f",
             "out",
             0,
-            Datum::Struct(vec![("pc".into(), Datum::Int(3))].into()),
+            Datum::record([("pc", Datum::Int(3))]),
         )];
         let vcd = to_vcd(&log, "1ns");
         assert!(vcd.contains("b11 !"));

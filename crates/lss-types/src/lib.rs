@@ -54,4 +54,4 @@ pub use solve::{
 };
 pub use ty::{Scheme, Ty, TyVar, VarGen};
 pub use unify::{unifiable, unify, Subst, UnifyError, UnifyStats};
-pub use value::Datum;
+pub use value::{Datum, Layout, Record};

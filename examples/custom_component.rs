@@ -104,13 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ctx.set_output(
                     self.out,
                     0,
-                    Datum::Struct(
-                        vec![
-                            ("base".into(), Datum::Int(0x1000)),
-                            ("len".into(), Datum::Int(4)),
-                        ]
-                        .into(),
-                    ),
+                    Datum::record([("base", Datum::Int(0x1000)), ("len", Datum::Int(4))]),
                 );
             }
             Ok(())
