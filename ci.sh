@@ -174,6 +174,23 @@ lsscli --model A --netlist compile > target/lssd-ci-daemon.json
 ./target/release/lssc --model A --no-cache \
   --emit netlist-json --output target/lssd-ci-oneshot.json >/dev/null
 cmp target/lssd-ci-daemon.json target/lssd-ci-oneshot.json
+# Model E (the largest netlist, with the most escapes) served hot from the
+# tier's pre-rendered bytes must match a one-shot build too.
+model_e_reply="$(lsscli --model E compile)"
+if ! grep -qx 'cache: hot' <<<"${model_e_reply}"; then
+  echo "service: model E should be served from the hot tier" >&2
+  exit 1
+fi
+lsscli --model E --netlist compile > target/lssd-ci-daemon-e.json
+./target/release/lssc --model E --no-cache \
+  --emit netlist-json --output target/lssd-ci-oneshot-e.json >/dev/null
+cmp target/lssd-ci-daemon-e.json target/lssd-ci-oneshot-e.json
+# The hot tier stays within its cap (lssd::server::HOT_CAP_BYTES, 4 MiB).
+hot_bytes="$(lsscli stats | sed -n 's/^hot_bytes: //p')"
+if [ -z "${hot_bytes}" ] || [ "${hot_bytes}" -le 0 ] || [ "${hot_bytes}" -gt 4194304 ]; then
+  echo "service: stats hot_bytes '${hot_bytes}' is not within (0, 4194304]" >&2
+  exit 1
+fi
 # Chaos canary 1: a worker panic is answered as `ice` (exit 4), then the
 # daemon keeps serving.
 set +e
@@ -204,7 +221,8 @@ fi
 kill -TERM "${LSSD_PID}"
 wait "${LSSD_PID}"
 trap - EXIT
-rm -f target/lssd-ci-addr target/lssd-ci-daemon.json target/lssd-ci-oneshot.json
+rm -f target/lssd-ci-addr target/lssd-ci-daemon.json target/lssd-ci-oneshot.json \
+  target/lssd-ci-daemon-e.json target/lssd-ci-oneshot-e.json
 
 echo "==> service: BENCH_service.json (req/sec + latency ladders, shedding gate)"
 cargo run --release -q -p bench --bin service

@@ -4,7 +4,7 @@
 //! Three questions:
 //!
 //! 1. **Warm-compile service rate.** Requests per second and p50/p99
-//!    latency for a hot-map compile of a Table 3 model at 1, 4, and 16
+//!    latency for a hot-tier compile of a Table 3 model at 1, 4, and 16
 //!    concurrent clients.
 //! 2. **Simulate service rate.** The same ladder for a 1000-cycle
 //!    simulate (compile is hot; the cycles are the work).
@@ -41,7 +41,7 @@ struct Daemon {
 
 fn boot(configure: impl FnOnce(&mut ServerConfig)) -> Daemon {
     let mut cfg = ServerConfig {
-        cache_dir: None, // hot map only: the disk is not what we measure
+        cache_dir: None, // hot tier only: the disk is not what we measure
         chaos: true,
         ..ServerConfig::default()
     };
@@ -258,7 +258,7 @@ fn main() {
     simulate.model = Some('A');
     simulate.cycles = 1000;
 
-    // Prime the hot map so the ladders measure the steady state.
+    // Prime the hot tier so the ladders measure the steady state.
     let mut primer = Client::connect(&daemon.endpoint).expect("primer connect");
     let primed = primer.request(&compile).expect("prime compile");
     assert_eq!(status(&primed), "ok", "{primed:?}");

@@ -112,6 +112,7 @@ impl fmt::Display for JsonValue {
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -125,6 +126,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -230,13 +232,22 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one go: both are
+            // ASCII, so the run ends on a char boundary of the input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The run stopped at a `\`.
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -256,6 +267,9 @@ impl<'a> Parser<'a> {
                                 }
                                 self.pos += 2;
                                 let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err("bad surrogate pair".to_string());
+                                }
                                 let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(code)
                                     .ok_or_else(|| "bad surrogate pair".to_string())?
@@ -263,21 +277,10 @@ impl<'a> Parser<'a> {
                                 char::from_u32(hi).ok_or_else(|| "bad \\u escape".to_string())?
                             };
                             out.push(c);
-                            continue;
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let s = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| format!("bad UTF-8 at byte {}", self.pos))?;
-                    out.push_str(s);
-                    self.pos += len;
                 }
             }
         }
@@ -290,9 +293,13 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err("truncated \\u escape".to_string());
         }
-        let digits = std::str::from_utf8(&self.bytes[start..end])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let code = u32::from_str_radix(digits, 16).map_err(|_| "bad \\u escape".to_string())?;
+        // `from_str_radix` alone would also take a sign (`\u+041`).
+        let digits = &self.bytes[start..end];
+        let code = std::str::from_utf8(digits)
+            .ok()
+            .filter(|_| digits.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|d| u32::from_str_radix(d, 16).ok())
+            .ok_or_else(|| "bad \\u escape".to_string())?;
         self.pos = end - 1;
         Ok(code)
     }
@@ -323,15 +330,6 @@ impl<'a> Parser<'a> {
                 .map(JsonValue::Int)
                 .map_err(|_| format!("bad number `{text}`"))
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
@@ -366,6 +364,60 @@ mod tests {
         assert_eq!(v.as_str(), Some("a\"b\\c\ndAé"));
         let pair = parse_json(r#""😀""#).unwrap();
         assert_eq!(pair.as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn escape_and_parse_round_trip() {
+        let mut cases: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        cases.extend(
+            [
+                "",
+                "plain",
+                "\"",
+                "\\",
+                "/",
+                "\u{7f}",
+                "é",
+                "日本語",
+                "😀",
+                "a\"b\\c\nd\u{1}é😀\u{1f}z",
+            ]
+            .map(String::from),
+        );
+        for s in &cases {
+            let json = format!("\"{}\"", crate::json::escape(s));
+            assert_eq!(
+                parse_json(&json).unwrap().as_str(),
+                Some(s.as_str()),
+                "{json}"
+            );
+        }
+        assert_eq!(
+            crate::json::escape("\u{0}\u{8}\u{c}\u{1f}\n\t\r"),
+            "\\u0000\\u0008\\u000c\\u001f\\n\\t\\r"
+        );
+        // Escapes the writer never emits still decode, each on its own.
+        let decoded = parse_json(r#""\/\b\f\u0041\u00e9x\ud83d\ude00y""#).unwrap();
+        assert_eq!(decoded.as_str(), Some("/\u{8}\u{c}Aéx😀y"));
+    }
+
+    #[test]
+    fn malformed_strings_still_fail() {
+        for (text, error) in [
+            (r#""abc"#, "unterminated string"),
+            (r#""abc\"#, "bad escape at byte 5"),
+            (r#""a\q""#, "bad escape at byte 3"),
+            (r#""\u12""#, "truncated \\u escape"),
+            (r#""\u12zz""#, "bad \\u escape"),
+            (r#""\u+041""#, "bad \\u escape"),
+            (r#""\ud800""#, "lone high surrogate"),
+            (r#""\ud800x""#, "lone high surrogate"),
+            (r#""\udc00""#, "bad \\u escape"),
+            (r#""\ud800\u0041""#, "bad surrogate pair"),
+            (r#""\ud800\ue000""#, "bad surrogate pair"),
+        ] {
+            assert_eq!(parse_json(text), Err(error.to_string()), "{text}");
+        }
     }
 
     #[test]

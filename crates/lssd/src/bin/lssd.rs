@@ -56,7 +56,7 @@ capacity:
 cache:
   --cache-dir DIR        shared netlist cache (default $LSS_CACHE_DIR
                          or target/lss-cache)
-  --no-cache             disable the disk cache (hot map still works)
+  --no-cache             disable the disk cache (hot tier still works)
 
 server-wide request quotas (merged tighter-wins with each request's own):
   --deadline-ms MS       wall-clock budget per request [LSS401]

@@ -5,7 +5,8 @@
 //! process serves `compile` / `check` / `simulate` / `difftest`
 //! requests over a length-framed JSON protocol (Unix socket or TCP),
 //! sharing the content-addressed netlist cache across every session
-//! plus an in-process hot map for warm repeats.
+//! plus a bounded in-process hot tier of rendered replies for warm
+//! repeats.
 //!
 //! Because a daemon outlives any single request, the design centers on
 //! robustness rather than throughput:

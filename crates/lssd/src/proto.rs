@@ -15,10 +15,11 @@
 //! status-specific fields. Parsing uses the repo's own hand-rolled JSON
 //! reader ([`lss_netlist::jsonval`]) — no serialization dependency.
 
+use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 
-use lss_netlist::json::escape;
+use lss_netlist::json::{escape, escape_into};
 use lss_netlist::jsonval::{parse_json, JsonValue};
 use lss_types::BudgetCaps;
 
@@ -443,9 +444,13 @@ fn parse_units(field: &str, value: &JsonValue) -> Result<Vec<(String, String)>, 
 
 /// Incremental JSON object writer for responses and requests. Key order
 /// is emission order, matching the repo's other hand-rolled writers.
+/// Every member is appended to one buffer, so a large value is copied
+/// once on its way to the frame.
 #[derive(Debug, Default)]
 pub struct ObjBuilder {
-    parts: Vec<String>,
+    /// The object so far, without its closing brace; empty until the
+    /// first member.
+    buf: String,
 }
 
 impl ObjBuilder {
@@ -456,47 +461,71 @@ impl ObjBuilder {
 
     /// True when nothing was emitted yet.
     pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
+        self.buf.is_empty()
+    }
+
+    /// Starts a member: the opening brace or separator, then the key.
+    fn key(&mut self, key: &str) -> &mut String {
+        let open = if self.is_empty() { "{\"" } else { ", \"" };
+        self.buf.push_str(open);
+        self.buf.push_str(key);
+        self.buf.push_str("\": ");
+        &mut self.buf
     }
 
     /// Emits a string member (escaped).
     pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.parts.push(format!("\"{key}\": \"{}\"", escape(value)));
+        let buf = self.key(key);
+        buf.push('"');
+        escape_into(buf, value);
+        buf.push('"');
         self
     }
 
     /// Emits an integer member.
     pub fn num(&mut self, key: &str, value: u64) -> &mut Self {
-        self.parts.push(format!("\"{key}\": {value}"));
+        let _ = write!(self.key(key), "{value}");
         self
     }
 
     /// Emits a boolean member.
     pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.parts.push(format!("\"{key}\": {value}"));
+        let _ = write!(self.key(key), "{value}");
         self
     }
 
-    /// Emits a member whose value is already-rendered JSON.
+    /// Emits a member whose value is already-rendered JSON, such as a
+    /// string literal the hot tier rendered once and keeps.
     pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
-        self.parts.push(format!("\"{key}\": {json}"));
+        self.key(key).push_str(json);
         self
     }
 
     /// Emits a string-array member (each element escaped).
     pub fn str_array(&mut self, key: &str, values: &[String]) -> &mut Self {
-        let items: Vec<String> = values
-            .iter()
-            .map(|v| format!("\"{}\"", escape(v)))
-            .collect();
-        self.parts
-            .push(format!("\"{key}\": [{}]", items.join(", ")));
+        let buf = self.key(key);
+        buf.push('[');
+        for (i, v) in values.iter().enumerate() {
+            if i > 0 {
+                buf.push_str(", ");
+            }
+            buf.push('"');
+            escape_into(buf, v);
+            buf.push('"');
+        }
+        buf.push(']');
         self
     }
 
-    /// Closes the object.
-    pub fn finish(&self) -> String {
-        format!("{{{}}}", self.parts.join(", "))
+    /// Closes the object and hands over its text, leaving the builder
+    /// empty.
+    pub fn finish(&mut self) -> String {
+        let mut text = std::mem::take(&mut self.buf);
+        if text.is_empty() {
+            text.push('{');
+        }
+        text.push('}');
+        text
     }
 }
 
@@ -585,6 +614,27 @@ mod tests {
                 .unwrap_err()
                 .contains("warp")
         );
+    }
+
+    #[test]
+    fn object_builder_bytes_are_pinned() {
+        let mut obj = response(Status::Ok);
+        obj.str("cache", "hot")
+            .num("instances", 3)
+            .bool("pong", true)
+            .raw("netlist", "\"{\\\"a\\\": 1}\"")
+            .str_array("prints", &["p".into(), "q\"\n\u{1}".into()])
+            .str_array("none", &[])
+            .str("error", "é\\");
+        assert!(!obj.is_empty());
+        assert_eq!(
+            obj.finish(),
+            r#"{"status": "ok", "cache": "hot", "instances": 3, "pong": true, "#.to_owned()
+                + r#""netlist": "{\"a\": 1}", "prints": ["p", "q\"\n\u0001"], "none": [], "#
+                + r#""error": "é\\"}"#
+        );
+        assert!(obj.is_empty(), "finish hands the text over");
+        assert_eq!(ObjBuilder::new().finish(), "{}");
     }
 
     #[test]

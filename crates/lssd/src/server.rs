@@ -5,9 +5,11 @@
 //! the request, pass the admission gate, execute behind a panic
 //! boundary, respond. The expensive verbs share two caches: the
 //! content-addressed disk cache from `lss-driver` (exactly-once publish,
-//! safe under concurrent sessions) and an in-process *hot* map from
-//! cache key to the elaborated artifact, so a warm compile never touches
-//! disk at all.
+//! safe under concurrent sessions) and an in-process [`HotTier`] from
+//! cache key to the elaborated artifact and its rendered netlist, so a
+//! warm compile never touches disk and never re-encodes. The tier is an
+//! LRU capped by rendered bytes, so a stream of distinct programs cannot
+//! grow the daemon without bound.
 //!
 //! Robustness invariants, each pinned by the chaos suite:
 //!
@@ -32,6 +34,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lss_driver::{Driver, DriverError, Elaborated};
+use lss_netlist::json::escape_into;
+use lss_netlist::Netlist;
 
 use crate::proto::{
     read_frame, response, write_frame, FrameError, ObjBuilder, Quota, Request, Verb,
@@ -97,7 +101,7 @@ pub struct Counters {
     pub budget_stops: AtomicU64,
     /// Requests that panicked behind the isolation boundary.
     pub panics: AtomicU64,
-    /// Compiles served from the in-process hot map.
+    /// Compiles and simulates served from the in-process hot tier.
     pub hot_hits: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
@@ -200,21 +204,123 @@ impl Drop for Permit<'_> {
     }
 }
 
+/// The hot tier's cap on rendered netlist bytes (`stats` reports
+/// `hot_bytes` against it): about 7× the ≈0.55 MB that models A–F take
+/// together.
+pub const HOT_CAP_BYTES: usize = 4 << 20;
+
+/// One hot-tier entry.
+#[derive(Clone)]
+struct Hot {
+    /// The artifact `simulate` runs.
+    elaborated: Arc<Elaborated>,
+    /// The compile reply's `netlist` member as it goes on the wire:
+    /// `to_json` output, escaped and quoted. Its length is the entry's
+    /// weight.
+    netlist: Arc<str>,
+}
+
+impl Hot {
+    /// Renders the netlist member once, for every reply that serves it.
+    fn new(elaborated: Arc<Elaborated>) -> Hot {
+        Hot {
+            netlist: render_netlist(&elaborated.netlist),
+            elaborated,
+        }
+    }
+}
+
+fn render_netlist(netlist: &Netlist) -> Arc<str> {
+    let json = lss_netlist::to_json(netlist);
+    let mut member = String::with_capacity(json.len() + json.len() / 4 + 2);
+    member.push('"');
+    escape_into(&mut member, &json);
+    member.push('"');
+    Arc::from(member)
+}
+
+/// Cache key → [`Hot`] entry, bounded by rendered bytes: once an insert
+/// would pass the cap, the least recently used entries go first. An
+/// entry larger than the whole cap is served but not kept.
+struct HotTier {
+    cap: usize,
+    bytes: usize,
+    evictions: u64,
+    /// The last use stamp handed out; lookups and inserts take the next.
+    clock: u64,
+    entries: HashMap<u64, (Hot, u64)>,
+}
+
+impl HotTier {
+    fn new(cap: usize) -> HotTier {
+        HotTier {
+            cap,
+            bytes: 0,
+            evictions: 0,
+            clock: 0,
+            entries: HashMap::new(),
+        }
+    }
+
+    fn get(&mut self, key: u64) -> Option<Hot> {
+        let (hot, used) = self.entries.get_mut(&key)?;
+        self.clock += 1;
+        *used = self.clock;
+        Some(hot.clone())
+    }
+
+    /// Keeps `hot` under `key` unless a racing session stored it first.
+    fn insert(&mut self, key: u64, hot: Hot) {
+        let weight = hot.netlist.len();
+        if weight > self.cap || self.entries.contains_key(&key) {
+            return;
+        }
+        while self.bytes + weight > self.cap {
+            self.evict_oldest();
+        }
+        self.clock += 1;
+        self.bytes += weight;
+        self.entries.insert(key, (hot, self.clock));
+    }
+
+    /// A scan for the oldest stamp: the tier holds tens to hundreds of
+    /// entries, and an eviction follows a miss that took milliseconds.
+    fn evict_oldest(&mut self) {
+        let oldest = self
+            .entries
+            .iter()
+            .min_by_key(|(_, (_, used))| *used)
+            .map(|(&key, _)| key);
+        if let Some((hot, _)) = oldest.and_then(|key| self.entries.remove(&key)) {
+            self.bytes -= hot.netlist.len();
+            self.evictions += 1;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.bytes = 0;
+    }
+}
+
 /// State shared by the accept loop and every session thread.
 struct Shared {
     cfg: ServerConfig,
     gate: Gate,
     counters: Counters,
-    /// Cache key → elaborated artifact. Poison-tolerant: a panic while
-    /// holding the lock (chaos-injected or real) must not take the map
-    /// down with it.
-    hot: Mutex<HashMap<u64, Arc<Elaborated>>>,
+    /// Poison-tolerant: a panic while holding the lock (chaos-injected
+    /// or real) must not take the tier down with it.
+    hot: Mutex<HotTier>,
     drain: AtomicBool,
     started: Instant,
 }
 
 impl Shared {
-    fn hot_lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<Elaborated>>> {
+    fn hot_lock(&self) -> MutexGuard<'_, HotTier> {
         self.hot.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -312,7 +418,7 @@ impl Server {
             shared: Arc::new(Shared {
                 gate: Gate::new(cfg.workers, cfg.queue),
                 counters: Counters::default(),
-                hot: Mutex::new(HashMap::new()),
+                hot: Mutex::new(HotTier::new(HOT_CAP_BYTES)),
                 drain: AtomicBool::new(false),
                 started: Instant::now(),
                 cfg,
@@ -486,6 +592,9 @@ fn stats_response(shared: &Shared) -> String {
     let gate = shared.gate.lock();
     let (active, queued) = (gate.active, gate.queued);
     drop(gate);
+    let hot = shared.hot_lock();
+    let (hot_entries, hot_bytes, hot_evictions) = (hot.len(), hot.bytes, hot.evictions);
+    drop(hot);
     let c = &shared.counters;
     response(Status::Ok)
         .num("uptime_ms", shared.started.elapsed().as_millis() as u64)
@@ -498,31 +607,28 @@ fn stats_response(shared: &Shared) -> String {
         .num("budget_stops", c.budget_stops.load(Ordering::Relaxed))
         .num("panics", c.panics.load(Ordering::Relaxed))
         .num("hot_hits", c.hot_hits.load(Ordering::Relaxed))
-        .num("hot_entries", shared.hot_lock().len() as u64)
+        .num("hot_entries", hot_entries as u64)
+        .num("hot_bytes", hot_bytes as u64)
+        .num("hot_evictions", hot_evictions)
         .num("connections", c.connections.load(Ordering::Relaxed))
         .bool("chaos", shared.cfg.chaos)
         .finish()
 }
 
-/// Compiles through the hot map: probe by cache key, else elaborate and
-/// publish. Returns the artifact and the cache tier it came from
-/// (`hot` beats the disk cache's `hit`/`miss`).
-fn compile(
-    driver: &mut Driver,
-    shared: &Shared,
-) -> Result<(Arc<Elaborated>, &'static str), DriverError> {
+/// Compiles through the hot tier: probe by cache key, else elaborate,
+/// render the netlist once and publish. Returns the entry and the cache
+/// tier it came from (`hot` beats the disk cache's `hit`/`miss`).
+fn compile(driver: &mut Driver, shared: &Shared) -> Result<(Hot, &'static str), DriverError> {
     let key = driver.cache_key();
-    if let Some(hot) = shared.hot_lock().get(&key).cloned() {
+    if let Some(hot) = shared.hot_lock().get(key) {
         shared.counters.hot_hits.fetch_add(1, Ordering::Relaxed);
         return Ok((hot, "hot"));
     }
     let elaborated = driver.elaborate()?;
     let tier = elaborated.cache.name();
-    shared
-        .hot_lock()
-        .entry(key)
-        .or_insert_with(|| Arc::clone(&elaborated));
-    Ok((elaborated, tier))
+    let hot = Hot::new(elaborated);
+    shared.hot_lock().insert(key, hot.clone());
+    Ok((hot, tier))
 }
 
 /// A failed stage's response head: `budget` responses carry the
@@ -579,16 +685,17 @@ fn execute(request: Request, shared: &Shared) -> String {
     };
     match verb {
         Verb::Compile => {
-            let (elaborated, tier) = match compile(&mut driver, shared) {
+            let (hot, tier) = match compile(&mut driver, shared) {
                 Ok(done) => done,
                 Err(e) => return stage_failure(&e, shared),
             };
+            let elaborated = &hot.elaborated;
             response(Status::Ok)
                 .str("cache", tier)
                 .num("instances", elaborated.netlist.instances.len() as u64)
                 .num("connections", elaborated.netlist.connections.len() as u64)
                 .str_array("prints", &elaborated.prints)
-                .str("netlist", &lss_netlist::to_json(&elaborated.netlist))
+                .raw("netlist", &hot.netlist)
                 .finish()
         }
         Verb::Check => {
@@ -610,11 +717,11 @@ fn execute(request: Request, shared: &Shared) -> String {
                 .finish()
         }
         Verb::Simulate => {
-            let (elaborated, tier) = match compile(&mut driver, shared) {
+            let (hot, tier) = match compile(&mut driver, shared) {
                 Ok(done) => done,
                 Err(e) => return stage_failure(&e, shared),
             };
-            let mut sim = match driver.simulator(&elaborated.netlist) {
+            let mut sim = match driver.simulator(&hot.elaborated.netlist) {
                 Ok(s) => s,
                 Err(e) => return stage_failure(&e, shared),
             };
@@ -693,8 +800,8 @@ fn execute_chaos(request: &Request, shared: &Shared) -> String {
             response(Status::Ok).num("corrupted", corrupted).finish()
         }
         Some("hot-poison") => {
-            // Panic *while holding the hot-map lock*: proves the
-            // poison-tolerant locking keeps the map usable.
+            // Panic *while holding the hot-tier lock*: proves the
+            // poison-tolerant locking keeps the tier usable.
             let guard = shared.hot_lock();
             let _ = guard.len();
             panic!("injected panic while holding the hot-map lock");
@@ -734,7 +841,7 @@ fn corrupt_cache(shared: &Shared) -> u64 {
             }
         }
     }
-    // Drop the hot map too, so the next compile actually re-reads disk.
+    // Drop the hot tier too, so the next compile actually re-reads disk.
     shared.hot_lock().clear();
     corrupted
 }
@@ -744,4 +851,105 @@ fn corrupt_cache(shared: &Shared) -> u64 {
 pub fn log_line(line: &str) {
     let mut err = std::io::stderr().lock();
     let _ = writeln!(err, "lssd: {line}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An entry whose rendered member is `weight` bytes long.
+    fn entry(weight: usize) -> Hot {
+        Hot {
+            elaborated: Arc::new(Elaborated {
+                netlist: Netlist::new(),
+                solve_stats: Default::default(),
+                trace: Vec::new(),
+                prints: Vec::new(),
+                cache: lss_driver::CacheOutcome::Miss,
+                modules: Vec::new(),
+            }),
+            netlist: Arc::from("x".repeat(weight)),
+        }
+    }
+
+    fn held(tier: &HotTier) -> usize {
+        tier.entries
+            .values()
+            .map(|(hot, _)| hot.netlist.len())
+            .sum()
+    }
+
+    #[test]
+    fn a_recent_hit_survives_and_the_oldest_entry_goes() {
+        let mut tier = HotTier::new(100);
+        tier.insert(1, entry(40));
+        tier.insert(2, entry(40));
+        assert!(tier.get(1).is_some(), "1 is now the most recently used");
+        tier.insert(3, entry(40));
+        assert!(tier.get(2).is_none(), "2 was the least recently used");
+        assert!(tier.get(1).is_some() && tier.get(3).is_some());
+        assert_eq!((tier.len(), tier.bytes, tier.evictions), (2, 80, 1));
+    }
+
+    #[test]
+    fn bytes_never_exceed_the_cap() {
+        let mut tier = HotTier::new(1000);
+        let mut rng = lss_types::SplitMix64::new(7);
+        for key in 0..500u64 {
+            tier.insert(key, entry(1 + (rng.next_u64() % 300) as usize));
+            if rng.next_u64().is_multiple_of(2) {
+                let _ = tier.get(rng.next_u64() % (key + 1));
+            }
+            assert!(tier.bytes <= 1000, "{} bytes after key {key}", tier.bytes);
+            assert_eq!(tier.bytes, held(&tier));
+        }
+        assert!(tier.evictions > 0);
+    }
+
+    #[test]
+    fn an_oversized_entry_is_not_kept_and_evicts_nothing() {
+        let mut tier = HotTier::new(100);
+        tier.insert(1, entry(60));
+        tier.insert(2, entry(101));
+        assert!(tier.get(2).is_none());
+        assert!(tier.get(1).is_some());
+        assert_eq!((tier.len(), tier.bytes, tier.evictions), (1, 60, 0));
+        // An entry of exactly the cap fits, by evicting the rest.
+        tier.insert(3, entry(100));
+        assert_eq!((tier.len(), tier.bytes, tier.evictions), (1, 100, 1));
+    }
+
+    #[test]
+    fn a_racing_insert_keeps_the_first_entry() {
+        let mut tier = HotTier::new(100);
+        tier.insert(1, entry(10));
+        tier.insert(1, entry(20));
+        assert_eq!(tier.get(1).map(|hot| hot.netlist.len()), Some(10));
+        assert_eq!((tier.len(), tier.bytes), (1, 10));
+    }
+
+    #[test]
+    fn clear_resets_the_byte_count() {
+        let mut tier = HotTier::new(100);
+        tier.insert(1, entry(30));
+        tier.insert(2, entry(30));
+        tier.clear();
+        assert_eq!((tier.len(), tier.bytes), (0, 0));
+        assert!(tier.get(1).is_none());
+        tier.insert(3, entry(100));
+        assert_eq!((tier.len(), tier.bytes, tier.evictions), (1, 100, 0));
+    }
+
+    #[test]
+    fn the_rendered_member_is_the_escaped_quoted_netlist() {
+        let netlist = Netlist::new();
+        let json = lss_netlist::to_json(&netlist);
+        let member = render_netlist(&netlist);
+        assert_eq!(
+            &*member,
+            format!("\"{}\"", lss_netlist::json::escape(&json))
+        );
+        let back = lss_netlist::parse_json(&member).expect("a JSON string literal");
+        assert_eq!(back.as_str(), Some(json.as_str()));
+    }
 }

@@ -15,8 +15,10 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use lss_netlist::jsonval::JsonValue;
-use lssd::server::DrainHandle;
-use lssd::{Client, Endpoint, Quota, Request, Server, ServerConfig, Verb};
+use lssd::server::{DrainHandle, HOT_CAP_BYTES};
+use lssd::{
+    read_frame, write_frame, Client, Endpoint, Quota, Request, Server, ServerConfig, Spec, Verb,
+};
 
 const MODEL: &str =
     "instance gen:source;\ninstance hole:sink;\ngen.out -> hole.in;\ngen.out :: int;";
@@ -159,7 +161,7 @@ fn compile_matches_one_shot_build_byte_for_byte() {
         reference_netlist_json("m.lss", MODEL),
         "daemon compile must be byte-identical to a one-shot build"
     );
-    // Warm repeat on the same connection: served from the hot map.
+    // Warm repeat on the same connection: served from the hot tier.
     let again = client
         .request(&compile_request("m.lss", MODEL))
         .expect("recompile");
@@ -419,7 +421,7 @@ fn panic_while_holding_the_hot_map_lock_does_not_wedge_it() {
     let warm = daemon
         .client()
         .request(&compile_request("m.lss", MODEL))
-        .expect("warm the hot map");
+        .expect("warm the hot tier");
     assert_eq!(status(&warm), "ok");
     let value = daemon
         .client()
@@ -447,13 +449,25 @@ fn cache_corruption_mid_request_self_heals() {
     assert_eq!(str_field(&first, "netlist"), reference);
     assert_eq!(daemon.disk_entries().len(), 1, "one published entry");
 
-    // Truncate every disk entry and drop the hot map mid-flight.
+    // Truncate every disk entry and drop the hot tier mid-flight.
     let chaos = daemon
         .client()
         .request(&chaos_request("cache-corrupt"))
         .expect("chaos");
     assert_eq!(status(&chaos), "ok");
     assert!(num_field(&chaos, "corrupted") >= 1, "{chaos:?}");
+    let stats = daemon
+        .client()
+        .request(&Request::new(Verb::Stats))
+        .expect("stats");
+    assert_eq!(
+        (
+            num_field(&stats, "hot_entries"),
+            num_field(&stats, "hot_bytes")
+        ),
+        (0, 0),
+        "the fault clears the hot tier: {stats:?}"
+    );
 
     // The next compile must detect the damage, heal the slot, and
     // still produce the byte-identical netlist.
@@ -476,7 +490,7 @@ fn cache_corruption_mid_request_self_heals() {
         .request(&chaos_request("cache-corrupt"))
         .expect("reset hot");
     assert_eq!(status(&warm), "ok");
-    // (corrupting again only cleared the hot map if no .bin survived;
+    // (corrupting again only cleared the hot tier if no .bin survived;
     // recompile must now hit disk or heal again — either way, identical.)
     let last = daemon
         .client()
@@ -523,6 +537,76 @@ fn concurrent_same_key_compiles_all_succeed_with_one_cache_write() {
         })
         .unwrap_or_default();
     assert!(leftovers.is_empty(), "no torn temp files: {leftovers:?}");
+}
+
+#[test]
+fn a_hot_reply_differs_from_the_miss_reply_only_in_its_cache_tier() {
+    let daemon = Daemon::start("hot-bytes", |_| {});
+    let mut raw = daemon.raw();
+    let mut model_e = Request::new(Verb::Compile);
+    model_e.model = Some('E');
+    let mut round_trip = || {
+        write_frame(&mut raw, model_e.render().as_bytes()).expect("send");
+        let frame = read_frame(&mut raw, Duration::from_secs(60), &|| false).expect("reply");
+        String::from_utf8(frame).expect("UTF-8 reply")
+    };
+    let miss = round_trip();
+    let hot = round_trip();
+    let head = |tier: &str| format!("{{\"status\": \"ok\", \"cache\": \"{tier}\", ");
+    assert!(miss.starts_with(&head("miss")), "{miss:.120}");
+    assert!(hot.starts_with(&head("hot")), "{hot:.120}");
+    assert_eq!(hot[head("hot").len()..], miss[head("miss").len()..]);
+}
+
+#[test]
+fn distinct_programs_stay_within_the_hot_cap_and_a_busy_model_stays_hot() {
+    let daemon = Daemon::start("bounded", |_| {});
+    let mut client = daemon.client();
+    let mut model_a = Request::new(Verb::Compile);
+    model_a.model = Some('A');
+    let reference = {
+        let spec = Spec {
+            model: Some('A'),
+            ..Spec::default()
+        };
+        let mut driver = spec.driver().expect("model A driver");
+        lss_netlist::to_json(&driver.elaborate().expect("model A").netlist)
+    };
+    let first = client.request(&model_a).expect("compile model A");
+    assert_eq!(str_field(&first, "cache"), "miss", "{first:?}");
+    // Generated programs render to ≈12 KB each: 600 of them are ≈1.7× the
+    // cap.
+    const PROGRAMS: u64 = 600;
+    for seed in 0..PROGRAMS {
+        let text = lss_verify::generate(seed, &lss_verify::GenConfig::default()).render();
+        let reply = client
+            .request(&compile_request(&format!("gen_{seed}.lss"), &text))
+            .expect("compile a generated program");
+        assert_eq!(status(&reply), "ok", "seed {seed}: {reply:?}");
+        assert_eq!(str_field(&reply, "cache"), "miss", "seed {seed}");
+        if seed % 10 == 0 {
+            let hot = client.request(&model_a).expect("compile model A");
+            assert_eq!(str_field(&hot, "cache"), "hot", "after seed {seed}");
+        }
+    }
+    let stats = client.request(&Request::new(Verb::Stats)).expect("stats");
+    let hot_bytes = num_field(&stats, "hot_bytes");
+    assert!(
+        (0..=HOT_CAP_BYTES as i64).contains(&hot_bytes),
+        "hot_bytes within the cap: {stats:?}"
+    );
+    assert!(num_field(&stats, "hot_evictions") > 0, "{stats:?}");
+    assert!(
+        num_field(&stats, "hot_entries") < PROGRAMS as i64,
+        "{stats:?}"
+    );
+    let last = client.request(&model_a).expect("compile model A");
+    assert_eq!(str_field(&last, "cache"), "hot");
+    assert_eq!(
+        str_field(&last, "netlist"),
+        reference,
+        "a hot reply must be byte-identical to a one-shot build"
+    );
 }
 
 // ------------------------------------------------------------------ drain
