@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use bench::timing::{measure, write_json};
+use bench::timing::{measure, measure_pair, write_json};
 use lss_models::{driver_for_source, models};
 use lss_types::BudgetCaps;
 use lss_verify::{run_adversarial, AdversarialConfig};
@@ -96,17 +96,23 @@ fn main() {
     // The true overhead is far below the scheduler noise band on a
     // shared machine, so the gate compares *accumulated minima*: noise
     // only ever inflates a run, so the min across attempts converges to
-    // the real cost while single-attempt ratios bounce around it.
+    // the real cost while single-attempt ratios bounce around it. Off and
+    // on iterations alternate (`measure_pair`), so drift in machine speed
+    // over an attempt hits both sides alike.
     let mut kept = None;
     let (mut min_off, mut min_on) = (u64::MAX, u64::MAX);
     for attempt in 1..=5 {
-        let off = measure("robustness/table3_sim_500cycles_budget_off", 1, 10, || {
-            sim_sweep(None);
-        });
         let armed_sim = armed.start();
-        let on = measure("robustness/table3_sim_500cycles_budget_on", 1, 10, || {
-            sim_sweep(Some(&armed_sim));
-        });
+        let [off, on] = measure_pair(
+            [
+                "robustness/table3_sim_500cycles_budget_off".to_string(),
+                "robustness/table3_sim_500cycles_budget_on".to_string(),
+            ],
+            1,
+            10,
+            || sim_sweep(None),
+            || sim_sweep(Some(&armed_sim)),
+        );
         min_off = min_off.min(off.min_ns);
         min_on = min_on.min(on.min_ns);
         let overhead = min_on as f64 / min_off as f64 - 1.0;

@@ -66,7 +66,7 @@ pub fn simulator(netlist: &Netlist, scheduler: lss_sim::Scheduler) -> lss_sim::S
     )
 }
 
-/// Builds a simulator with full engine options (threads, budget).
+/// Builds a simulator with caller-chosen engine options (a budget, say).
 pub fn simulator_opts(netlist: &Netlist, opts: lss_sim::SimOptions) -> lss_sim::Simulator {
     lss_sim::build(netlist, &lss_corelib::registry(), opts)
         .unwrap_or_else(|e| panic!("simulator build failed: {e}"))

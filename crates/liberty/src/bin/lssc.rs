@@ -59,8 +59,9 @@
 //!   --mutate M         inject a known bug for exercising the harness,
 //!                      not for real verification: `reversed` and
 //!                      `single-pass` break the reference scheduler;
-//!                      `stale-commit` and `skip-barrier` break the
-//!                      engine's kernel stage commits
+//!                      `stale-commit` and `skip-barrier` inject
+//!                      direct-write faults into the engine's kernel
+//!                      stages
 //!
 //! `fuzz` generates random well-formed programs, checks the heuristic type
 //! solver against exhaustive disjunct enumeration and the engine against a
@@ -83,16 +84,12 @@
 //!   --run-model        run a built-in model to completion and report CPI
 //!   --scheduler S      static (default) or dynamic: static executes the
 //!                      staged plan, lowering hot corelib behaviors to
-//!                      kernels over the flat state arena with
-//!                      barrier-committed writes; dynamic is the
-//!                      worklist baseline
-//!   --threads N        worker threads for the static plan's kernel
-//!                      stages (default 1; traces are byte-identical for
-//!                      every value)
-//!   --batch N          with --run: simulate N lanes of the same netlist
-//!                      in lockstep, seeded 0..N-1, and print per-lane
-//!                      summaries (lane k is byte-identical to a solo
-//!                      run with --seed k)
+//!                      kernels that write straight into the flat state
+//!                      arena; dynamic is the worklist baseline
+//!   --batch N          with --run: simulate the netlist N times, seeded
+//!                      0..N-1, and print per-lane summaries (lane k is
+//!                      the run with seed k; tests/golden_batch.rs pins
+//!                      the seeded traces)
 //!   --emit-lss         pretty-print the parsed sources in canonical form
 //!   --dump-tree        print the instance hierarchy
 //!   --dump-dot         print the flattened wire graph as GraphViz dot
@@ -275,8 +272,7 @@ struct Options {
     run: Option<u64>,
     run_model: bool,
     scheduler: Scheduler,
-    threads: usize,
-    /// `--batch N`: lockstep lanes seeded `0..N-1` (requires `--run`).
+    /// `--batch N`: one run per seed `0..N-1` (requires `--run`).
     batch: Option<usize>,
     emit_lss: bool,
     dump_tree: bool,
@@ -306,7 +302,7 @@ enum EmitKind {
 fn usage() -> ! {
     eprintln!(
         "usage: lssc [--lib FILE]... [--no-corelib] [--model A-F] [--run N] [--run-model]\n\
-         \x20           [--scheduler static|dynamic] [--threads N] [--batch N]\n\
+         \x20           [--scheduler static|dynamic] [--batch N]\n\
          \x20           [--dump-tree] [--dump-dot] [--stats]\n\
          \x20           [--emit netlist-bin|netlist-json] [--output FILE]\n\
          \x20           [--timings] [--no-cache] [--cache-dir DIR]\n\
@@ -1119,7 +1115,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
         run: None,
         run_model: false,
         scheduler: Scheduler::Static,
-        threads: 1,
         batch: None,
         emit_lss: false,
         dump_tree: false,
@@ -1149,10 +1144,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             "--scheduler" => match args.next().as_deref() {
                 Some("static") => opts.scheduler = Scheduler::Static,
                 Some("dynamic") => opts.scheduler = Scheduler::Dynamic,
-                _ => usage(),
-            },
-            "--threads" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n >= 1 => opts.threads = n,
                 _ => usage(),
             },
             "--batch" => match args.next().and_then(|n| n.parse().ok()) {
@@ -1200,7 +1191,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
         usage();
     }
     if opts.batch.is_some() && opts.run.is_none() {
-        eprintln!("--batch needs --run N (lockstep lanes simulate a fixed cycle count)");
+        eprintln!("--batch needs --run N (each lane simulates a fixed cycle count)");
         usage();
     }
     opts
@@ -1356,7 +1347,6 @@ fn real_main() -> ExitCode {
         Err((status, e)) => return fail(status, e),
     };
     driver.sim_options.scheduler = opts.scheduler;
-    driver.sim_options.threads = opts.threads;
 
     if opts.emit_lss {
         // Canonical pretty-printing of the user's sources (not the corelib).
@@ -1471,32 +1461,27 @@ fn real_main() -> ExitCode {
             Err(e) => return fail(Status::Error, e),
         }
     } else if let (Some(cycles), Some(lanes)) = (opts.run, opts.batch) {
-        // Lockstep batch: one netlist, N lanes seeded 0..N-1. Lane k's
-        // trace is byte-identical to a solo run with seed k.
-        let seeds: Vec<i64> = (0..lanes as i64).collect();
-        let mut batch = match liberty::build_batch(
-            &compiled.netlist,
-            driver.registry(),
-            driver.sim_options.clone(),
-            &seeds,
-        ) {
-            Ok(b) => b,
-            Err(e) => return fail(Status::Error, e),
-        };
-        if let Err(e) = batch.run(cycles) {
-            return fail(
-                Status::of_sim(&e),
-                format_args!("batch simulation failed: {e}"),
-            );
+        // One run per seed 0..N-1, every other option as for a solo run.
+        let mut summaries = Vec::with_capacity(lanes);
+        for k in 0..lanes {
+            driver.sim_options.seed = k as i64;
+            let mut sim = match driver.simulator(&compiled.netlist) {
+                Ok(s) => s,
+                Err(e) => return fail(Status::of(&e), e),
+            };
+            if let Err(e) = sim.run(cycles) {
+                return fail(
+                    Status::of_sim(&e),
+                    format_args!("batch simulation failed: lane {k}: {e}"),
+                );
+            }
+            summaries.push(sim.stats());
         }
         println!("batch: {lanes} lane(s), {cycles} cycles each");
-        for k in 0..batch.lane_count() {
-            let stats = batch.lane(k).stats();
+        for (k, stats) in summaries.iter().enumerate() {
             println!(
-                "  lane {k} (seed {}): {} component evaluations, {} port firings",
-                batch.seeds()[k],
-                stats.comp_evals,
-                stats.port_firings
+                "  lane {k} (seed {k}): {} component evaluations, {} port firings",
+                stats.comp_evals, stats.port_firings
             );
         }
     } else if let Some(cycles) = opts.run {

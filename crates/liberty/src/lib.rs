@@ -59,7 +59,5 @@ pub use lss_driver::{
 };
 pub use lss_interp::CompileOptions;
 pub use lss_netlist::{reuse_stats, Netlist, ReuseStats};
-pub use lss_sim::{
-    build_batch, BatchSim, KernelMutation, Scheduler, SimOptions, SimStats, Simulator,
-};
+pub use lss_sim::{KernelMutation, Scheduler, SimOptions, SimStats, Simulator};
 pub use lss_types::SolverConfig;

@@ -100,6 +100,79 @@ fn engine_flag_is_gone() {
 }
 
 #[test]
+fn threads_flag_is_gone() {
+    // One single-threaded settle loop: `--threads` is no longer an option.
+    let model = write_model("threads-flag");
+    let out = lssc()
+        .arg(&model)
+        .args(["--run", "1", "--threads", "2"])
+        .output()
+        .expect("spawn lssc");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "unknown option must be a usage error"
+    );
+    let _ = std::fs::remove_file(&model);
+}
+
+#[test]
+fn batch_runs_one_lane_per_seed() {
+    let out = lssc()
+        .args(["--model", "C", "--no-cache", "--run", "100", "--batch", "3"])
+        .output()
+        .expect("spawn lssc");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "lssc failed\nstdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        stdout,
+        "batch: 3 lane(s), 100 cycles each\n\
+         \x20 lane 0 (seed 0): 2060 component evaluations, 1675 port firings\n\
+         \x20 lane 1 (seed 1): 2060 component evaluations, 1675 port firings\n\
+         \x20 lane 2 (seed 2): 2060 component evaluations, 1675 port firings\n"
+    );
+}
+
+#[test]
+fn print_keeps_non_ascii_string_bytes() {
+    let model = write_source("utf8-print", "print(\"é☃\");\n");
+    let out = lssc()
+        .arg(&model)
+        .arg("--no-cache")
+        .output()
+        .expect("spawn lssc");
+    assert!(out.status.success());
+    assert_eq!(out.stdout, "é☃\n".as_bytes());
+    let _ = std::fs::remove_file(&model);
+}
+
+#[test]
+fn stray_non_ascii_character_is_one_error() {
+    let model = write_source("utf8-stray", "instance gen:source; ☃\n");
+    let out = lssc()
+        .arg(&model)
+        .arg("--no-cache")
+        .output()
+        .expect("spawn lssc");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(
+        stderr.matches("error:").count(),
+        1,
+        "one error expected:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("unexpected character `☃`"),
+        "the error names the character:\n{stderr}"
+    );
+    let _ = std::fs::remove_file(&model);
+}
+
+#[test]
 fn run_without_stats_omits_engine_summary() {
     let model = write_model("nostats");
     let out = lssc()

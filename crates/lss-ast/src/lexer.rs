@@ -56,8 +56,12 @@ impl<'a> Lexer<'a> {
                     span: self.span_from(start),
                 }),
                 None => {
-                    // Error already reported; skip one byte to make progress.
+                    // Error already reported; skip one character to make
+                    // progress.
                     self.pos += 1;
+                    while self.pos < self.bytes.len() && !self.text.is_char_boundary(self.pos) {
+                        self.pos += 1;
+                    }
                 }
             }
         }
@@ -191,33 +195,40 @@ impl<'a> Lexer<'a> {
         self.pos += 1; // opening quote
         let mut value = String::new();
         loop {
+            // Copy everything up to the next quote, backslash or newline as
+            // one slice; those are ASCII, so the run ends on a char boundary.
+            let run = self.pos;
+            while let Some(b) = self.peek() {
+                if matches!(b, b'"' | b'\\' | b'\n') {
+                    break;
+                }
+                self.pos += 1;
+            }
+            value.push_str(&self.text[run..self.pos]);
             match self.bump() {
-                None | Some(b'\n') => {
+                Some(b'"') => return Some(TokenKind::Str(value)),
+                Some(b'\\') => {
+                    let escaped = self.text[self.pos..].chars().next();
+                    self.pos += escaped.map_or(0, char::len_utf8);
+                    match escaped {
+                        Some('"') => value.push('"'),
+                        Some('\\') => value.push('\\'),
+                        Some('n') => value.push('\n'),
+                        Some('t') => value.push('\t'),
+                        other => {
+                            self.diags.push(Diagnostic::error(
+                                format!("unknown escape `\\{}`", other.unwrap_or(' ')),
+                                self.span_from(start),
+                            ));
+                        }
+                    }
+                }
+                _ => {
                     self.diags.push(Diagnostic::error(
                         "unterminated string literal",
                         self.span_from(start),
                     ));
                     return None;
-                }
-                Some(b'"') => return Some(TokenKind::Str(value)),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => value.push('"'),
-                    Some(b'\\') => value.push('\\'),
-                    Some(b'n') => value.push('\n'),
-                    Some(b't') => value.push('\t'),
-                    other => {
-                        self.diags.push(Diagnostic::error(
-                            format!(
-                                "unknown escape `\\{}`",
-                                other.map(|b| b as char).unwrap_or(' ')
-                            ),
-                            self.span_from(start),
-                        ));
-                    }
-                },
-                Some(b) => {
-                    // Collect UTF-8 continuation bytes verbatim.
-                    value.push(b as char);
                 }
             }
         }
@@ -276,9 +287,12 @@ impl<'a> Lexer<'a> {
                 }
             }
             b'|' => two(self, b'|', TokenKind::OrOr, TokenKind::Pipe),
-            other => {
+            _ => {
+                // One error per stray character, naming all of it.
+                let c = self.text[start..].chars().next().expect("not at eof");
+                self.pos = start + c.len_utf8();
                 self.diags.push(Diagnostic::error(
-                    format!("unexpected character `{}`", other as char),
+                    format!("unexpected character `{c}`"),
                     self.span_from(start),
                 ));
                 return None;
@@ -380,6 +394,48 @@ mod tests {
             lex_ok(r#""corelib/delay.tar" "a\"b\n""#),
             vec![Str("corelib/delay.tar".into()), Str("a\"b\n".into()), Eof]
         );
+    }
+
+    #[test]
+    fn strings_keep_utf8_text() {
+        use TokenKind::*;
+        assert_eq!(
+            lex_ok(r#""é☃" "a\"ü\n""#),
+            vec![Str("é☃".into()), Str("a\"ü\n".into()), Eof]
+        );
+    }
+
+    fn lex_errors(src: &str) -> (Vec<TokenKind>, Vec<String>) {
+        let mut map = SourceMap::new();
+        let id = map.add_file("t.lss", src);
+        let mut diags = DiagnosticBag::new();
+        let toks = lex(id, src, &mut diags);
+        let kinds = toks.into_iter().map(|t| t.kind).collect();
+        (kinds, diags.iter().map(|d| d.message.clone()).collect())
+    }
+
+    #[test]
+    fn unknown_escape_names_the_whole_character() {
+        let (kinds, errors) = lex_errors(r#""a\☃b""#);
+        assert_eq!(errors, vec!["unknown escape `\\☃`".to_string()]);
+        assert_eq!(kinds, vec![TokenKind::Str("ab".into()), TokenKind::Eof]);
+    }
+
+    #[test]
+    fn non_ascii_stray_character_is_one_error() {
+        let (kinds, errors) = lex_errors("a ☃ b");
+        assert_eq!(errors, vec!["unexpected character `☃`".to_string()]);
+        assert_eq!(
+            kinds,
+            vec![
+                TokenKind::Ident("a".into()),
+                TokenKind::Ident("b".into()),
+                TokenKind::Eof
+            ]
+        );
+        // An error just before a multi-byte character skips it whole.
+        let (_, errors) = lex_errors("&é x");
+        assert_eq!(errors, vec!["expected `&&`".to_string()]);
     }
 
     #[test]

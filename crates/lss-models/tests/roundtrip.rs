@@ -1,10 +1,10 @@
 //! JSON round-trip fidelity for every netlist the repo ships: the six
 //! Table 3 models and the standalone `examples/lss/*.lss` sources.
 //!
-//! The cache stores netlists as JSON, so `from_json(to_json(n))` must
-//! reproduce a netlist that is indistinguishable from the original — same
-//! reuse statistics, same shape counts, and a byte-identical second
-//! serialization (the integrity hash in the cache envelope depends on it).
+//! This pins the JSON rendering's round trip (the cache itself stores the
+//! binary format): `from_json(to_json(n))` must reproduce a netlist that
+//! is indistinguishable from the original — same reuse statistics, same
+//! shape counts, and a byte-identical second serialization.
 
 use lss_driver::Driver;
 use lss_interp::CompileOptions;

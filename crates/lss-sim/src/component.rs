@@ -253,10 +253,10 @@ impl std::error::Error for SimError {}
 pub trait CompCtx {
     /// Current cycle number (0-based).
     fn cycle(&self) -> u64;
-    /// The simulation seed (`SimOptions::seed` in the engine; batch lanes
-    /// get one seed each). Behaviors fold it into generated stimulus so
-    /// lanes diverge deterministically; contexts without a seed concept
-    /// keep the default of 0.
+    /// The simulation seed (`SimOptions::seed` in the engine). Behaviors
+    /// fold it into generated stimulus so differently seeded runs diverge
+    /// deterministically; contexts without a seed concept keep the default
+    /// of 0.
     fn seed(&self) -> i64 {
         0
     }

@@ -55,9 +55,7 @@ use crate::bsl::{compile_bsl, exec, BslEnv, BslProgram};
 use crate::component::{
     BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
 };
-use crate::exec::{
-    commit_stage, eval_stage, BatchSim, CompiledPlan, KernelMutation, SerialStep, StageInfo,
-};
+use crate::exec::{CompiledPlan, KernelMutation, SerialStep, StageInfo};
 use crate::kernel::{lower, KernelUnit};
 use crate::slots::SlotTable;
 
@@ -78,13 +76,9 @@ pub enum Scheduler {
 pub struct SimOptions {
     /// Scheduler choice.
     pub scheduler: Scheduler,
-    /// Worker threads for the static plan's kernel stages (1 = in-line).
-    /// Traces are byte-identical for every value: kernels write through
-    /// per-stage buffers committed at the stage barrier.
-    pub threads: usize,
     /// Simulation seed, visible to behaviors via [`CompCtx::seed`] (the
-    /// corelib source folds it into its counter). Batch lanes get one seed
-    /// each; seed 0 reproduces unseeded runs exactly.
+    /// corelib source folds it into its counter). Seed 0 reproduces
+    /// unseeded runs exactly.
     pub seed: i64,
     /// Injected kernel-stage bug for differential testing
     /// ([`KernelMutation::None`] for correct execution).
@@ -119,7 +113,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             scheduler: Scheduler::Static,
-            threads: 1,
             seed: 0,
             kernel_mutation: KernelMutation::None,
             max_fixpoint_iters: 64,
@@ -178,10 +171,10 @@ struct CompState {
     eot_up: Option<UserpointId>,
 }
 
-struct Core {
-    cycle: u64,
-    seed: i64,
-    values: Vec<Option<Datum>>,
+pub(crate) struct Core {
+    pub(crate) cycle: u64,
+    pub(crate) seed: i64,
+    pub(crate) values: Vec<Option<Datum>>,
     /// The present slots, each listed once, in the order they were
     /// written: the cycle's port firings, and what the reset at the top of
     /// the next cycle clears.
@@ -203,7 +196,7 @@ struct Core {
 
 impl Core {
     /// Stores a port value and lists its slot for the next reset.
-    fn write(&mut self, slot: usize, value: Datum) {
+    pub(crate) fn write(&mut self, slot: usize, value: Datum) {
         if self.values[slot].replace(value).is_none() {
             self.live.push(slot);
         }
@@ -215,6 +208,33 @@ impl Core {
         if self.values[slot].take().is_some() {
             if let Some(i) = self.live.iter().rposition(|&s| s == slot) {
                 self.live.swap_remove(i);
+            }
+        }
+    }
+
+    /// Applies an injected [`KernelMutation`] to the kernel writes of the
+    /// stage that just ran: `live[mark..]`, in write order, since every
+    /// kernel output slot starts the cycle absent. Writes the mutation holds
+    /// back go to `held`, for the caller to make after settle.
+    fn mutate_stage(
+        &mut self,
+        mutation: KernelMutation,
+        mark: usize,
+        held: &mut Vec<(usize, Datum)>,
+    ) {
+        match mutation {
+            KernelMutation::None => {}
+            KernelMutation::StaleCommit => {
+                if self.live.len() > mark {
+                    let slot = self.live.pop().expect("a stage write");
+                    self.values[slot] = None;
+                }
+            }
+            KernelMutation::SkipBarrier => {
+                for slot in self.live.drain(mark..) {
+                    let value = self.values[slot].take().expect("a live slot");
+                    held.push((slot, value));
+                }
             }
         }
     }
@@ -392,8 +412,6 @@ pub struct Simulator {
     kernels: Vec<KernelUnit>,
     /// comp -> index into `kernels` for kernel-executed components.
     kernel_of: Vec<Option<usize>>,
-    /// Scratch buffer for staged kernel writes, reused across stages.
-    kernel_buf: Vec<(usize, Datum)>,
     /// comp -> all output slots, flattened (eval bookkeeping).
     out_flat: Vec<Vec<usize>>,
     /// Scratch buffer for eval change detection, reused across evals.
@@ -984,7 +1002,6 @@ pub fn build(
         plan,
         kernels,
         kernel_of,
-        kernel_buf: Vec::new(),
         out_flat,
         prev_scratch: Vec::new(),
         consumers,
@@ -1006,28 +1023,6 @@ pub fn build(
     };
     sim.rebuild_fire_sites();
     Ok(sim)
-}
-
-/// Builds a lockstep batch: one netlist, `seeds.len()` lanes, lane `k`
-/// simulated with `SimOptions::seed = seeds[k]` (every other option shared).
-/// Lane traces are byte-identical to solo runs with the matching seed.
-///
-/// # Errors
-///
-/// Same conditions as [`build`].
-pub fn build_batch(
-    netlist: &Netlist,
-    registry: &ComponentRegistry,
-    opts: SimOptions,
-    seeds: &[i64],
-) -> Result<BatchSim, BuildError> {
-    let mut lanes = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let mut lane_opts = opts.clone();
-        lane_opts.seed = seed;
-        lanes.push(build(netlist, registry, lane_opts)?);
-    }
-    Ok(BatchSim::new(lanes, seeds.to_vec()))
 }
 
 impl Simulator {
@@ -1402,35 +1397,24 @@ impl Simulator {
     }
 
     /// The static settle loop: per dependency stage, evaluate the stage's
-    /// kernels (in parallel when configured) with writes buffered and
-    /// committed at the stage barrier, then run the stage's serial units
-    /// through the dyn path. Stage members are mutually independent, so
-    /// the result is that of any topological order — at every thread
-    /// count.
+    /// kernels, which write straight into the arena, then run the stage's
+    /// serial units through the dyn path. Stage members are mutually
+    /// independent, so the result is that of any topological order.
     fn settle_staged(&mut self) -> Result<(), SimError> {
-        let mut held: VecDeque<(usize, Datum)> = VecDeque::new();
+        let mut held = Vec::new();
         for si in 0..self.plan.stages.len() {
             let stage = self.plan.stages[si];
             if stage.klen > 0 {
-                let mut buf = std::mem::take(&mut self.kernel_buf);
-                buf.clear();
-                let res = eval_stage(
-                    &mut self.kernels[stage.kstart..stage.kstart + stage.klen],
-                    &self.core.values,
-                    self.core.cycle,
-                    self.core.seed,
-                    self.opts.threads,
-                    &mut buf,
-                );
-                if let Err((comp, e)) = res {
-                    self.kernel_buf = buf;
-                    return Err(self.locate(comp, e));
+                let mark = self.core.live.len();
+                for unit in &mut self.kernels[stage.kstart..stage.kstart + stage.klen] {
+                    if let Err(e) = unit.kernel.eval(&mut self.core) {
+                        let comp = unit.comp;
+                        return Err(self.locate(comp, e));
+                    }
                 }
                 self.stats.comp_evals += stage.klen as u64;
-                commit_stage(&mut buf, self.opts.kernel_mutation, &mut held, |slot, v| {
-                    self.core.write(slot, v)
-                });
-                self.kernel_buf = buf;
+                self.core
+                    .mutate_stage(self.opts.kernel_mutation, mark, &mut held);
             }
             for sj in stage.sstart..stage.sstart + stage.slen {
                 self.settle_window(self.plan.serial_steps[sj])?;

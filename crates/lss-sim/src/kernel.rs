@@ -5,10 +5,10 @@
 //! only fixpoint blocks need. For the hot corelib behaviors the netlist
 //! already tells us everything at build time, so the static plan lowers
 //! each such component into a [`Kernel`]: a monomorphized closure over
-//! resolved port *slots* in the flat value arena. Kernel `eval` is a pure function of the arena and the
-//! kernel's own state that appends `(slot, value)` writes to a buffer; the
-//! executor (`exec.rs`) commits buffers at stage barriers, which is what
-//! makes multi-threaded stage execution deterministic.
+//! resolved port *slots* in the flat value arena. Kernel `eval` reads the
+//! arena and the kernel's own state and writes its outputs straight into
+//! the arena: kernels of one stage never read each other's outputs, so the
+//! order they run in within a stage cannot change what they see.
 //!
 //! Every kernel mirrors its dyn counterpart's observable behavior exactly
 //! — same values, same `state_lines()`, same error messages. The
@@ -22,6 +22,7 @@ use lss_netlist::{Instr, KernelAluOp, KernelClass, RtvId, SrcSpan};
 use lss_types::Datum;
 
 use crate::component::SimError;
+use crate::engine::Core;
 use crate::slots::SlotTable;
 
 /// A devirtualized behavior instance: resolved slots plus private state.
@@ -293,21 +294,15 @@ fn queue_emit_count(
 }
 
 impl Kernel {
-    /// Combinational evaluation: reads the settled arena, appends buffered
-    /// `(slot, value)` writes. Never touches the arena directly — stage
-    /// peers run concurrently over disjoint `&mut` chunks and the executor
-    /// commits `out` at the stage barrier. `&mut self` exists only so a
-    /// kernel may cache work for its own `end_of_timestep` (the issue
-    /// window's selection, for example) — a kernel runs exactly once per
-    /// cycle, after its combinational inputs are final, so such caching is
-    /// sound on the non-cyclic components the engine lowers.
-    pub fn eval(
-        &mut self,
-        values: &[Option<Datum>],
-        cycle: u64,
-        seed: i64,
-        out: &mut Vec<(usize, Datum)>,
-    ) -> Result<(), SimError> {
+    /// Combinational evaluation: reads the arena's settled inputs and
+    /// writes this kernel's outputs into it through [`Core::write`]. Stage
+    /// peers never read each other's outputs, so the writes need no
+    /// buffering. `&mut self` exists only so a kernel may cache work for
+    /// its own `end_of_timestep` (the issue window's selection, for
+    /// example) — a kernel runs exactly once per cycle, after its
+    /// combinational inputs are final, so such caching is sound on the
+    /// non-cyclic components the engine lowers.
+    pub(crate) fn eval(&mut self, core: &mut Core) -> Result<(), SimError> {
         match self {
             Kernel::Source {
                 out: lanes,
@@ -316,10 +311,10 @@ impl Kernel {
             } => {
                 let value = match konst {
                     Some(d) => d.clone(),
-                    None => Datum::Int(*start + seed + cycle as i64),
+                    None => Datum::Int(*start + core.seed + core.cycle as i64),
                 };
                 for &s in lanes.iter() {
-                    out.push((s, value.clone()));
+                    core.write(s, value.clone());
                 }
             }
             Kernel::Sink { .. } => {}
@@ -327,7 +322,7 @@ impl Kernel {
                 out: lanes, state, ..
             } => {
                 for &s in lanes.iter() {
-                    out.push((s, state.clone()));
+                    core.write(s, state.clone());
                 }
             }
             Kernel::Latch {
@@ -335,14 +330,14 @@ impl Kernel {
             } => {
                 for (lane, &s) in lanes.iter().enumerate() {
                     if let Some(v) = state.get(lane).cloned().flatten() {
-                        out.push((s, v));
+                        core.write(s, v);
                     }
                 }
             }
             Kernel::Tee { inp0, out: lanes } => {
-                if let Some(v) = read(values, *inp0) {
+                if let Some(v) = read(&core.values, *inp0) {
                     for &s in lanes.iter() {
-                        out.push((s, v.clone()));
+                        core.write(s, v.clone());
                     }
                 }
             }
@@ -355,14 +350,14 @@ impl Kernel {
                     buf,
                     ..
                 } = &mut **q;
-                let emit = queue_emit_count(values, buf.len(), lanes.len(), *credit_in);
+                let emit = queue_emit_count(&core.values, buf.len(), lanes.len(), *credit_in);
                 for (lane, item) in buf.iter().take(emit).enumerate() {
-                    out.push((lanes[lane], item.clone()));
+                    core.write(lanes[lane], item.clone());
                 }
                 // Credit reflects space at the start of the cycle.
                 let free = (*depth - buf.len()) as i64;
                 for &s in credit.iter() {
-                    out.push((s, Datum::Int(free)));
+                    core.write(s, Datum::Int(free));
                 }
             }
             Kernel::Alu {
@@ -373,9 +368,10 @@ impl Kernel {
                 float,
             } => {
                 for (lane, &rs) in res.iter().enumerate() {
-                    let (Some(x), Some(y)) =
-                        (read_lane(values, a, lane), read_lane(values, b, lane))
-                    else {
+                    let (Some(x), Some(y)) = (
+                        read_lane(&core.values, a, lane),
+                        read_lane(&core.values, b, lane),
+                    ) else {
                         continue;
                     };
                     let result = if *float {
@@ -397,7 +393,7 @@ impl Kernel {
                             KernelAluOp::Mul => x.wrapping_mul(y),
                         })
                     };
-                    out.push((rs, result));
+                    core.write(rs, result);
                 }
             }
             Kernel::Issue(k) => {
@@ -415,7 +411,7 @@ impl Kernel {
                     ..
                 } = &mut **k;
                 *picks = issue_select(
-                    values,
+                    &core.values,
                     window,
                     pending,
                     fu_credit,
@@ -425,11 +421,11 @@ impl Kernel {
                     *in_order,
                 );
                 for &(i, lane) in picks.iter() {
-                    out.push((out_row[lane as usize], window[i].to_datum()));
+                    core.write(out_row[lane as usize], window[i].to_datum());
                 }
                 if let Some(&s) = credit.first() {
                     let free = (*window_size - window.len()) as i64;
-                    out.push((s, Datum::Int(free)));
+                    core.write(s, Datum::Int(free));
                 }
             }
             Kernel::Fu(k) => {
@@ -449,18 +445,18 @@ impl Kernel {
                 if let Some(instr) = agen {
                     if instr.op_class().is_mem() {
                         if let Some(&s) = mem_req.first() {
-                            out.push((s, Datum::Int(instr.tgt)));
+                            core.write(s, Datum::Int(instr.tgt));
                         }
                     }
                 }
                 if let Some(front) = done_buf.front() {
                     for &s in done.iter() {
-                        out.push((s, front.to_datum()));
+                        core.write(s, front.to_datum());
                     }
                 }
                 if let Some(&s) = credit.first() {
                     let ok = fu_can_accept(agen, in_flight, done_buf, *pipelined, *max_inflight);
-                    out.push((s, Datum::Int(ok as i64)));
+                    core.write(s, Datum::Int(ok as i64));
                 }
             }
         }

@@ -17,9 +17,8 @@
 //! * [`kernel`] — devirtualized corelib behaviors for the static plan:
 //!   monomorphized slot-level kernels lowered from
 //!   [`lss_netlist::KernelClass`] metadata;
-//! * [`exec`] — the static plan's stages, barrier-committed (optionally
-//!   multi-threaded) kernel evaluation, injected kernel mutations for the
-//!   differential harness, and lockstep batch simulation;
+//! * [`exec`] — the static plan's stages and the injected kernel mutations
+//!   for the differential harness;
 //! * [`wave`] — VCD and ASCII waveform output from the firing log.
 
 #![warn(missing_docs)]
@@ -36,10 +35,8 @@ pub use bsl::{compile_bsl, datum_binary, exec, BslEnv, BslProgram};
 pub use component::{
     BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
 };
-pub use engine::{
-    build, build_batch, comb_info, FiringRecord, Scheduler, SimOptions, SimStats, Simulator,
-};
-pub use exec::{BatchSim, CompiledPlan, KernelMutation};
+pub use engine::{build, comb_info, FiringRecord, Scheduler, SimOptions, SimStats, Simulator};
+pub use exec::{CompiledPlan, KernelMutation};
 pub use kernel::{Kernel, KernelUnit};
 pub use slots::SlotTable;
 pub use wave::{to_ascii, to_vcd};

@@ -173,8 +173,8 @@ fn engine_side(d: &Discrepancy) -> bool {
 
 #[test]
 fn stale_commit_kernel_mutation_is_caught_and_minimized() {
-    // An injected stage-commit bug in the engine (the last buffered write
-    // of each stage silently dropped) must surface against the reference
+    // An injected direct-write fault in the engine (the last kernel write
+    // of each stage silently retracted) must surface against the reference
     // and shrink to a small repro, exactly like the reference-simulator
     // mutations.
     let out = std::env::temp_dir().join("lss-verify-kernel-mutation");
@@ -218,8 +218,8 @@ fn stale_commit_kernel_mutation_is_caught_and_minimized() {
 
 #[test]
 fn skip_barrier_kernel_mutation_is_caught() {
-    // The second injected kernel bug: all buffered writes held past the
-    // stage barriers and committed only after the settle pass, so any
+    // The second injected kernel bug: every kernel write is moved out of
+    // the arena and written back only after the settle pass, so any
     // *combinational* consumer (the tee here) reads an absent value while
     // the reference sees the real one. A pure delay chain cannot tell —
     // delays sample at end-of-timestep, after the late commit — which is

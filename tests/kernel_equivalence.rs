@@ -3,9 +3,7 @@
 //! simulator, which runs every leaf through its dyn `Component`.
 //!
 //! Lockstep over all six Table 3 models and every single-file fuzz-corpus
-//! entry, comparing the canonical `state_lines()` dump after every cycle;
-//! plus a determinism check that the engine's trace is byte-identical at
-//! `--threads 1`, `2`, and `8`.
+//! entry, comparing the canonical `state_lines()` dump after every cycle.
 
 use std::fs;
 use std::path::PathBuf;
@@ -18,12 +16,8 @@ use lss_verify::{Mutation, RefSim};
 
 const CYCLES: u64 = 50;
 
-fn build_engine(netlist: &Netlist, threads: usize) -> Simulator {
-    let opts = SimOptions {
-        threads,
-        ..Default::default()
-    };
-    build(netlist, &lss_corelib::registry(), opts).expect("engine build")
+fn build_engine(netlist: &Netlist) -> Simulator {
+    build(netlist, &lss_corelib::registry(), SimOptions::default()).expect("engine build")
 }
 
 /// Steps the engine and the reference in lockstep, comparing
@@ -31,7 +25,7 @@ fn build_engine(netlist: &Netlist, threads: usize) -> Simulator {
 /// first divergence.
 fn against_refsim(netlist: &Netlist, name: &str, cycles: u64) -> Result<(), String> {
     let registry = lss_corelib::registry();
-    let mut engine = build_engine(netlist, 1);
+    let mut engine = build_engine(netlist);
     let mut reference =
         RefSim::build(netlist, &registry, Mutation::None).map_err(|e| format!("{name}: {e}"))?;
     reference.init().map_err(|e| format!("{name}: {e}"))?;
@@ -97,7 +91,7 @@ fn all_table3_models_lower_kernels() {
     // residue).
     for m in models() {
         let compiled = compile_model(m).expect("compile");
-        let sim = build_engine(&compiled.netlist, 1);
+        let sim = build_engine(&compiled.netlist);
         assert!(
             sim.kernel_count() * 3 >= compiled.netlist.leaves().count(),
             "model {}: only {} of {} leaves lowered to kernels",
@@ -136,32 +130,4 @@ fn corpus_agrees_with_refsim() {
         }
     }
     assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
-}
-
-/// Runs the engine and returns its per-cycle trace as one string.
-fn engine_trace(netlist: &Netlist, threads: usize, cycles: u64) -> String {
-    let mut sim = build_engine(netlist, threads);
-    let mut out = String::new();
-    for cycle in 0..cycles {
-        sim.step().expect("step");
-        out.push_str(&format!("cycle {cycle}\n"));
-        for line in sim.state_lines() {
-            out.push_str(&line);
-            out.push('\n');
-        }
-    }
-    out
-}
-
-#[test]
-fn thread_count_does_not_change_the_trace() {
-    // Model C is the largest (two superscalar cores); ~40 cycles of its
-    // trace must be byte-identical at 1, 2 and 8 worker threads.
-    let m = lss_models::model('C').expect("model C");
-    let compiled = compile_model(m).expect("compile");
-    let t1 = engine_trace(&compiled.netlist, 1, 40);
-    let t2 = engine_trace(&compiled.netlist, 2, 40);
-    let t8 = engine_trace(&compiled.netlist, 8, 40);
-    assert!(t1 == t2, "threads=2 trace differs from threads=1");
-    assert!(t1 == t8, "threads=8 trace differs from threads=1");
 }
