@@ -19,7 +19,7 @@ cargo build --release --workspace
 echo "==> tier-1 and every workspace crate: cargo test -q --workspace"
 # The root package's tests (`cargo test -q`) are the tier-1 floor;
 # --workspace also runs every crate's unit and integration tests,
-# among them the kernel equivalence and batch golden suites, cache fault
+# among them the engine equivalence and batch golden suites, cache fault
 # injection, the CLI exit-code contract and the invalid-corpus replay.
 cargo test -q --workspace
 
@@ -103,20 +103,20 @@ rm -rf target/verify
 ./target/release/lssc fuzz --seed 2 --iters 200 --types-only
 ./target/release/lssc fuzz --seed 3 --iters 200 --sim-only
 
-echo "==> kernels: kernel fuzz smoke + injected-bug canaries (fixed seed)"
-# The sim-only loop above already checks the engine's kernels against the
-# reference inside every difftest; this stage additionally proves the
-# harness *would* catch a kernel bug: both injected mutations must produce
-# findings (exit 1).
+echo "==> stage windows: engine fuzz smoke + injected-bug canaries (fixed seed)"
+# The sim-only loop above already checks the engine's staged plan against
+# the reference inside every difftest; this stage additionally proves the
+# harness *would* catch a stage-window bug: both injected mutations must
+# produce findings (exit 1).
 ./target/release/lssc fuzz --seed 4 --iters 200 --sim-only
 if ./target/release/lssc fuzz --seed 4 --iters 20 --sim-only --mutate stale-commit \
     --out target/verify-kernel-canary >/dev/null 2>&1; then
-  echo "kernels: the stale-commit mutation went undetected" >&2
+  echo "stage windows: the stale-commit mutation went undetected" >&2
   exit 1
 fi
 if ./target/release/lssc difftest --mutate skip-barrier \
     tests/corpus/arbiter_funnel.lss >/dev/null 2>&1; then
-  echo "kernels: the skip-barrier mutation went undetected" >&2
+  echo "stage windows: the skip-barrier mutation went undetected" >&2
   exit 1
 fi
 rm -rf target/verify-kernel-canary

@@ -42,24 +42,46 @@ pub fn measure_pair<A: FnMut(), B: FnMut()>(
     mut a: A,
     mut b: B,
 ) -> [Sample; 2] {
+    measure_pair_prepared(names, warmup, iters, || (), |()| a(), || (), |()| b())
+}
+
+/// [`measure_pair`] with untimed work around each iteration: `prep_a`
+/// makes the input `run_a` consumes, and only `run_a` is timed; whatever
+/// it returns is dropped after the clock stops. Likewise for `b`.
+pub fn measure_pair_prepared<P, Q, R, S>(
+    names: [String; 2],
+    warmup: u32,
+    iters: u32,
+    mut prep_a: impl FnMut() -> P,
+    mut run_a: impl FnMut(P) -> R,
+    mut prep_b: impl FnMut() -> Q,
+    mut run_b: impl FnMut(Q) -> S,
+) -> [Sample; 2] {
     assert!(iters > 0, "need at least one measured iteration");
     for _ in 0..warmup {
-        a();
-        b();
+        run_a(prep_a());
+        run_b(prep_b());
     }
     let (mut ta, mut tb) = (Vec::new(), Vec::new());
     for _ in 0..iters {
-        ta.push(time(&mut a));
-        tb.push(time(&mut b));
+        ta.push(time_prepared(&mut prep_a, &mut run_a));
+        tb.push(time_prepared(&mut prep_b, &mut run_b));
     }
     let [na, nb] = names;
     [summarize(na, ta), summarize(nb, tb)]
 }
 
 fn time(f: &mut impl FnMut()) -> u64 {
+    time_prepared(&mut || (), &mut |()| f())
+}
+
+fn time_prepared<P, R>(prep: &mut impl FnMut() -> P, run: &mut impl FnMut(P) -> R) -> u64 {
+    let input = prep();
     let t0 = Instant::now();
-    f();
-    t0.elapsed().as_nanos() as u64
+    let output = run(input);
+    let ns = t0.elapsed().as_nanos() as u64;
+    drop(output);
+    ns
 }
 
 /// Summarizes per-iteration times and prints the human-readable line.

@@ -60,8 +60,8 @@
 //!                      not for real verification: `reversed` and
 //!                      `single-pass` break the reference scheduler;
 //!                      `stale-commit` and `skip-barrier` inject
-//!                      direct-write faults into the engine's kernel
-//!                      stages
+//!                      direct-write faults into the engine's stage
+//!                      windows
 //!
 //! `fuzz` generates random well-formed programs, checks the heuristic type
 //! solver against exhaustive disjunct enumeration and the engine against a
@@ -83,9 +83,9 @@
 //!   --run N            simulate N cycles after compiling
 //!   --run-model        run a built-in model to completion and report CPI
 //!   --scheduler S      static (default) or dynamic: static executes the
-//!                      staged plan, lowering hot corelib behaviors to
-//!                      kernels that write straight into the flat state
-//!                      arena; dynamic is the worklist baseline
+//!                      staged plan, each acyclic leaf once per cycle,
+//!                      writing straight into the flat state arena;
+//!                      dynamic is the worklist baseline
 //!   --batch N          with --run: simulate the netlist N times, seeded
 //!                      0..N-1, and print per-lane summaries (lane k is
 //!                      the run with seed k; tests/golden_batch.rs pins
@@ -144,10 +144,10 @@ fn print_sim_stats(stats: &liberty::sim::SimStats, sim: Option<&liberty::Simulat
         let stages = sim.plan_stages();
         let blocks = stages.iter().flatten().filter(|u| u.1).count();
         println!(
-            "plan: {} components in {} stages, {} kernels, {blocks} combinational cycle blocks",
+            "plan: {} components in {} stages, {} static leaves, {blocks} combinational cycle blocks",
             sim.component_count(),
             stages.len(),
-            sim.kernel_count(),
+            sim.static_leaf_count(),
         );
     }
 }
@@ -630,7 +630,7 @@ fn run_build(args: impl Iterator<Item = String>) -> ExitCode {
 }
 
 /// Parses a `--mutate` value, exiting with usage on nonsense. Reference
-/// mutations (`reversed`, `single-pass`) and kernel-stage mutations
+/// mutations (`reversed`, `single-pass`) and stage-window mutations
 /// (`stale-commit`, `skip-barrier`) share the flag; exactly one side of
 /// the pair is non-`None`.
 fn parse_mutation(arg: Option<String>) -> (lss_verify::Mutation, lss_verify::KernelMutation) {

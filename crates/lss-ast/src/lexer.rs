@@ -50,19 +50,12 @@ impl<'a> Lexer<'a> {
                 b'\'' => self.type_var(),
                 _ => self.punct(),
             };
-            match kind {
-                Some(kind) => tokens.push(Token {
+            // `None` means the error is reported and its text consumed.
+            if let Some(kind) = kind {
+                tokens.push(Token {
                     kind,
                     span: self.span_from(start),
-                }),
-                None => {
-                    // Error already reported; skip one character to make
-                    // progress.
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && !self.text.is_char_boundary(self.pos) {
-                        self.pos += 1;
-                    }
-                }
+                });
             }
         }
     }
@@ -320,6 +313,30 @@ mod tests {
     }
 
     #[test]
+    fn an_error_skips_only_its_own_text() {
+        // The stray `#` is consumed by its own error; `instance` survives.
+        let (kinds, errors) = lex_errors("#instance x:sink;");
+        assert_eq!(errors, vec!["unexpected character `#`".to_string()]);
+        assert_eq!(kinds[0], TokenKind::Instance);
+    }
+
+    #[test]
+    fn eof_after_an_unterminated_string_lies_inside_the_input() {
+        let src = "instance gen:source \"abc";
+        let mut map = SourceMap::new();
+        let id = map.add_file("t.lss", src);
+        let mut diags = DiagnosticBag::new();
+        let toks = lex(id, src, &mut diags);
+        assert!(diags.has_errors());
+        let eof = toks.last().expect("an Eof token");
+        assert_eq!(eof.kind, TokenKind::Eof);
+        assert_eq!(
+            (eof.span.start, eof.span.end),
+            (src.len() as u32, src.len() as u32)
+        );
+    }
+
+    #[test]
     fn lexes_module_header() {
         use TokenKind::*;
         let toks = lex_ok("module delay { inport in:int; }");
@@ -433,9 +450,16 @@ mod tests {
                 TokenKind::Eof
             ]
         );
-        // An error just before a multi-byte character skips it whole.
+        // An error consumes only its own text: a stray multi-byte
+        // character right after it gets its own error.
         let (_, errors) = lex_errors("&é x");
-        assert_eq!(errors, vec!["expected `&&`".to_string()]);
+        assert_eq!(
+            errors,
+            vec![
+                "expected `&&`".to_string(),
+                "unexpected character `é`".to_string()
+            ]
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Basic data-movement components: sources, sinks, registers, fan-out.
 
-use lss_netlist::{EventId, KernelClass, RtvId};
+use lss_netlist::{EventId, RtvId};
 use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
 use lss_types::{Datum, Ty};
 
@@ -13,7 +13,8 @@ use lss_types::{Datum, Ty};
 pub struct Source {
     out: usize,
     start: i64,
-    ty: Ty,
+    /// The fixed value for non-`int` types; `None` selects the counter.
+    konst: Option<Datum>,
 }
 
 impl Source {
@@ -23,32 +24,30 @@ impl Source {
         Ok(Box::new(Source {
             out,
             start: spec.int_param_or("start", 0)?,
-            ty: spec.ports[out].ty.clone(),
+            konst: match &spec.ports[out].ty {
+                Ty::Int => None,
+                other => Some(Datum::default_for(other)),
+            },
         }))
     }
-}
 
-impl Component for Source {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        let value = match self.ty {
-            Ty::Int => Datum::Int(self.start + ctx.seed() + ctx.cycle() as i64),
-            ref other => Datum::default_for(other),
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
+        let value = match &self.konst {
+            Some(value) => value.clone(),
+            None => Datum::Int(self.start + ctx.seed() + ctx.cycle() as i64),
         };
         for lane in 0..ctx.width(self.out) {
             ctx.set_output(self.out, lane, value.clone());
         }
         Ok(())
     }
+}
 
-    fn kernel_class(&self) -> Option<KernelClass> {
-        Some(KernelClass::Source {
-            out: self.out,
-            start: self.start,
-            konst: match self.ty {
-                Ty::Int => None,
-                ref other => Some(Datum::default_for(other)),
-            },
-        })
+impl Component for Source {
+    eval_body!();
+
+    fn has_end_of_timestep(&self) -> bool {
+        false
     }
 }
 
@@ -67,6 +66,18 @@ impl Sink {
             count: None,
         }))
     }
+
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
+        let id = self.count.expect("resolved in init");
+        let mut count = ctx.rtv_by_id(id).as_int().unwrap_or(0);
+        for lane in 0..ctx.width(self.inp) {
+            if ctx.input(self.inp, lane).is_some() {
+                count += 1;
+            }
+        }
+        ctx.set_rtv_by_id(id, Datum::Int(count));
+        Ok(())
+    }
 }
 
 impl Component for Sink {
@@ -79,24 +90,10 @@ impl Component for Sink {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        let id = self.count.expect("resolved in init");
-        let mut count = ctx.rtv_by_id(id).as_int().unwrap_or(0);
-        for lane in 0..ctx.width(self.inp) {
-            if ctx.input(self.inp, lane).is_some() {
-                count += 1;
-            }
-        }
-        ctx.set_rtv_by_id(id, Datum::Int(count));
-        Ok(())
-    }
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, _port: usize) -> bool {
         false
-    }
-
-    fn kernel_class(&self) -> Option<KernelClass> {
-        Some(KernelClass::Sink { inp: self.inp })
     }
 }
 
@@ -118,33 +115,28 @@ impl Delay {
             state: Datum::Int(spec.int_param_or("initial_state", 0)?),
         }))
     }
-}
 
-impl Component for Delay {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.out) {
             ctx.set_output(self.out, lane, self.state.clone());
         }
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         if let Some(v) = ctx.input(self.inp, 0) {
             self.state = v;
         }
         Ok(())
     }
+}
+
+impl Component for Delay {
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, _port: usize) -> bool {
         false
-    }
-
-    fn kernel_class(&self) -> Option<KernelClass> {
-        Some(KernelClass::Delay {
-            inp: self.inp,
-            out: self.out,
-            init: self.state.clone(),
-        })
     }
 }
 
@@ -166,36 +158,35 @@ impl Latch {
             state: Vec::new(),
         }))
     }
-}
 
-impl Component for Latch {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        for lane in 0..ctx.width(self.out) {
-            if let Some(v) = self.state.get(lane as usize).cloned().flatten() {
-                ctx.set_output(self.out, lane, v);
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
+        // Lanes past `out`'s width are unconnected: writing them is a no-op.
+        for (lane, v) in self.state.iter().enumerate() {
+            if let Some(v) = v {
+                ctx.set_output(self.out, lane as u32, v.clone());
             }
         }
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         let lanes = ctx.width(self.inp).max(ctx.width(self.out)) as usize;
-        self.state.resize(lanes, None);
+        if self.state.len() != lanes {
+            self.state.resize(lanes, None);
+        }
         for lane in 0..lanes {
             self.state[lane] = ctx.input(self.inp, lane as u32);
         }
         Ok(())
     }
+}
+
+impl Component for Latch {
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, _port: usize) -> bool {
         false
-    }
-
-    fn kernel_class(&self) -> Option<KernelClass> {
-        Some(KernelClass::Latch {
-            inp: self.inp,
-            out: self.out,
-        })
     }
 }
 
@@ -214,10 +205,8 @@ impl Tee {
             out: spec.port_index("out")?,
         }))
     }
-}
 
-impl Component for Tee {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         if let Some(v) = ctx.input(self.inp, 0) {
             for lane in 0..ctx.width(self.out) {
                 ctx.set_output(self.out, lane, v.clone());
@@ -225,12 +214,13 @@ impl Component for Tee {
         }
         Ok(())
     }
+}
 
-    fn kernel_class(&self) -> Option<KernelClass> {
-        Some(KernelClass::Tee {
-            inp: self.inp,
-            out: self.out,
-        })
+impl Component for Tee {
+    eval_body!();
+
+    fn has_end_of_timestep(&self) -> bool {
+        false
     }
 }
 
@@ -253,20 +243,8 @@ impl Probe {
             observed: None,
         }))
     }
-}
 
-impl Component for Probe {
-    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        self.seen = Some(ctx.ensure_rtv("seen", Datum::Int(0)));
-        self.observed = ctx.event_id("observed");
-        Ok(())
-    }
-
-    fn eval(&mut self, _ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        Ok(())
-    }
-
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         let seen_id = self.seen.expect("resolved in init");
         let mut seen = ctx.rtv_by_id(seen_id).as_int().unwrap_or(0);
         for lane in 0..ctx.width(self.inp) {
@@ -280,6 +258,20 @@ impl Component for Probe {
         ctx.set_rtv_by_id(seen_id, Datum::Int(seen));
         Ok(())
     }
+}
+
+impl Component for Probe {
+    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        self.seen = Some(ctx.ensure_rtv("seen", Datum::Int(0)));
+        self.observed = ctx.event_id("observed");
+        Ok(())
+    }
+
+    fn eval(&mut self, _ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        Ok(())
+    }
+
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, _port: usize) -> bool {
         false

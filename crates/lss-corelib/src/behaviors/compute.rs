@@ -1,6 +1,6 @@
 //! Computation and storage components: ALU, register file, memories, cache.
 
-use lss_netlist::{EventId, KernelAluOp, KernelClass, UserpointId};
+use lss_netlist::{EventId, UserpointId};
 use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
 use lss_types::{Datum, Ty};
 
@@ -62,10 +62,8 @@ impl Alu {
             float_impl,
         }))
     }
-}
 
-impl Component for Alu {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.res) {
             let (Some(x), Some(y)) = (ctx.input(self.a, lane), ctx.input(self.b, lane)) else {
                 continue;
@@ -93,19 +91,13 @@ impl Component for Alu {
         }
         Ok(())
     }
+}
 
-    fn kernel_class(&self) -> Option<KernelClass> {
-        Some(KernelClass::Alu {
-            a: self.a,
-            b: self.b,
-            res: self.res,
-            op: match self.op {
-                AluOp::Add => KernelAluOp::Add,
-                AluOp::Sub => KernelAluOp::Sub,
-                AluOp::Mul => KernelAluOp::Mul,
-            },
-            float: self.float_impl,
-        })
+impl Component for Alu {
+    eval_body!();
+
+    fn has_end_of_timestep(&self) -> bool {
+        false
     }
 }
 
@@ -144,10 +136,8 @@ impl RegFile {
             regs: vec![default; nregs as usize],
         }))
     }
-}
 
-impl Component for RegFile {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.rd_data) {
             let Some(Datum::Int(addr)) = ctx.input(self.rd_addr, lane) else {
                 continue;
@@ -159,7 +149,7 @@ impl Component for RegFile {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.wr_addr) {
             let (Some(Datum::Int(addr)), Some(value)) =
                 (ctx.input(self.wr_addr, lane), ctx.input(self.wr_data, lane))
@@ -172,6 +162,11 @@ impl Component for RegFile {
         }
         Ok(())
     }
+}
+
+impl Component for RegFile {
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, port: usize) -> bool {
         port == self.rd_addr
@@ -214,10 +209,8 @@ impl Ram {
         let idx = addr.rem_euclid(self.words.len() as i64) as usize;
         Some(idx)
     }
-}
 
-impl Component for Ram {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.rdata) {
             let Some(Datum::Int(addr)) = ctx.input(self.addr, lane) else {
                 continue;
@@ -229,7 +222,7 @@ impl Component for Ram {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.addr) {
             let write = matches!(ctx.input(self.wen, lane), Some(Datum::Int(v)) if v != 0);
             if !write {
@@ -246,6 +239,11 @@ impl Component for Ram {
         }
         Ok(())
     }
+}
+
+impl Component for Ram {
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, port: usize) -> bool {
         port == self.addr
@@ -272,16 +270,22 @@ impl MemoryLat {
             lat: spec.int_param_or("lat", 100)?,
         }))
     }
-}
 
-impl Component for MemoryLat {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.req) {
             if ctx.input(self.req, lane).is_some() {
                 ctx.set_output(self.resp, lane, Datum::Int(self.lat));
             }
         }
         Ok(())
+    }
+}
+
+impl Component for MemoryLat {
+    eval_body!();
+
+    fn has_end_of_timestep(&self) -> bool {
+        false
     }
 }
 
@@ -364,19 +368,8 @@ impl Cache {
         let (set, tag) = self.set_and_tag(addr);
         self.tags[set].iter().any(|&(t, _)| t == tag)
     }
-}
 
-impl Component for Cache {
-    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        if self.has_policy {
-            self.policy = ctx.userpoint_id("policy");
-        }
-        self.hit_ev = ctx.event_id("hit");
-        self.miss_ev = ctx.event_id("miss");
-        Ok(())
-    }
-
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.req) {
             let Some(Datum::Int(addr)) = ctx.input(self.req, lane) else {
                 continue;
@@ -404,7 +397,7 @@ impl Component for Cache {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.req) {
             let Some(Datum::Int(addr)) = ctx.input(self.req, lane) else {
                 continue;
@@ -446,6 +439,20 @@ impl Component for Cache {
         }
         Ok(())
     }
+}
+
+impl Component for Cache {
+    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        if self.has_policy {
+            self.policy = ctx.userpoint_id("policy");
+        }
+        self.hit_ev = ctx.event_id("hit");
+        self.miss_ev = ctx.event_id("miss");
+        Ok(())
+    }
+
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, port: usize) -> bool {
         // `req` drives `resp` combinationally; `lower_resp` feeds back into

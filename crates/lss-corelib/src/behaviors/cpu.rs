@@ -5,9 +5,11 @@
 //!
 //! * `credit` outputs are computed from state at the start of the cycle;
 //! * producers send at most `credit_in` items per cycle;
-//! * a component's `eval` must be a pure function of (state, inputs) — any
-//!   selection it makes is recomputed identically in `end_of_timestep`
-//!   where the state change is committed.
+//! * a component's `eval` must be a pure function of (state, inputs). A
+//!   selection it makes (fetch bundle, dispatch routing, issue picks) is
+//!   kept for `end_of_timestep`, where the state change is committed: a
+//!   cycle's last `eval` sees settled inputs on every scheduler, so its
+//!   selection is the one that stands.
 //!
 //! The instruction stream is synthetic (see [`crate::instr`]): each
 //! instruction carries its branch outcome and memory address, so the
@@ -18,23 +20,18 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use lss_netlist::{EventId, KernelClass, RtvId, SrcSpan};
+use lss_netlist::{EventId, RtvId, SrcSpan};
 use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
 use lss_types::Datum;
 
+use super::flow::read_int_or;
 use crate::instr::{Instr, Mix, OpClass, Workload};
 
-fn read_int_or(ctx: &dyn CompCtx, port: usize, default: i64) -> i64 {
-    if ctx.width(port) == 0 {
-        return default;
-    }
-    match ctx.input(port, 0) {
-        Some(Datum::Int(v)) => v,
-        _ => default,
-    }
-}
-
-fn instr_at(ctx: &dyn CompCtx, port: usize, lane: u32) -> Result<Option<Instr>, SimError> {
+fn instr_at<C: CompCtx + ?Sized>(
+    ctx: &C,
+    port: usize,
+    lane: u32,
+) -> Result<Option<Instr>, SimError> {
     match ctx.input(port, lane) {
         None => Ok(None),
         Some(d) => Instr::from_datum(&d)
@@ -95,6 +92,8 @@ pub struct Fetch {
     default_pred: i64,
     /// Prefetch buffer refilled at end of cycle (keeps eval pure).
     buffer: VecDeque<Instr>,
+    /// Length of the bundle this cycle's last `eval` emitted.
+    bundled: usize,
     stall: i64,
     fetched: u64,
     fetched_rtv: Option<RtvId>,
@@ -130,6 +129,7 @@ impl Fetch {
             penalty: spec.int_param_or("penalty", 3)?,
             default_pred: spec.int_param_or("default_pred", 0)?,
             buffer: VecDeque::new(),
+            bundled: 0,
             stall: 0,
             fetched: 0,
             fetched_rtv: None,
@@ -139,7 +139,7 @@ impl Fetch {
 
     /// The bundle emitted this cycle: indices into `buffer`, truncated
     /// after the first branch (fetch cannot follow a redirect mid-cycle).
-    fn bundle(&self, ctx: &dyn CompCtx) -> usize {
+    fn bundle<C: CompCtx + ?Sized>(&self, ctx: &C) -> usize {
         if self.stall > 0 {
             return 0;
         }
@@ -153,25 +153,10 @@ impl Fetch {
         }
         n
     }
-}
 
-impl Component for Fetch {
-    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        let fetched_rtv = ctx.ensure_rtv("fetched", Datum::Int(0));
-        self.fetched_rtv = Some(fetched_rtv);
-        self.mispredicts_rtv = Some(ctx.ensure_rtv("mispredicts", Datum::Int(0)));
-        // Prefill the prefetch buffer so the first cycle can issue.
-        let lanes = ctx.width(self.out) as usize;
-        while self.buffer.len() < lanes.max(1) * 2 && self.fetched < self.n_instrs {
-            self.buffer.push_back(self.workload.next_instr());
-            self.fetched += 1;
-        }
-        ctx.set_rtv_by_id(fetched_rtv, Datum::Int(self.fetched as i64));
-        Ok(())
-    }
-
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         let n = self.bundle(ctx);
+        self.bundled = n;
         for i in 0..n {
             let instr = self.buffer[i];
             ctx.set_output(self.out, i as u32, instr.to_datum());
@@ -187,8 +172,8 @@ impl Component for Fetch {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        let n = self.bundle(ctx);
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
+        let n = std::mem::take(&mut self.bundled);
         // Mispredict check for branches in the emitted bundle.
         for i in 0..n {
             let instr = self.buffer[i];
@@ -226,6 +211,25 @@ impl Component for Fetch {
         ctx.set_rtv_by_id(id, Datum::Int(self.fetched as i64));
         Ok(())
     }
+}
+
+impl Component for Fetch {
+    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        let fetched_rtv = ctx.ensure_rtv("fetched", Datum::Int(0));
+        self.fetched_rtv = Some(fetched_rtv);
+        self.mispredicts_rtv = Some(ctx.ensure_rtv("mispredicts", Datum::Int(0)));
+        // Prefill the prefetch buffer so the first cycle can issue.
+        let lanes = ctx.width(self.out) as usize;
+        while self.buffer.len() < lanes.max(1) * 2 && self.fetched < self.n_instrs {
+            self.buffer.push_back(self.workload.next_instr());
+            self.fetched += 1;
+        }
+        ctx.set_rtv_by_id(fetched_rtv, Datum::Int(self.fetched as i64));
+        Ok(())
+    }
+
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, port: usize) -> bool {
         port == self.credit_in
@@ -259,10 +263,8 @@ impl Decode {
             credit: spec.port_index("credit")?,
         }))
     }
-}
 
-impl Component for Decode {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.out) {
             if let Some(mut instr) = instr_at(ctx, self.inp, lane)? {
                 instr.lat = instr.op_class().latency();
@@ -274,6 +276,14 @@ impl Component for Decode {
             ctx.set_output(self.credit, 0, Datum::Int(credit));
         }
         Ok(())
+    }
+}
+
+impl Component for Decode {
+    eval_body!();
+
+    fn has_end_of_timestep(&self) -> bool {
+        false
     }
 
     fn output_depends_on(&self, output: usize, input: usize) -> bool {
@@ -305,6 +315,8 @@ pub struct Dispatch {
     depth: usize,
     classes: Vec<i64>,
     buf: VecDeque<Instr>,
+    /// Entries this cycle's last `eval` routed (always a prefix of `buf`).
+    routed: usize,
     /// Declared contract on `in` (group name, annotation span).
     contract: (String, Option<SrcSpan>),
 }
@@ -323,12 +335,13 @@ impl Dispatch {
             depth: spec.int_param_or("depth", 8)?.max(1) as usize,
             classes,
             buf: VecDeque::new(),
+            routed: 0,
             contract: spec.protocol_context(inp),
         }))
     }
 
     /// In-order routing decision: (buffer index, out lane) pairs.
-    fn route(&self, ctx: &dyn CompCtx) -> Vec<(usize, u32)> {
+    fn route<C: CompCtx + ?Sized>(&self, ctx: &C) -> Vec<(usize, u32)> {
         let lanes = ctx.width(self.out) as usize;
         let mut lane_used = vec![false; lanes];
         let mut lane_credit: Vec<i64> = (0..lanes)
@@ -359,11 +372,11 @@ impl Dispatch {
         }
         routed
     }
-}
 
-impl Component for Dispatch {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        for (i, lane) in self.route(ctx) {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
+        let routed = self.route(ctx);
+        self.routed = routed.len();
+        for (i, lane) in routed {
             ctx.set_output(self.out, lane, self.buf[i].to_datum());
         }
         let free = (self.depth - self.buf.len()) as i64;
@@ -373,10 +386,9 @@ impl Component for Dispatch {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        let routed = self.route(ctx);
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         // Routed entries are a prefix (in-order), so drain from the front.
-        self.buf.drain(..routed.len());
+        self.buf.drain(..std::mem::take(&mut self.routed));
         for lane in 0..ctx.width(self.inp) {
             if let Some(instr) = instr_at(ctx, self.inp, lane)? {
                 if self.buf.len() >= self.depth {
@@ -391,6 +403,11 @@ impl Component for Dispatch {
         }
         Ok(())
     }
+}
+
+impl Component for Dispatch {
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, port: usize) -> bool {
         port == self.rs_credit
@@ -429,6 +446,8 @@ pub struct Issue {
     window: VecDeque<Instr>,
     /// In-flight destination registers (register → writers outstanding).
     pending: HashMap<i64, u32>,
+    /// This cycle's last `eval` selection, committed at end of cycle.
+    picks: Vec<(usize, u32)>,
     /// Declared contract on `in` (group name, annotation span).
     contract: (String, Option<SrcSpan>),
 }
@@ -451,6 +470,7 @@ impl Issue {
             classes,
             window: VecDeque::new(),
             pending: HashMap::new(),
+            picks: Vec::new(),
             contract: spec.protocol_context(inp),
         }))
     }
@@ -460,7 +480,7 @@ impl Issue {
     }
 
     /// The issue selection: (window index, out lane) pairs.
-    fn select(&self, ctx: &dyn CompCtx) -> Vec<(usize, u32)> {
+    fn select<C: CompCtx + ?Sized>(&self, ctx: &C) -> Vec<(usize, u32)> {
         let lanes = ctx.width(self.out) as usize;
         let mut lane_used = vec![false; lanes];
         let mut lane_credit: Vec<i64> = (0..lanes)
@@ -500,11 +520,10 @@ impl Issue {
         }
         picks
     }
-}
 
-impl Component for Issue {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        for (i, lane) in self.select(ctx) {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
+        self.picks = self.select(ctx);
+        for &(i, lane) in &self.picks {
             ctx.set_output(self.out, lane, self.window[i].to_datum());
         }
         if ctx.width(self.credit) > 0 {
@@ -514,8 +533,8 @@ impl Component for Issue {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        let picks = self.select(ctx);
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
+        let picks = std::mem::take(&mut self.picks);
         // Mark issued destinations pending, then remove from the window
         // back-to-front so indices stay valid.
         let mut indices: Vec<usize> = Vec::with_capacity(picks.len());
@@ -558,6 +577,11 @@ impl Component for Issue {
         }
         Ok(())
     }
+}
+
+impl Component for Issue {
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, port: usize) -> bool {
         port == self.fu_credit
@@ -566,22 +590,6 @@ impl Component for Issue {
     fn output_depends_on(&self, output: usize, input: usize) -> bool {
         // `credit` is free window space — pure state, no eval input.
         output == self.out && input == self.fu_credit
-    }
-
-    fn kernel_class(&self) -> Option<KernelClass> {
-        Some(KernelClass::Issue {
-            inp: self.inp,
-            credit: self.credit,
-            out: self.out,
-            fu_credit: self.fu_credit,
-            complete: self.complete,
-            window_size: self.window_size,
-            issue_width: self.issue_width,
-            in_order: self.in_order,
-            classes: self.classes.clone(),
-            group: self.contract.0.clone(),
-            span: self.contract.1,
-        })
     }
 }
 
@@ -650,10 +658,8 @@ impl Fu {
             self.in_flight.is_empty()
         }
     }
-}
 
-impl Component for Fu {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         // Address generation: memory ops probe the cache one cycle after
         // acceptance.
         if let Some(instr) = &self.agen {
@@ -663,8 +669,10 @@ impl Component for Fu {
             }
         }
         if let Some(front) = self.done_buf.front() {
+            // One datum shared by every fanned-out lane.
+            let done = front.to_datum();
             for lane in 0..ctx.width(self.done) {
-                ctx.set_output(self.done, lane, front.to_datum());
+                ctx.set_output(self.done, lane, done.clone());
             }
         }
         if ctx.width(self.credit) > 0 {
@@ -673,7 +681,7 @@ impl Component for Fu {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         // Retire the granted result (or unconditionally without an arbiter).
         if !self.done_buf.is_empty() {
             let granted = if ctx.width(self.grant_in) > 0 {
@@ -724,24 +732,14 @@ impl Component for Fu {
         }
         Ok(())
     }
+}
+
+impl Component for Fu {
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, _port: usize) -> bool {
         false
-    }
-
-    fn kernel_class(&self) -> Option<KernelClass> {
-        Some(KernelClass::Fu {
-            inp: self.inp,
-            credit: self.credit,
-            done: self.done,
-            grant_in: self.grant_in,
-            mem_req: self.mem_req,
-            mem_resp: self.mem_resp,
-            pipelined: self.pipelined,
-            max_inflight: self.max_inflight,
-            group: self.contract.0.clone(),
-            span: self.contract.1,
-        })
     }
 }
 
@@ -776,23 +774,8 @@ impl Commit {
             commit_ev: None,
         }))
     }
-}
 
-impl Component for Commit {
-    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        self.committed = Some(ctx.ensure_rtv("committed", Datum::Int(0)));
-        self.branches = Some(ctx.ensure_rtv("branches", Datum::Int(0)));
-        self.memops = Some(ctx.ensure_rtv("memops", Datum::Int(0)));
-        self.cycles = Some(ctx.ensure_rtv("cycles", Datum::Int(0)));
-        self.commit_ev = ctx.event_id("commit");
-        Ok(())
-    }
-
-    fn eval(&mut self, _ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        Ok(())
-    }
-
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         let committed_id = self.committed.expect("resolved in init");
         let branches_id = self.branches.expect("resolved in init");
         let memops_id = self.memops.expect("resolved in init");
@@ -820,6 +803,23 @@ impl Component for Commit {
         ctx.set_rtv_by_id(cycles_id, Datum::Int(cycles));
         Ok(())
     }
+}
+
+impl Component for Commit {
+    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        self.committed = Some(ctx.ensure_rtv("committed", Datum::Int(0)));
+        self.branches = Some(ctx.ensure_rtv("branches", Datum::Int(0)));
+        self.memops = Some(ctx.ensure_rtv("memops", Datum::Int(0)));
+        self.cycles = Some(ctx.ensure_rtv("cycles", Datum::Int(0)));
+        self.commit_ev = ctx.event_id("commit");
+        Ok(())
+    }
+
+    fn eval(&mut self, _ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        Ok(())
+    }
+
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, _port: usize) -> bool {
         false
@@ -874,15 +874,8 @@ impl BranchPred {
     fn index(&self, pc: i64) -> usize {
         ((pc / 4).rem_euclid(self.entries as i64)) as usize
     }
-}
 
-impl Component for BranchPred {
-    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        self.lookup_miss_ev = ctx.event_id("lookup_miss");
-        Ok(())
-    }
-
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.lookup) {
             let Some(Datum::Int(pc)) = ctx.input(self.lookup, lane) else {
                 continue;
@@ -903,7 +896,7 @@ impl Component for BranchPred {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.update) {
             let Some(Datum::Int(enc)) = ctx.input(self.update, lane) else {
                 continue;
@@ -926,6 +919,16 @@ impl Component for BranchPred {
         }
         Ok(())
     }
+}
+
+impl Component for BranchPred {
+    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        self.lookup_miss_ev = ctx.event_id("lookup_miss");
+        Ok(())
+    }
+
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, port: usize) -> bool {
         port == self.lookup

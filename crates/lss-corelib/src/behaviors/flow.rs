@@ -8,13 +8,13 @@
 
 use std::collections::VecDeque;
 
-use lss_netlist::{KernelClass, SrcSpan, UserpointId};
+use lss_netlist::{SrcSpan, UserpointId};
 use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
 use lss_types::Datum;
 
 /// Reads an integer from an optional single-lane port, with a default for
 /// unconnected ports (unconnected-port semantics, §4.2).
-fn read_int_or(ctx: &dyn CompCtx, port: usize, default: i64) -> i64 {
+pub(crate) fn read_int_or<C: CompCtx + ?Sized>(ctx: &C, port: usize, default: i64) -> i64 {
     if ctx.width(port) == 0 {
         return default;
     }
@@ -37,6 +37,8 @@ pub struct Queue {
     credit_in: usize,
     depth: usize,
     buf: VecDeque<Datum>,
+    /// Items emitted by this cycle's last `eval`, popped at end of cycle.
+    emitted: usize,
     /// Declared contract on `in` (group name, annotation span).
     contract: (String, Option<SrcSpan>),
 }
@@ -59,20 +61,18 @@ impl Queue {
             credit_in: spec.port_index("credit_in")?,
             depth: depth as usize,
             buf: VecDeque::new(),
+            emitted: 0,
             contract: spec.protocol_context(inp),
         }))
     }
 
-    fn emit_count(&self, ctx: &dyn CompCtx) -> usize {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
+        // A cycle's last eval sees settled inputs, so its count is what
+        // end_of_timestep pops.
         let lanes = ctx.width(self.out) as usize;
         let allowed = read_int_or(ctx, self.credit_in, lanes as i64).max(0) as usize;
-        self.buf.len().min(lanes).min(allowed)
-    }
-}
-
-impl Component for Queue {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        for (lane, item) in self.buf.iter().take(self.emit_count(ctx)).enumerate() {
+        self.emitted = self.buf.len().min(lanes).min(allowed);
+        for (lane, item) in self.buf.iter().take(self.emitted).enumerate() {
             ctx.set_output(self.out, lane as u32, item.clone());
         }
         // Credit reflects space at the start of the cycle; items leaving
@@ -84,10 +84,9 @@ impl Component for Queue {
         Ok(())
     }
 
-    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn end_of_timestep_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         // Pop what was consumed this cycle.
-        let emitted = self.emit_count(ctx);
-        self.buf.drain(..emitted);
+        self.buf.drain(..std::mem::take(&mut self.emitted));
         // Accept arrivals; overflow means the producer violated credits.
         for lane in 0..ctx.width(self.inp) {
             if let Some(v) = ctx.input(self.inp, lane) {
@@ -103,6 +102,11 @@ impl Component for Queue {
         }
         Ok(())
     }
+}
+
+impl Component for Queue {
+    eval_body!();
+    end_of_timestep_body!();
 
     fn input_is_combinational(&self, port: usize) -> bool {
         // Only `credit_in` feeds eval; `in` is consumed at end_of_timestep.
@@ -112,18 +116,6 @@ impl Component for Queue {
     fn output_depends_on(&self, output: usize, input: usize) -> bool {
         // `credit` is free space at the start of the cycle — pure state.
         output == self.out && input == self.credit_in
-    }
-
-    fn kernel_class(&self) -> Option<KernelClass> {
-        Some(KernelClass::Queue {
-            inp: self.inp,
-            out: self.out,
-            credit: self.credit,
-            credit_in: self.credit_in,
-            depth: self.depth,
-            group: self.contract.0.clone(),
-            span: self.contract.1,
-        })
     }
 }
 
@@ -151,15 +143,8 @@ impl Arbiter {
             policy: None,
         }))
     }
-}
 
-impl Component for Arbiter {
-    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        self.policy = ctx.userpoint_id("policy");
-        Ok(())
-    }
-
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         let w = ctx.width(self.inp);
         let m = ctx.width(self.out);
         let start = if let Some(policy) = self.policy {
@@ -190,6 +175,19 @@ impl Component for Arbiter {
     }
 }
 
+impl Component for Arbiter {
+    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        self.policy = ctx.userpoint_id("policy");
+        Ok(())
+    }
+
+    eval_body!();
+
+    fn has_end_of_timestep(&self) -> bool {
+        false
+    }
+}
+
 /// `corelib/mux.tar` — combinational selector: `out[0] = in[sel]`.
 pub struct Mux {
     inp: usize,
@@ -206,10 +204,8 @@ impl Mux {
             out: spec.port_index("out")?,
         }))
     }
-}
 
-impl Component for Mux {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         let sel = read_int_or(ctx, self.sel, 0);
         if sel >= 0 && (sel as u32) < ctx.width(self.inp) {
             if let Some(v) = ctx.input(self.inp, sel as u32) {
@@ -217,6 +213,14 @@ impl Component for Mux {
             }
         }
         Ok(())
+    }
+}
+
+impl Component for Mux {
+    eval_body!();
+
+    fn has_end_of_timestep(&self) -> bool {
+        false
     }
 }
 
@@ -236,10 +240,8 @@ impl Demux {
             out: spec.port_index("out")?,
         }))
     }
-}
 
-impl Component for Demux {
-    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+    fn eval_on<C: CompCtx + ?Sized>(&mut self, ctx: &mut C) -> Result<(), SimError> {
         let Some(v) = ctx.input(self.inp, 0) else {
             return Ok(());
         };
@@ -248,5 +250,13 @@ impl Component for Demux {
             ctx.set_output(self.out, dest as u32, v);
         }
         Ok(())
+    }
+}
+
+impl Component for Demux {
+    eval_body!();
+
+    fn has_end_of_timestep(&self) -> bool {
+        false
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! An instruction travels through ports as a `Datum::Struct` with the
 //! fields of [`INSTR_TYPE_LSS`]; [`Instr`] and [`OpClass`] come from the
-//! codec in `lss_netlist::instr`, which the engine's kernels share.
+//! codec in `lss_netlist::instr`.
 
 use lss_netlist::INSTR_FIELDS;
 pub use lss_netlist::{Instr, OpClass};

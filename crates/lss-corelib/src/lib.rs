@@ -21,6 +21,43 @@
 // by design: the registry stores them as uniform `Factory` fns.
 #![allow(clippy::new_ret_no_self)]
 
+/// Implements [`lss_sim::Component::eval`] and
+/// [`lss_sim::Component::eval_in`] by forwarding both to the behavior's one
+/// body, `eval_on`, which is generic over `C: CompCtx + ?Sized`: RefSim
+/// and custom contexts run it through `dyn CompCtx`, the engine runs the
+/// copy specialized to its own context.
+macro_rules! eval_body {
+    () => {
+        fn eval(&mut self, ctx: &mut dyn lss_sim::CompCtx) -> Result<(), lss_sim::SimError> {
+            self.eval_on(ctx)
+        }
+
+        fn eval_in(&mut self, ctx: &mut lss_sim::Ctx<'_>) -> Result<(), lss_sim::SimError> {
+            self.eval_on(ctx)
+        }
+    };
+}
+
+/// [`eval_body!`] for `end_of_timestep`: forwards both entries to the
+/// behavior's generic `end_of_timestep_on`.
+macro_rules! end_of_timestep_body {
+    () => {
+        fn end_of_timestep(
+            &mut self,
+            ctx: &mut dyn lss_sim::CompCtx,
+        ) -> Result<(), lss_sim::SimError> {
+            self.end_of_timestep_on(ctx)
+        }
+
+        fn end_of_timestep_in(
+            &mut self,
+            ctx: &mut lss_sim::Ctx<'_>,
+        ) -> Result<(), lss_sim::SimError> {
+            self.end_of_timestep_on(ctx)
+        }
+    };
+}
+
 pub mod behaviors {
     //! Rust implementations of the corelib leaf behaviors.
     pub mod basic;

@@ -97,8 +97,8 @@ fn engine_schedule_matches_analyzer_condensation() {
             model.id
         );
         assert!(
-            sim.kernel_count() > 0,
-            "model {}: static plan lowered no kernels",
+            sim.static_leaf_count() > 0,
+            "model {}: static plan has no static-window leaves",
             model.id
         );
     }

@@ -1,11 +1,10 @@
 //! The instruction codec: the one place an instruction becomes a port
 //! datum and back.
 //!
-//! The CPU behaviors in `lss-corelib` and the engine's devirtualized
-//! kernels both move instructions through ports as `Datum::Struct` values
-//! with the fields of [`INSTR_FIELDS`]. They share this codec, so both
-//! sides build instructions over one static [`Layout`] and agree on the op
-//! codes. Decoding reads fields by position when a value carries that
+//! The CPU behaviors in `lss-corelib` move instructions through ports as
+//! `Datum::Struct` values with the fields of [`INSTR_FIELDS`]. They share
+//! this codec, so every behavior builds instructions over one static
+//! [`Layout`] and agrees on the op codes. Decoding reads fields by position when a value carries that
 //! layout, and by name otherwise (structs decoded from JSON or binary, or
 //! built with `Datum::record`, have layouts of their own).
 

@@ -14,8 +14,7 @@
 //! * [`json`] — complete JSON serialization ([`to_json`] / [`from_json`]
 //!   round-trip) for the driver's netlist cache and external tooling;
 //! * [`dump`] — ASCII-tree and GraphViz renderings;
-//! * [`instr`] — the instruction codec shared by the CPU behaviors and the
-//!   engine's kernels.
+//! * [`instr`] — the instruction codec the CPU behaviors share.
 //!
 //! # Example
 //!
@@ -35,7 +34,6 @@ pub mod instr;
 pub mod intern;
 pub mod json;
 pub mod jsonval;
-pub mod kernel;
 pub mod link;
 pub mod lint;
 pub mod netlist;
@@ -47,7 +45,6 @@ pub use instr::{instr_layout, Instr, OpClass, INSTR_FIELDS};
 pub use intern::{CollectorId, EventId, Interner, PortId, RtvId, SlotId, Symbol, UserpointId};
 pub use json::{from_json, from_value, to_json, JSON_FORMAT};
 pub use jsonval::{parse_json, JsonValue};
-pub use kernel::{KernelAluOp, KernelClass};
 pub use link::{link, DeferredConnection, DeferredEndpoint, LinkError, LinkUnit};
 pub use lint::{
     check_dangling_hierarchical, check_isolated, check_unbound_collectors, check_unconnected,

@@ -11,10 +11,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use lss_netlist::{Dir, EventId, KernelClass, ProtocolBinding, RtvId, SrcSpan, UserpointId};
+use lss_netlist::{Dir, EventId, ProtocolBinding, RtvId, SrcSpan, UserpointId};
 use lss_types::{BudgetError, BudgetKind, Datum, Ty};
 
 use crate::bsl::BslProgram;
+use crate::engine::Ctx;
 
 /// A port as seen by a component factory: name, direction, inferred width
 /// and basic type.
@@ -376,18 +377,29 @@ pub trait Component {
         self.input_is_combinational(input)
     }
 
-    /// The behavior's kernel lowering for the static scheduler, if any.
+    /// `eval` against the engine's own context.
     ///
-    /// Returning a [`KernelClass`] lets the static plan devirtualize
-    /// this instance into direct slot reads/writes over the flat value
-    /// arena (no vtable, no change-detection snapshots). The description
-    /// must mirror `eval`/`end_of_timestep` *exactly* — the kernel
-    /// equivalence suite and the differential fuzzer pin the two
-    /// implementations against each other. `None` (the default) keeps the
-    /// instance on the dyn path; the engine also declines lowerings for
-    /// instances inside combinational cycles or carrying userpoints.
-    fn kernel_class(&self) -> Option<KernelClass> {
-        None
+    /// The default forwards to [`Component::eval`] through `dyn CompCtx`,
+    /// so a behavior only needs `eval`. A behavior that writes its body
+    /// once, generic over `C: CompCtx + ?Sized`, and calls it from both
+    /// methods gets a copy specialized to [`Ctx`]: port I/O becomes direct
+    /// calls into the value arena. The engine calls this entry for every
+    /// leaf, under both schedulers.
+    fn eval_in(&mut self, ctx: &mut Ctx<'_>) -> Result<(), SimError> {
+        self.eval(ctx)
+    }
+
+    /// `end_of_timestep` against the engine's own context; see
+    /// [`Component::eval_in`].
+    fn end_of_timestep_in(&mut self, ctx: &mut Ctx<'_>) -> Result<(), SimError> {
+        self.end_of_timestep(ctx)
+    }
+
+    /// False when `end_of_timestep` does nothing, so the engine can leave
+    /// the instance out of its per-cycle state-update walk. An
+    /// `end_of_timestep` userpoint on the instance still runs.
+    fn has_end_of_timestep(&self) -> bool {
+        true
     }
 }
 

@@ -6,11 +6,12 @@
 //! 1. **Combinational settle** — every leaf component's `eval` computes its
 //!    outputs from this cycle's inputs and current state. The *static*
 //!    scheduler executes a precomputed plan: the dependency graph's
-//!    condensation grouped into stages, each component run once per cycle
-//!    (as a devirtualized kernel where its behavior has one), genuine
-//!    combinational cycles iterated to a fixpoint. The *dynamic* scheduler
-//!    is the SystemC-style baseline that re-evaluates components from a
-//!    worklist until no output changes.
+//!    condensation grouped into stages, each acyclic component run once
+//!    per cycle in its stage's static window, genuine combinational cycles
+//!    iterated to a fixpoint. The *dynamic* scheduler is the SystemC-style
+//!    baseline that re-evaluates components from a worklist until no
+//!    output changes. Both call each behavior through
+//!    [`Component::eval_in`] with the engine's concrete [`Ctx`].
 //! 2. **`end_of_timestep`** — synchronous state update, plus the
 //!    system-defined `end_of_timestep` userpoint on every instance (§4.3).
 //!
@@ -23,7 +24,8 @@
 //! # Data layout
 //!
 //! Everything touched per cycle is a dense vector indexed by integers:
-//! signal values live in one flat slot array; runtime variables and
+//! signal values live in one flat slot array, and [`Ctx`] reaches them
+//! through one flat per-port table built once; runtime variables and
 //! collector accumulators are [`SlotTable`]s addressed by [`RtvId`]-style
 //! indices; event routing is precomputed at build time into
 //! per-component listener tables (`fire_listeners` by output port,
@@ -36,7 +38,7 @@
 //! not every component: the firing loop visits only output ports with
 //! `<port>_fire` listeners or a watched instance (the firing count and the
 //! value reset use the list of slots written that cycle), the state update
-//! skips kernels whose `end_of_timestep` is a no-op, and declared-event
+//! skips behaviors whose `end_of_timestep` is a no-op, and declared-event
 //! dispatch visits only components that declare events.
 
 use std::collections::HashMap;
@@ -56,18 +58,18 @@ use crate::component::{
     BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
 };
 use crate::exec::{CompiledPlan, KernelMutation, SerialStep, StageInfo};
-use crate::kernel::{lower, KernelUnit};
 use crate::slots::SlotTable;
 
 /// Which combinational scheduler to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Precomputed staged plan (LSE's approach \[12\]): kernels where a
-    /// behavior has a lowering, the dyn `Component` path everywhere else.
+    /// Precomputed staged plan (LSE's approach \[12\]): each acyclic leaf
+    /// runs once per cycle in its stage's static window; combinational
+    /// cycles iterate to a fixpoint.
     #[default]
     Static,
-    /// Worklist fixpoint (structural-OOP / SystemC-style baseline); every
-    /// leaf runs through its dyn `Component`.
+    /// Worklist fixpoint (structural-OOP / SystemC-style baseline): every
+    /// leaf re-evaluates until no output changes.
     Dynamic,
 }
 
@@ -80,7 +82,7 @@ pub struct SimOptions {
     /// corelib source folds it into its counter). Seed 0 reproduces
     /// unseeded runs exactly.
     pub seed: i64,
-    /// Injected kernel-stage bug for differential testing
+    /// Injected static-window bug for differential testing
     /// ([`KernelMutation::None`] for correct execution).
     pub kernel_mutation: KernelMutation,
     /// Iteration cap for combinational-cycle fixpoints.
@@ -90,7 +92,6 @@ pub struct SimOptions {
     /// Validate every value sent on a port against the port's inferred
     /// type, failing the cycle on a violation. Catches behaviors that
     /// disagree with the static types; costs a structural check per send.
-    /// Disables kernel lowering (the check lives on the dyn write path).
     pub check_types: bool,
     /// Enforce declared port protocols (interface automata) at runtime,
     /// failing the cycle on a violated transition. The dynamic counterpart
@@ -163,32 +164,27 @@ struct CompState {
     eval_events: Vec<(EventId, Vec<Datum>)>,
     /// Events emitted during `end_of_timestep`.
     eot_events: Vec<(EventId, Vec<Datum>)>,
-    /// True while `end_of_timestep` is running (routes `emit`).
-    in_eot: bool,
     bsl_max_steps: u64,
     /// Cached ids of the system userpoints, resolved once at build.
     init_up: Option<UserpointId>,
     eot_up: Option<UserpointId>,
 }
 
-pub(crate) struct Core {
-    pub(crate) cycle: u64,
-    pub(crate) seed: i64,
-    pub(crate) values: Vec<Option<Datum>>,
+struct Core {
+    cycle: u64,
+    seed: i64,
+    /// One slot per output lane, plus a last slot that is never written:
+    /// unconnected input lanes read it.
+    values: Vec<Option<Datum>>,
     /// The present slots, each listed once, in the order they were
     /// written: the cycle's port firings, and what the reset at the top of
     /// the next cycle clears.
     live: Vec<usize>,
-    /// Per-slot flag: written during the current component evaluation.
+    /// Per-slot flag: written during the current tracked evaluation
+    /// (fixpoint blocks and the dynamic scheduler).
     written: Vec<bool>,
     states: Vec<CompState>,
-    /// comp -> port -> lane -> global slot (output ports only).
-    out_slots: Vec<Vec<Vec<usize>>>,
-    /// comp -> port -> lane -> driving slot (input ports only).
-    in_slots: Vec<Vec<Vec<Option<usize>>>>,
-    /// comp -> port -> width.
-    widths: Vec<Vec<u32>>,
-    /// comp -> port -> (name, inferred type); populated only when checking.
+    /// comp -> port -> (name, inferred type); empty unless checking.
     port_types: Vec<Vec<Option<(String, Ty)>>>,
     /// First type violation observed during the current eval, if any.
     type_violation: Option<String>,
@@ -196,9 +192,23 @@ pub(crate) struct Core {
 
 impl Core {
     /// Stores a port value and lists its slot for the next reset.
-    pub(crate) fn write(&mut self, slot: usize, value: Datum) {
+    #[inline]
+    fn write(&mut self, slot: usize, value: Datum) {
         if self.values[slot].replace(value).is_none() {
             self.live.push(slot);
+        }
+    }
+
+    /// Records the first value sent against its port's inferred type
+    /// ([`SimOptions::check_types`]).
+    #[cold]
+    #[inline(never)]
+    fn check_type(&mut self, comp: usize, port: usize, value: &Datum) {
+        if let Some(Some((name, ty))) = self.port_types[comp].get(port) {
+            if !value.conforms_to(ty) && self.type_violation.is_none() {
+                self.type_violation =
+                    Some(format!("port `{name}` expects {ty}, behavior sent {value}"));
+            }
         }
     }
 
@@ -212,10 +222,10 @@ impl Core {
         }
     }
 
-    /// Applies an injected [`KernelMutation`] to the kernel writes of the
-    /// stage that just ran: `live[mark..]`, in write order, since every
-    /// kernel output slot starts the cycle absent. Writes the mutation holds
-    /// back go to `held`, for the caller to make after settle.
+    /// Applies an injected [`KernelMutation`] to the writes of the static
+    /// window that just ran: `live[mark..]`, in write order, since every
+    /// output slot starts the cycle absent. Writes the mutation holds back
+    /// go to `held`, for the caller to make after settle.
     fn mutate_stage(
         &mut self,
         mutation: KernelMutation,
@@ -247,61 +257,152 @@ impl Core {
     }
 }
 
-struct Ctx<'a> {
+/// One port of one leaf in the flat port table.
+#[derive(Debug, Clone, Copy)]
+struct PortRow {
+    /// Output: the first of `width` consecutive arena slots. Input: the
+    /// first of `width` entries in [`Layout::in_lanes`].
+    base: u32,
+    /// Inferred width (connected lanes).
+    width: u32,
+    out: bool,
+}
+
+/// Where every port lane lives, filled once by [`build`].
+struct Layout {
+    /// Every leaf's ports, leaf by leaf, in port order.
+    rows: Vec<PortRow>,
+    /// comp -> its first row; `n + 1` entries.
+    first_row: Vec<usize>,
+    /// Input lane -> driving slot (the never-written last slot when
+    /// unconnected).
+    in_lanes: Vec<u32>,
+    /// comp -> its first output slot; `n + 1` entries. A leaf's output
+    /// slots are consecutive, port by port.
+    first_slot: Vec<usize>,
+}
+
+impl Layout {
+    #[inline]
+    fn ports(&self, comp: usize) -> &[PortRow] {
+        &self.rows[self.first_row[comp]..self.first_row[comp + 1]]
+    }
+
+    fn out_slots(&self, comp: usize) -> std::ops::Range<usize> {
+        self.first_slot[comp]..self.first_slot[comp + 1]
+    }
+
+    /// The arena slot of an output lane, if the port is an output and the
+    /// lane is connected.
+    fn out_slot(&self, comp: usize, port: usize, lane: usize) -> Option<usize> {
+        let row = self.ports(comp).get(port)?;
+        (row.out && lane < row.width as usize).then(|| row.base as usize + lane)
+    }
+
+    /// The output slots of one port.
+    fn port_slots(&self, comp: usize, port: usize) -> std::ops::Range<usize> {
+        match self.ports(comp).get(port) {
+            Some(row) if row.out => row.base as usize..(row.base + row.width) as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// The driving slots of one input port.
+    fn in_port_slots(&self, comp: usize, port: usize) -> &[u32] {
+        match self.ports(comp).get(port) {
+            Some(row) if !row.out => {
+                &self.in_lanes[row.base as usize..(row.base + row.width) as usize]
+            }
+            _ => &[],
+        }
+    }
+}
+
+/// The engine's port-I/O context for one leaf: [`CompCtx`] over the flat
+/// value arena, with the leaf's port rows in hand.
+///
+/// Behaviors receive it in [`Component::eval_in`] and
+/// [`Component::end_of_timestep_in`] and use it only through [`CompCtx`];
+/// its fields are private to the engine.
+pub struct Ctx<'a> {
     core: &'a mut Core,
+    ports: &'a [PortRow],
+    in_lanes: &'a [u32],
     comp: usize,
+    /// Running `end_of_timestep` (routes `emit`).
+    in_eot: bool,
+    /// Record written slots in [`Core::written`] (fixpoint blocks and the
+    /// dynamic scheduler retract what an evaluation did not rewrite).
+    track: bool,
+}
+
+impl<'a> Ctx<'a> {
+    #[inline]
+    fn new(core: &'a mut Core, layout: &'a Layout, comp: usize) -> Self {
+        Ctx {
+            core,
+            ports: layout.ports(comp),
+            in_lanes: &layout.in_lanes,
+            comp,
+            in_eot: false,
+            track: false,
+        }
+    }
 }
 
 impl CompCtx for Ctx<'_> {
+    #[inline]
     fn cycle(&self) -> u64 {
         self.core.cycle
     }
 
+    #[inline]
     fn seed(&self) -> i64 {
         self.core.seed
     }
 
+    #[inline(always)]
     fn input(&self, port: usize, lane: u32) -> Option<Datum> {
-        let slot = self.core.in_slots[self.comp]
-            .get(port)?
-            .get(lane as usize)?
-            .as_ref()?;
-        self.core.values[*slot].clone()
+        let row = self.ports.get(port)?;
+        if row.out || lane >= row.width {
+            return None;
+        }
+        let slot = self.in_lanes[(row.base + lane) as usize];
+        self.core.values[slot as usize].clone()
     }
 
+    #[inline(always)]
     fn set_output(&mut self, port: usize, lane: u32, value: Datum) {
-        let Some(&slot) = self.core.out_slots[self.comp]
-            .get(port)
-            .and_then(|p| p.get(lane as usize))
-        else {
+        let Some(row) = self.ports.get(port) else {
+            return;
+        };
+        if !row.out || lane >= row.width {
             // Writing an unconnected lane is a no-op (unconnected-port
             // semantics: nobody is listening).
             return;
-        };
-        if let Some(Some((name, ty))) = self
-            .core
-            .port_types
-            .get(self.comp)
-            .and_then(|ps| ps.get(port))
-        {
-            if !value.conforms_to(ty) && self.core.type_violation.is_none() {
-                self.core.type_violation =
-                    Some(format!("port `{name}` expects {ty}, behavior sent {value}"));
-            }
+        }
+        let slot = (row.base + lane) as usize;
+        if !self.core.port_types.is_empty() {
+            self.core.check_type(self.comp, port, &value);
         }
         self.core.write(slot, value);
-        self.core.written[slot] = true;
+        if self.track {
+            self.core.written[slot] = true;
+        }
     }
 
+    #[inline(always)]
     fn output(&self, port: usize, lane: u32) -> Option<Datum> {
-        let slot = *self.core.out_slots[self.comp]
-            .get(port)?
-            .get(lane as usize)?;
-        self.core.values[slot].clone()
+        let row = self.ports.get(port)?;
+        if !row.out || lane >= row.width {
+            return None;
+        }
+        self.core.values[(row.base + lane) as usize].clone()
     }
 
+    #[inline(always)]
     fn width(&self, port: usize) -> u32 {
-        self.core.widths[self.comp].get(port).copied().unwrap_or(0)
+        self.ports.get(port).map_or(0, |row| row.width)
     }
 
     fn rtv_id(&self, name: &str) -> Option<RtvId> {
@@ -315,10 +416,12 @@ impl CompCtx for Ctx<'_> {
         RtvId::from_index(self.core.states[self.comp].rtvs.ensure(name, default))
     }
 
+    #[inline]
     fn rtv_by_id(&self, id: RtvId) -> Datum {
         self.core.states[self.comp].rtvs.value(id.index()).clone()
     }
 
+    #[inline]
     fn set_rtv_by_id(&mut self, id: RtvId, value: Datum) {
         self.core.states[self.comp].rtvs.set(id.index(), value);
     }
@@ -363,7 +466,7 @@ impl CompCtx for Ctx<'_> {
 
     fn emit_by_id(&mut self, event: EventId, args: Vec<Datum>) {
         let state = &mut self.core.states[self.comp];
-        if state.in_eot {
+        if self.in_eot {
             state.eot_events.push((event, args));
         } else {
             state.eval_events.push((event, args));
@@ -401,6 +504,7 @@ enum Listeners {
 /// A runnable simulation built from a typed netlist.
 pub struct Simulator {
     core: Core,
+    layout: Layout,
     comps: Vec<Box<dyn Component>>,
     paths: Vec<String>,
     /// Sorted `(path, comp)` pairs; binary-searched at the API boundary.
@@ -408,12 +512,6 @@ pub struct Simulator {
     port_names: Vec<Vec<String>>,
     /// The static scheduler's staged plan.
     plan: CompiledPlan,
-    /// Lowered kernels, contiguous per stage ([`StageInfo`] windows).
-    kernels: Vec<KernelUnit>,
-    /// comp -> index into `kernels` for kernel-executed components.
-    kernel_of: Vec<Option<usize>>,
-    /// comp -> all output slots, flattened (eval bookkeeping).
-    out_flat: Vec<Vec<usize>>,
     /// Scratch buffer for eval change detection, reused across evals.
     prev_scratch: Vec<Option<Datum>>,
     /// comp -> downstream comps (for the dynamic scheduler).
@@ -426,9 +524,10 @@ pub struct Simulator {
     /// Output ports with fire listeners or a watched instance, sorted by
     /// `(comp, port)`; rebuilt by [`Simulator::watch`].
     fire_sites: Vec<FireSite>,
-    /// Components whose `end_of_timestep` can do work, in component order
-    /// (every dyn component; kernels with state to update).
-    eot_comps: Vec<usize>,
+    /// Components whose `end_of_timestep` can do work, in component order,
+    /// with their `end_of_timestep` userpoint: behaviors with state to
+    /// update, and instances with such a userpoint.
+    eot_comps: Vec<(usize, Option<UserpointId>)>,
     /// Components that declare at least one event, in component order.
     event_comps: Vec<usize>,
     /// Argument names bound for `<port>_fire` dispatch.
@@ -506,13 +605,6 @@ struct ProtocolMonitor {
     states: Vec<String>,
     transitions: Vec<(u32, ActionDir, String, u32)>,
     kind: MonitorKind,
-}
-
-struct Placeholder;
-impl Component for Placeholder {
-    fn eval(&mut self, _ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        Ok(())
-    }
 }
 
 /// Records a leaf behavior's dependency contract into a [`CombInfo`]:
@@ -630,48 +722,48 @@ pub fn build(
     }
     let n = leaf_ids.len();
 
-    // Assign output slots; map inputs through flattened wires.
-    let mut out_slots: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n];
-    let mut in_slots: Vec<Vec<Vec<Option<usize>>>> = vec![Vec::new(); n];
-    let mut widths: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut slot_count = 0usize;
-    for (c, &id) in leaf_ids.iter().enumerate() {
-        let inst = netlist.instance(id);
-        for port in &inst.ports {
-            widths[c].push(port.width);
-            match port.dir {
-                Dir::Out => {
-                    let lanes = (0..port.width)
-                        .map(|_| {
-                            let s = slot_count;
-                            slot_count += 1;
-                            s
-                        })
-                        .collect();
-                    out_slots[c].push(lanes);
-                    in_slots[c].push(Vec::new());
-                }
-                Dir::In => {
-                    out_slots[c].push(Vec::new());
-                    in_slots[c].push(vec![None; port.width as usize]);
-                }
-            }
+    // Lay out the flat port table: output lanes get consecutive arena
+    // slots, leaf by leaf; input lanes get entries in `in_lanes`, pointed
+    // at their driving slots through the flattened wires below.
+    let mut rows: Vec<PortRow> = Vec::new();
+    let mut first_row = Vec::with_capacity(n + 1);
+    let mut first_slot = Vec::with_capacity(n + 1);
+    let mut in_count = 0u32;
+    let mut slot_count = 0u32;
+    for &id in &leaf_ids {
+        first_row.push(rows.len());
+        first_slot.push(slot_count as usize);
+        for port in &netlist.instance(id).ports {
+            let out = port.dir == Dir::Out;
+            let next = if out { &mut slot_count } else { &mut in_count };
+            rows.push(PortRow {
+                base: *next,
+                width: port.width,
+                out,
+            });
+            *next += port.width;
         }
     }
-    // The firing count relies on this: every arena slot is an output lane.
-    debug_assert_eq!(
-        out_slots.iter().flatten().map(Vec::len).sum::<usize>(),
-        slot_count
-    );
+    first_row.push(rows.len());
+    first_slot.push(slot_count as usize);
+    let slot_count = slot_count as usize;
+    // Unconnected input lanes read the extra, never-written last slot.
+    let mut layout = Layout {
+        rows,
+        first_row,
+        in_lanes: vec![slot_count as u32; in_count as usize],
+        first_slot,
+    };
     let wires = netlist.flatten();
     let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    // (dst comp, dst port, lane) resolved after components exist for
-    // comb-dependency queries; first fill slot mapping.
     for wire in &wires {
         let src_comp = comp_of_inst[&wire.src.inst];
         let dst_comp = comp_of_inst[&wire.dst.inst];
-        let slot = out_slots[src_comp][wire.src.port.index()][wire.src.index as usize];
-        in_slots[dst_comp][wire.dst.port.index()][wire.dst.index as usize] = Some(slot);
+        let slot = layout
+            .out_slot(src_comp, wire.src.port.index(), wire.src.index as usize)
+            .expect("a wire leaves a connected output lane");
+        let dst = layout.ports(dst_comp)[wire.dst.port.index()];
+        layout.in_lanes[(dst.base + wire.dst.index) as usize] = slot as u32;
         if !consumers[src_comp].contains(&dst_comp) {
             consumers[src_comp].push(dst_comp);
         }
@@ -680,7 +772,7 @@ pub fn build(
     // Build behaviors. Names cross the string->ID boundary here: everything
     // the per-cycle path needs is resolved from netlist symbols into dense
     // per-component tables.
-    let mut comps: Vec<Box<dyn Component>> = Vec::with_capacity(n);
+    let mut specs = Vec::with_capacity(n);
     let mut states: Vec<CompState> = Vec::with_capacity(n);
     let mut paths = Vec::with_capacity(n);
     let mut port_names = Vec::with_capacity(n);
@@ -756,8 +848,7 @@ pub fn build(
                 .collect(),
             protocols: inst.protocols.clone(),
         };
-        let comp = registry.build(tar_file, &spec)?;
-        comps.push(comp);
+        specs.push((tar_file, spec));
         states.push(CompState {
             rtvs,
             userpoints: userpoints_rt,
@@ -768,7 +859,6 @@ pub fn build(
                 .collect(),
             eval_events: Vec::new(),
             eot_events: Vec::new(),
-            in_eot: false,
             bsl_max_steps: opts.bsl_max_steps,
             init_up,
             eot_up,
@@ -782,14 +872,20 @@ pub fn build(
         );
     }
 
+    // The behaviors are built in a loop of their own, so consecutive
+    // leaves' state sits close together in memory for the per-cycle walks.
+    let comps = specs
+        .iter()
+        .map(|(tar_file, spec)| registry.build(tar_file, spec))
+        .collect::<Result<Vec<_>, _>>()?;
+    drop(specs);
+
     // Static plan: ask the behaviors which inputs their eval reads, then
     // condense the analyzer's dependency graph — the same graph `lssc
     // check`'s cycle detector reports on — and group its SCCs into stages
-    // of mutually independent units. Each acyclic singleton whose behavior
-    // describes a kernel is lowered; everything else (dyn behaviors,
-    // fixpoint blocks, instances with userpoints) stays on the serial dyn
-    // path inside its stage. The dynamic scheduler and the `check_types`
-    // write check both need every leaf on the dyn path, so neither lowers.
+    // of mutually independent units. Each acyclic singleton without
+    // userpoints joins its stage's static window; fixpoint blocks and
+    // instances with userpoints run as serial steps after it.
     let mut comb = CombInfo::all_combinational();
     for (c, &id) in leaf_ids.iter().enumerate() {
         fill_comb_info(&mut comb, netlist.instance(id), comps[c].as_ref());
@@ -797,42 +893,27 @@ pub fn build(
     let deps = leaf_dep_graph(netlist, &wires, &comb);
     debug_assert_eq!(deps.leaves, leaf_ids, "analyzer and engine leaf order");
     let cond = deps.graph.condense();
-    let lowering = opts.scheduler == Scheduler::Static && !opts.check_types;
     let mut plan = CompiledPlan::default();
-    let mut kernels: Vec<KernelUnit> = Vec::new();
-    let mut kernel_of: Vec<Option<usize>> = vec![None; n];
     for stage_sccs in cond.stages(&deps.graph) {
-        let kstart = kernels.len();
+        let lstart = plan.leaves.len();
         let sstart = plan.serial_steps.len();
         for &si in &stage_sccs {
             let scc = &cond.sccs[si];
             let cyclic = cond.cyclic[si];
-            let c = scc[0];
-            let lowered = if lowering && !cyclic && states[c].userpoints.is_empty() {
-                comps[c].kernel_class().and_then(|class| {
-                    lower(c, &class, &out_slots[c], &in_slots[c], &mut states[c].rtvs)
-                })
+            if !cyclic && states[scc[0]].userpoints.is_empty() {
+                plan.leaves.push(scc[0]);
             } else {
-                None
-            };
-            match lowered {
-                Some(unit) => {
-                    kernel_of[c] = Some(kernels.len());
-                    kernels.push(unit);
-                }
-                None => {
-                    plan.serial_steps.push(SerialStep {
-                        start: plan.serial_order.len(),
-                        len: scc.len(),
-                        fixpoint: cyclic,
-                    });
-                    plan.serial_order.extend_from_slice(scc);
-                }
+                plan.serial_steps.push(SerialStep {
+                    start: plan.serial_order.len(),
+                    len: scc.len(),
+                    fixpoint: cyclic,
+                });
+                plan.serial_order.extend_from_slice(scc);
             }
         }
         plan.stages.push(StageInfo {
-            kstart,
-            klen: kernels.len() - kstart,
+            lstart,
+            llen: plan.leaves.len() - lstart,
             sstart,
             slen: plan.serial_steps.len() - sstart,
         });
@@ -843,7 +924,7 @@ pub fn build(
     // events index `fire_listeners` by output port.
     let mut collectors = Vec::new();
     let mut fire_listeners: Vec<Vec<Vec<usize>>> = (0..n)
-        .map(|c| vec![Vec::new(); out_slots[c].len()])
+        .map(|c| vec![Vec::new(); layout.ports(c).len()])
         .collect();
     let mut event_listeners: Vec<Vec<Vec<usize>>> = (0..n)
         .map(|c| vec![Vec::new(); states[c].event_names.len()])
@@ -906,17 +987,12 @@ pub fn build(
             })
             .collect()
     } else {
-        vec![Vec::new(); n]
+        Vec::new()
     };
-    let out_flat: Vec<Vec<usize>> = out_slots
-        .iter()
-        .map(|ports| ports.iter().flatten().copied().collect())
+    let eot_comps: Vec<(usize, Option<UserpointId>)> = (0..n)
+        .map(|c| (c, states[c].eot_up))
+        .filter(|&(c, up)| comps[c].has_end_of_timestep() || up.is_some())
         .collect();
-    let eot_comps: Vec<usize> = (0..n)
-        .filter(|&c| kernel_of[c].is_none_or(|k| kernels[k].kernel.has_end_of_timestep()))
-        .collect();
-    // Kernel-lowered components stay eligible: `init` runs every
-    // component's dyn behavior, which may emit.
     let event_comps: Vec<usize> = (0..n)
         .filter(|&c| !states[c].event_names.is_empty())
         .collect();
@@ -985,24 +1061,19 @@ pub fn build(
         core: Core {
             cycle: 0,
             seed: opts.seed,
-            values: vec![None; slot_count],
+            values: vec![None; slot_count + 1],
             live: Vec::new(),
             written: vec![false; slot_count],
             states,
             port_types,
             type_violation: None,
-            out_slots,
-            in_slots,
-            widths,
         },
+        layout,
         comps,
         paths,
         path_index,
         port_names,
         plan,
-        kernels,
-        kernel_of,
-        out_flat,
         prev_scratch: Vec::new(),
         consumers,
         collectors,
@@ -1031,10 +1102,11 @@ impl Simulator {
         self.comps.len()
     }
 
-    /// Number of components executing as kernels (0 under the dynamic
-    /// scheduler or with [`SimOptions::check_types`]).
-    pub fn kernel_count(&self) -> usize {
-        self.kernels.len()
+    /// Number of leaves in the static plan's stage windows: acyclic
+    /// leaves without userpoints, each evaluated once per cycle with no
+    /// change detection. The dynamic scheduler does not use the plan.
+    pub fn static_leaf_count(&self) -> usize {
+        self.plan.leaves.len()
     }
 
     /// Number of dependency stages in the static plan.
@@ -1043,16 +1115,16 @@ impl Simulator {
     }
 
     /// The static plan as executed, stage by stage: each unit's components
-    /// and whether it is a combinational-cycle fixpoint block. Kernels come
-    /// first within a stage, then the serial dyn units.
+    /// and whether it is a combinational-cycle fixpoint block. The static
+    /// window's leaves come first within a stage, then the serial units.
     pub fn plan_stages(&self) -> Vec<Vec<(&[usize], bool)>> {
         self.plan
             .stages
             .iter()
             .map(|st| {
-                let kernels = self.kernels[st.kstart..st.kstart + st.klen]
+                let leaves = self.plan.leaves[st.lstart..st.lstart + st.llen]
                     .iter()
-                    .map(|k| (std::slice::from_ref(&k.comp), false));
+                    .map(|c| (std::slice::from_ref(c), false));
                 let serial = self.plan.serial_steps[st.sstart..st.sstart + st.slen]
                     .iter()
                     .map(|s| {
@@ -1061,18 +1133,8 @@ impl Simulator {
                             s.fixpoint,
                         )
                     });
-                kernels.chain(serial).collect()
+                leaves.chain(serial).collect()
             })
-            .collect()
-    }
-
-    /// Per-leaf lowering outcome: `(path, lowered_to_kernel)`, in component
-    /// order. Diagnostics for tooling and the equivalence suite.
-    pub fn kernel_report(&self) -> Vec<(&str, bool)> {
-        self.paths
-            .iter()
-            .enumerate()
-            .map(|(c, p)| (p.as_str(), self.kernel_of[c].is_some()))
             .collect()
     }
 
@@ -1086,34 +1148,38 @@ impl Simulator {
         self.stats
     }
 
-    fn with_comp<R>(
-        &mut self,
-        comp: usize,
-        f: impl FnOnce(&mut Box<dyn Component>, &mut Ctx<'_>) -> R,
-    ) -> R {
-        let mut boxed = std::mem::replace(&mut self.comps[comp], Box::new(Placeholder));
-        let mut ctx = Ctx {
-            core: &mut self.core,
-            comp,
-        };
-        let result = f(&mut boxed, &mut ctx);
-        self.comps[comp] = boxed;
-        result
-    }
-
-    /// Evaluates one component. The static plan's acyclic serial steps
-    /// call this directly: such a component runs once per cycle on outputs
+    /// Evaluates one component, dropping the emissions of its previous
+    /// evaluation. The static plan's serial steps outside fixpoint blocks
+    /// call this untracked: such a component runs once per cycle on outputs
     /// that start the cycle absent, so there is nothing to retract and no
     /// change to detect.
-    fn eval_once(&mut self, comp: usize) -> Result<(), SimError> {
+    fn eval_once(&mut self, comp: usize, track: bool) -> Result<(), SimError> {
         self.stats.comp_evals += 1;
         self.core.states[comp].eval_events.clear();
-        self.with_comp(comp, |c, ctx| c.eval(ctx))
-            .map_err(|e| self.locate(comp, e))?;
-        if let Some(violation) = self.core.type_violation.take() {
-            return Err(self.locate(comp, SimError::new(violation)));
+        self.eval_leaf(comp, track)
+    }
+
+    /// Runs `comp`'s `eval_in`, then reports its error or its first type
+    /// violation (only [`SimOptions::check_types`] records any).
+    #[inline]
+    fn eval_leaf(&mut self, comp: usize, track: bool) -> Result<(), SimError> {
+        let mut ctx = Ctx::new(&mut self.core, &self.layout, comp);
+        ctx.track = track;
+        let result = self.comps[comp].eval_in(&mut ctx);
+        if result.is_err() || self.opts.check_types {
+            return self.eval_outcome(comp, result);
         }
         Ok(())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn eval_outcome(&mut self, comp: usize, result: Result<(), SimError>) -> Result<(), SimError> {
+        result.map_err(|e| self.locate(comp, e))?;
+        match self.core.type_violation.take() {
+            Some(violation) => Err(self.locate(comp, SimError::new(violation))),
+            None => Ok(()),
+        }
     }
 
     /// Evaluates one component inside a fixpoint block or under the
@@ -1124,26 +1190,18 @@ impl Simulator {
         // output lane it does not write this time is retracted afterwards —
         // that keeps fixpoint re-evaluation able to withdraw stale values
         // (essential for credit networks).
+        let slots = self.layout.out_slots(comp);
         let mut before = std::mem::take(&mut self.prev_scratch);
         before.clear();
-        before.extend(
-            self.out_flat[comp]
-                .iter()
-                .map(|&s| self.core.values[s].clone()),
-        );
-        for &s in &self.out_flat[comp] {
-            self.core.written[s] = false;
-        }
-        self.eval_once(comp)?;
-        for &s in &self.out_flat[comp] {
+        before.extend_from_slice(&self.core.values[slots.clone()]);
+        self.core.written[slots.clone()].fill(false);
+        self.eval_once(comp, true)?;
+        for s in slots.clone() {
             if !self.core.written[s] {
                 self.core.retract(s);
             }
         }
-        let changed = self.out_flat[comp]
-            .iter()
-            .zip(&before)
-            .any(|(&s, prev)| self.core.values[s] != *prev);
+        let changed = self.core.values[slots] != before[..];
         self.prev_scratch = before;
         Ok(changed)
     }
@@ -1158,20 +1216,18 @@ impl Simulator {
 
     /// Number of lanes of `port` carrying a value after settle.
     fn port_item_count(&self, comp: usize, port: usize, out: bool) -> usize {
+        let values = &self.core.values;
         if out {
-            self.core.out_slots[comp].get(port).map_or(0, |lanes| {
-                lanes
-                    .iter()
-                    .filter(|&&s| self.core.values[s].is_some())
-                    .count()
-            })
+            self.layout
+                .port_slots(comp, port)
+                .filter(|&s| values[s].is_some())
+                .count()
         } else {
-            self.core.in_slots[comp].get(port).map_or(0, |lanes| {
-                lanes
-                    .iter()
-                    .filter(|s| s.is_some_and(|s| self.core.values[s].is_some()))
-                    .count()
-            })
+            self.layout
+                .in_port_slots(comp, port)
+                .iter()
+                .filter(|&&s| values[s as usize].is_some())
+                .count()
         }
     }
 
@@ -1273,16 +1329,18 @@ impl Simulator {
     pub fn init(&mut self) -> Result<(), SimError> {
         assert!(!self.initialized, "init() called twice");
         for comp in 0..self.comps.len() {
-            self.with_comp(comp, |c, ctx| c.init(ctx))
-                .map_err(|e| self.locate(comp, e))?;
-            if let Some(up) = self.core.states[comp].init_up {
-                let mut ctx = Ctx {
-                    core: &mut self.core,
-                    comp,
-                };
-                ctx.call_userpoint_by_id(up, &[])
-                    .map_err(|e| self.locate(comp, e))?;
+            let mut ctx = Ctx::new(&mut self.core, &self.layout, comp);
+            let mut result = self.comps[comp].init(&mut ctx);
+            if let (Ok(()), Some(up)) = (&result, ctx.core.states[comp].init_up) {
+                result = ctx.call_userpoint_by_id(up, &[]).map(drop);
             }
+            result.map_err(|e| self.locate(comp, e))?;
+        }
+        // An eval's emissions replace earlier ones, so `init`'s never
+        // reach a collector. Static-window leaves evaluate once per cycle
+        // and leave the clearing to the dispatch that drains them.
+        for state in &mut self.core.states {
+            state.eval_events.clear();
         }
         self.initialized = true;
         Ok(())
@@ -1316,34 +1374,20 @@ impl Simulator {
         if self.opts.check_protocols {
             self.enforce_protocols()?;
         }
-        // Synchronous state update. Kernel-executed components update their
-        // devirtualized state directly (their runtime variables stay in the
-        // shared per-component table so `state_lines()` sees them); the
-        // rest take the dyn path. Lowering is gated on the instance having
-        // no userpoints, so the `end_of_timestep` userpoint hook cannot be
-        // skipped by a kernel, and kernels whose update is a no-op are not
-        // in the list at all.
+        // Synchronous state update, then the `end_of_timestep` userpoint.
+        // Behaviors whose update is a no-op and that carry no such
+        // userpoint are not in the list at all.
         for i in 0..self.eot_comps.len() {
-            let comp = self.eot_comps[i];
-            if let Some(k) = self.kernel_of[comp] {
-                self.kernels[k]
-                    .kernel
-                    .end_of_timestep(&self.core.values, &mut self.core.states[comp].rtvs)
-                    .map_err(|e| self.locate(comp, e))?;
-                continue;
+            let (comp, eot_up) = self.eot_comps[i];
+            let mut ctx = Ctx::new(&mut self.core, &self.layout, comp);
+            ctx.in_eot = true;
+            let mut result = self.comps[comp].end_of_timestep_in(&mut ctx);
+            if let (Ok(()), Some(up)) = (&result, eot_up) {
+                result = ctx.call_userpoint_by_id(up, &[]).map(drop);
             }
-            self.core.states[comp].in_eot = true;
-            self.with_comp(comp, |c, ctx| c.end_of_timestep(ctx))
-                .map_err(|e| self.locate(comp, e))?;
-            if let Some(up) = self.core.states[comp].eot_up {
-                let mut ctx = Ctx {
-                    core: &mut self.core,
-                    comp,
-                };
-                ctx.call_userpoint_by_id(up, &[])
-                    .map_err(|e| self.locate(comp, e))?;
+            if let Err(e) = result {
+                return Err(self.locate(comp, e));
             }
-            self.core.states[comp].in_eot = false;
         }
         self.dispatch_declared_events()?;
         self.core.cycle += 1;
@@ -1359,9 +1403,9 @@ impl Simulator {
         Ok(())
     }
 
-    /// Evaluates one serial step through the dyn path: a single
-    /// component, or a combinational-cycle fixpoint block iterated until
-    /// its outputs stop changing.
+    /// Evaluates one serial step: a single component, or a
+    /// combinational-cycle fixpoint block iterated until its outputs stop
+    /// changing.
     fn settle_window(&mut self, step: SerialStep) -> Result<(), SimError> {
         let SerialStep {
             start,
@@ -1369,7 +1413,7 @@ impl Simulator {
             fixpoint,
         } = step;
         if !fixpoint {
-            return self.eval_once(self.plan.serial_order[start]);
+            return self.eval_once(self.plan.serial_order[start], false);
         }
         let mut iters = 0;
         loop {
@@ -1396,23 +1440,20 @@ impl Simulator {
         Ok(())
     }
 
-    /// The static settle loop: per dependency stage, evaluate the stage's
-    /// kernels, which write straight into the arena, then run the stage's
-    /// serial units through the dyn path. Stage members are mutually
+    /// The static settle loop: per dependency stage, evaluate the leaves
+    /// of the stage's static window, which write straight into the arena,
+    /// then run the stage's serial steps. Stage members are mutually
     /// independent, so the result is that of any topological order.
     fn settle_staged(&mut self) -> Result<(), SimError> {
         let mut held = Vec::new();
         for si in 0..self.plan.stages.len() {
             let stage = self.plan.stages[si];
-            if stage.klen > 0 {
+            if stage.llen > 0 {
                 let mark = self.core.live.len();
-                for unit in &mut self.kernels[stage.kstart..stage.kstart + stage.klen] {
-                    if let Err(e) = unit.kernel.eval(&mut self.core) {
-                        let comp = unit.comp;
-                        return Err(self.locate(comp, e));
-                    }
+                for i in stage.lstart..stage.lstart + stage.llen {
+                    self.eval_leaf(self.plan.leaves[i], false)?;
                 }
-                self.stats.comp_evals += stage.klen as u64;
+                self.stats.comp_evals += stage.llen as u64;
                 self.core
                     .mutate_stage(self.opts.kernel_mutation, mark, &mut held);
             }
@@ -1458,13 +1499,16 @@ impl Simulator {
     /// the watch prefixes.
     fn rebuild_fire_sites(&mut self) {
         let mut sites = Vec::new();
-        for (comp, ports) in self.core.out_slots.iter().enumerate() {
+        for comp in 0..self.comps.len() {
             let watched = self
                 .watch_prefixes
                 .iter()
                 .any(|p| self.paths[comp].starts_with(p.as_str()));
-            for (port, lanes) in ports.iter().enumerate() {
-                if !lanes.is_empty() && (watched || !self.fire_listeners[comp][port].is_empty()) {
+            for (port, row) in self.layout.ports(comp).iter().enumerate() {
+                if row.out
+                    && row.width > 0
+                    && (watched || !self.fire_listeners[comp][port].is_empty())
+                {
                     sites.push(FireSite {
                         comp,
                         port,
@@ -1488,8 +1532,8 @@ impl Simulator {
                 watched,
             } = self.fire_sites[i];
             let has_listeners = !self.fire_listeners[comp][port].is_empty();
-            for lane in 0..self.core.out_slots[comp][port].len() {
-                let slot = self.core.out_slots[comp][port][lane];
+            let slots = self.layout.port_slots(comp, port);
+            for (lane, slot) in slots.clone().enumerate() {
                 let Some(value) = &self.core.values[slot] else {
                     continue;
                 };
@@ -1589,7 +1633,7 @@ impl Simulator {
     pub fn peek(&self, path: &str, port: &str, lane: u32) -> Option<Datum> {
         let comp = self.comp_of_path(path)?;
         let pidx = self.port_names[comp].iter().position(|p| p == port)?;
-        let slot = *self.core.out_slots[comp].get(pidx)?.get(lane as usize)?;
+        let slot = self.layout.out_slot(comp, pidx, lane as usize)?;
         self.core.values[slot].clone()
     }
 
@@ -1651,8 +1695,8 @@ impl Simulator {
         let mut out = Vec::new();
         for comp in 0..self.comps.len() {
             let path = &self.paths[comp];
-            for (port, lanes) in self.core.out_slots[comp].iter().enumerate() {
-                for (lane, &slot) in lanes.iter().enumerate() {
+            for port in 0..self.port_names[comp].len() {
+                for (lane, slot) in self.layout.port_slots(comp, port).enumerate() {
                     if let Some(value) = &self.core.values[slot] {
                         out.push(format!(
                             "port {path}.{}[{lane}] = {value}",

@@ -13,12 +13,13 @@
 //! * [`engine`] — the cycle engine with the static scheduler (the staged
 //!   plan over the analyzer's condensation, LSE's optimization of \[12\])
 //!   and a SystemC-style dynamic (worklist fixpoint) baseline, plus the
-//!   aspect-oriented event/collector instrumentation of §4.5;
-//! * [`kernel`] — devirtualized corelib behaviors for the static plan:
-//!   monomorphized slot-level kernels lowered from
-//!   [`lss_netlist::KernelClass`] metadata;
-//! * [`exec`] — the static plan's stages and the injected kernel mutations
-//!   for the differential harness;
+//!   aspect-oriented event/collector instrumentation of §4.5. Both
+//!   schedulers call every leaf through [`Component::eval_in`] with the
+//!   engine's concrete [`Ctx`]; a behavior written once, generic over
+//!   [`CompCtx`], is thereby specialized to the value arena, as LSE's code
+//!   generator specializes one BSL source per component;
+//! * [`exec`] — the static plan's stages and the injected static-window
+//!   mutations for the differential harness;
 //! * [`wave`] — VCD and ASCII waveform output from the firing log.
 
 #![warn(missing_docs)]
@@ -27,7 +28,6 @@ pub mod bsl;
 pub mod component;
 pub mod engine;
 pub mod exec;
-pub mod kernel;
 pub mod slots;
 pub mod wave;
 
@@ -35,8 +35,7 @@ pub use bsl::{compile_bsl, datum_binary, exec, BslEnv, BslProgram};
 pub use component::{
     BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
 };
-pub use engine::{build, comb_info, FiringRecord, Scheduler, SimOptions, SimStats, Simulator};
+pub use engine::{build, comb_info, Ctx, FiringRecord, Scheduler, SimOptions, SimStats, Simulator};
 pub use exec::{CompiledPlan, KernelMutation};
-pub use kernel::{Kernel, KernelUnit};
 pub use slots::SlotTable;
 pub use wave::{to_ascii, to_vcd};

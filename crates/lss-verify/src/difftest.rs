@@ -28,7 +28,7 @@ pub struct DiffOptions {
     /// Injected reference bug (mutation testing only; [`Mutation::None`]
     /// for real verification runs).
     pub mutation: Mutation,
-    /// Injected kernel-stage bug in the engine under test (mutation
+    /// Injected stage-window bug in the engine under test (mutation
     /// testing only; [`KernelMutation::None`] for real verification runs).
     /// It must surface as a `Trace` or `EngineError` against the reference.
     pub kernel_mutation: KernelMutation,
@@ -197,7 +197,7 @@ pub fn diff_netlist(
     opts: &DiffOptions,
 ) -> Result<Option<Discrepancy>, String> {
     driver.sim_options.scheduler = opts.scheduler;
-    // The kernel mutation breaks this engine only, not simulators built
+    // The window mutation breaks this engine only, not simulators built
     // later from the same session.
     driver.sim_options.kernel_mutation = opts.kernel_mutation;
     let engine = driver.simulator(netlist);

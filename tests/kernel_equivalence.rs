@@ -1,16 +1,24 @@
-//! Kernel-equivalence harness: the static engine, with its kernels, must
-//! be observationally indistinguishable from the naive fixpoint reference
-//! simulator, which runs every leaf through its dyn `Component`.
+//! Engine-equivalence harness: the static engine, with its staged plan,
+//! must be observationally indistinguishable from the naive fixpoint
+//! reference simulator.
+//!
+//! The engine and RefSim share the corelib behavior bodies: each behavior
+//! writes `eval` and `end_of_timestep` once, generic over `CompCtx`. The
+//! engine runs the copy specialized to its own context, RefSim the one
+//! over `dyn CompCtx`. So this harness checks scheduling and port I/O, not
+//! behavior semantics; the goldens and the Table 3 tests pin those.
 //!
 //! Lockstep over all six Table 3 models and every single-file fuzz-corpus
 //! entry, comparing the canonical `state_lines()` dump after every cycle.
+//! Together these inputs instance every corelib behavior.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
 use lss_interp::CompileOptions;
 use lss_models::{compile_model, compile_source, models};
-use lss_netlist::Netlist;
+use lss_netlist::{InstanceKind, Netlist};
 use lss_sim::{build, SimOptions, Simulator};
 use lss_verify::{Mutation, RefSim};
 
@@ -85,22 +93,76 @@ fn all_table3_models_agree_with_refsim() {
 }
 
 #[test]
-fn all_table3_models_lower_kernels() {
-    // The static engine must actually run kernels: on every Table 3 model
-    // the bulk of the leaves lower (the dyn fallback is for the exotic
-    // residue).
+fn all_table3_static_leaves_run_in_stage_windows() {
+    // Every leaf outside a fixpoint block and without userpoints runs in
+    // its stage's static window: no behavior is left off the fast path.
     for m in models() {
         let compiled = compile_model(m).expect("compile");
         let sim = build_engine(&compiled.netlist);
-        assert!(
-            sim.kernel_count() * 3 >= compiled.netlist.leaves().count(),
-            "model {}: only {} of {} leaves lowered to kernels",
+        let stages = sim.plan_stages();
+        let in_blocks: BTreeSet<usize> = stages
+            .iter()
+            .flatten()
+            .filter(|unit| unit.1)
+            .flat_map(|unit| unit.0.iter().copied())
+            .collect();
+        let eligible = compiled
+            .netlist
+            .leaves()
+            .enumerate()
+            .filter(|(c, inst)| !in_blocks.contains(c) && inst.userpoints.is_empty())
+            .count();
+        assert_eq!(
+            sim.static_leaf_count(),
+            eligible,
+            "model {}: {} of {} eligible leaves run in a static window",
             m.id,
-            sim.kernel_count(),
-            compiled.netlist.leaves().count()
+            sim.static_leaf_count(),
+            eligible
         );
+        assert!(eligible > 0, "model {}: no static-window leaves", m.id);
         assert!(sim.stage_count() > 1, "model {}: no staging", m.id);
     }
+}
+
+/// The `tar_file` of every corelib module, read from the corelib source.
+fn corelib_tar_files() -> BTreeSet<String> {
+    lss_corelib::corelib_source()
+        .lines()
+        .filter_map(|line| {
+            let rest = line.trim().strip_prefix("tar_file = \"")?;
+            Some(rest.split('"').next()?.to_string())
+        })
+        .collect()
+}
+
+fn leaf_tar_files(netlist: &Netlist, into: &mut BTreeSet<String>) {
+    for inst in netlist.leaves() {
+        if let InstanceKind::Leaf { tar_file } = &inst.kind {
+            into.insert(tar_file.clone());
+        }
+    }
+}
+
+#[test]
+fn suite_inputs_instance_every_corelib_behavior() {
+    let all = corelib_tar_files();
+    assert_eq!(all.len(), lss_corelib::registry().len(), "{all:?}");
+    let mut seen = BTreeSet::new();
+    for m in models() {
+        leaf_tar_files(&compile_model(m).expect("compile").netlist, &mut seen);
+    }
+    for path in corpus_files() {
+        let text = fs::read_to_string(&path).expect("corpus file readable");
+        if let Ok(compiled) = compile_source(&text, &CompileOptions::default()) {
+            leaf_tar_files(&compiled.netlist, &mut seen);
+        }
+    }
+    let missing: Vec<&String> = all.difference(&seen).collect();
+    assert!(
+        missing.is_empty(),
+        "no Table 3 model or corpus spec instances {missing:?}"
+    );
 }
 
 fn corpus_files() -> Vec<PathBuf> {
