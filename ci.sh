@@ -169,22 +169,23 @@ for m in A B C D E F; do
   pids+=($!)
 done
 for pid in "${pids[@]}"; do wait "${pid}"; done
-# Daemon compiles must be byte-identical to a one-shot lssc build.
-lsscli --model A --netlist compile > target/lssd-ci-daemon.json
-./target/release/lssc --model A --no-cache \
-  --emit netlist-json --output target/lssd-ci-oneshot.json >/dev/null
-cmp target/lssd-ci-daemon.json target/lssd-ci-oneshot.json
-# Model E (the largest netlist, with the most escapes) served hot from the
-# tier's pre-rendered bytes must match a one-shot build too.
+# Daemon compiles must be byte-identical to a one-shot lssc build, for
+# every model. Model E (the largest netlist, with the most escapes) was
+# compiled above, so it is served hot from the tier's pre-rendered bytes.
 model_e_reply="$(lsscli --model E compile)"
 if ! grep -qx 'cache: hot' <<<"${model_e_reply}"; then
   echo "service: model E should be served from the hot tier" >&2
   exit 1
 fi
-lsscli --model E --netlist compile > target/lssd-ci-daemon-e.json
-./target/release/lssc --model E --no-cache \
-  --emit netlist-json --output target/lssd-ci-oneshot-e.json >/dev/null
-cmp target/lssd-ci-daemon-e.json target/lssd-ci-oneshot-e.json
+for m in A B C D E F; do
+  lsscli --model "$m" --netlist compile > target/lssd-ci-daemon.json
+  ./target/release/lssc --model "$m" --no-cache \
+    --emit netlist-json --output target/lssd-ci-oneshot.json >/dev/null
+  if ! cmp target/lssd-ci-daemon.json target/lssd-ci-oneshot.json; then
+    echo "service: daemon reply for model $m differs from a one-shot build" >&2
+    exit 1
+  fi
+done
 # The hot tier stays within its cap (lssd::server::HOT_CAP_BYTES, 4 MiB).
 hot_bytes="$(lsscli stats | sed -n 's/^hot_bytes: //p')"
 if [ -z "${hot_bytes}" ] || [ "${hot_bytes}" -le 0 ] || [ "${hot_bytes}" -gt 4194304 ]; then
@@ -221,8 +222,7 @@ fi
 kill -TERM "${LSSD_PID}"
 wait "${LSSD_PID}"
 trap - EXIT
-rm -f target/lssd-ci-addr target/lssd-ci-daemon.json target/lssd-ci-oneshot.json \
-  target/lssd-ci-daemon-e.json target/lssd-ci-oneshot-e.json
+rm -f target/lssd-ci-addr target/lssd-ci-daemon.json target/lssd-ci-oneshot.json
 
 echo "==> service: BENCH_service.json (req/sec + latency ladders, shedding gate)"
 cargo run --release -q -p bench --bin service

@@ -34,15 +34,23 @@ pub fn measure<F: FnMut()>(name: impl Into<String>, warmup: u32, iters: u32, mut
 
 /// Like [`measure`] for two cases at once, alternating their iterations so
 /// that drift in machine speed over the run hits both alike. Gates on the
-/// ratio between two cases should measure them this way.
+/// ratio between two cases should measure them this way. Also returns
+/// each iteration pair's ratio `b / a`, in run order.
 pub fn measure_pair<A: FnMut(), B: FnMut()>(
     names: [String; 2],
     warmup: u32,
     iters: u32,
     mut a: A,
     mut b: B,
-) -> [Sample; 2] {
-    measure_pair_prepared(names, warmup, iters, || (), |()| a(), || (), |()| b())
+) -> ([Sample; 2], Vec<f64>) {
+    let [ta, tb] = time_pair(warmup, iters, || (), |()| a(), || (), |()| b());
+    let ratios = ta
+        .iter()
+        .zip(&tb)
+        .map(|(&x, &y)| y as f64 / x as f64)
+        .collect();
+    let [na, nb] = names;
+    ([summarize(na, ta), summarize(nb, tb)], ratios)
 }
 
 /// [`measure_pair`] with untimed work around each iteration: `prep_a`
@@ -52,11 +60,25 @@ pub fn measure_pair_prepared<P, Q, R, S>(
     names: [String; 2],
     warmup: u32,
     iters: u32,
+    prep_a: impl FnMut() -> P,
+    run_a: impl FnMut(P) -> R,
+    prep_b: impl FnMut() -> Q,
+    run_b: impl FnMut(Q) -> S,
+) -> [Sample; 2] {
+    let [ta, tb] = time_pair(warmup, iters, prep_a, run_a, prep_b, run_b);
+    let [na, nb] = names;
+    [summarize(na, ta), summarize(nb, tb)]
+}
+
+/// The per-iteration times of two alternating cases.
+fn time_pair<P, Q, R, S>(
+    warmup: u32,
+    iters: u32,
     mut prep_a: impl FnMut() -> P,
     mut run_a: impl FnMut(P) -> R,
     mut prep_b: impl FnMut() -> Q,
     mut run_b: impl FnMut(Q) -> S,
-) -> [Sample; 2] {
+) -> [Vec<u64>; 2] {
     assert!(iters > 0, "need at least one measured iteration");
     for _ in 0..warmup {
         run_a(prep_a());
@@ -67,8 +89,7 @@ pub fn measure_pair_prepared<P, Q, R, S>(
         ta.push(time_prepared(&mut prep_a, &mut run_a));
         tb.push(time_prepared(&mut prep_b, &mut run_b));
     }
-    let [na, nb] = names;
-    [summarize(na, ta), summarize(nb, tb)]
+    [ta, tb]
 }
 
 fn time(f: &mut impl FnMut()) -> u64 {
@@ -172,7 +193,7 @@ mod tests {
     #[test]
     fn measure_pair_alternates_the_two_cases() {
         let order = std::cell::RefCell::new(Vec::new());
-        let [a, b] = measure_pair(
+        let ([a, b], ratios) = measure_pair(
             ["a".into(), "b".into()],
             1,
             3,
@@ -182,6 +203,7 @@ mod tests {
         assert_eq!(order.into_inner(), "abababab".chars().collect::<Vec<_>>());
         assert_eq!((a.name.as_str(), a.iters), ("a", 3));
         assert_eq!((b.name.as_str(), b.iters), ("b", 3));
+        assert_eq!(ratios.len(), 3);
     }
 
     #[test]

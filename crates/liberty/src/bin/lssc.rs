@@ -134,22 +134,21 @@ use lssd::session::resolve_cache_dir;
 use lssd::{Quota, Spec, Status};
 
 /// Renders the engine counters and the static plan's shape after a run.
-fn print_sim_stats(stats: &liberty::sim::SimStats, sim: Option<&liberty::Simulator>) {
+fn print_sim_stats(sim: &liberty::Simulator) {
+    let stats = sim.stats();
     println!("sim stats:");
     println!("  cycles             {}", stats.cycles);
     println!("  comp_evals         {}", stats.comp_evals);
     println!("  events_dispatched  {}", stats.events_dispatched);
     println!("  port_firings       {}", stats.port_firings);
-    if let Some(sim) = sim {
-        let stages = sim.plan_stages();
-        let blocks = stages.iter().flatten().filter(|u| u.1).count();
-        println!(
-            "plan: {} components in {} stages, {} static leaves, {blocks} combinational cycle blocks",
-            sim.component_count(),
-            stages.len(),
-            sim.static_leaf_count(),
-        );
-    }
+    let stages = sim.plan_stages();
+    let blocks = stages.iter().flatten().filter(|u| u.1).count();
+    println!(
+        "plan: {} components in {} stages, {} static leaves, {blocks} combinational cycle blocks",
+        sim.component_count(),
+        stages.len(),
+        sim.static_leaf_count(),
+    );
 }
 
 /// The session flags every compiling subcommand accepts: `--lib`,
@@ -1444,7 +1443,11 @@ fn real_main() -> ExitCode {
     }
 
     if opts.run_model {
-        match lss_models::runner::run_to_completion(&compiled.netlist, opts.scheduler, 10_000_000) {
+        let mut sim = match lss_models::runner::build_sim(&compiled.netlist, opts.scheduler) {
+            Ok(s) => s,
+            Err(e) => return fail(Status::Error, e),
+        };
+        match lss_models::runner::run_sim_to_completion(&compiled.netlist, &mut sim, 10_000_000) {
             Ok(stats) => {
                 println!(
                     "ran {} cycles, committed {} instructions, CPI {:.3}, {} mispredicts",
@@ -1455,7 +1458,7 @@ fn real_main() -> ExitCode {
                     println!("  collector {key}: {}", kv.join(" "));
                 }
                 if opts.stats {
-                    print_sim_stats(&stats.sim, None);
+                    print_sim_stats(&sim);
                 }
             }
             Err(e) => return fail(Status::Error, e),
@@ -1504,7 +1507,7 @@ fn real_main() -> ExitCode {
             stats.cycles, stats.comp_evals, stats.port_firings
         );
         if opts.stats {
-            print_sim_stats(&stats, Some(&sim));
+            print_sim_stats(&sim);
         }
         for (path, event, table) in sim.collector_reports() {
             let kv: Vec<String> = table.iter().map(|(k, v)| format!("{k}={v}")).collect();

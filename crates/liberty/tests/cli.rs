@@ -1083,6 +1083,27 @@ fn run_model_with_stats_prints_engine_counters() {
     );
 }
 
+#[test]
+fn run_model_stats_print_the_same_plan_as_run() {
+    let plan_line = |args: &[&str]| -> String {
+        let out = lssc()
+            .args(["--model", "C", "--stats"])
+            .args(args)
+            .output()
+            .expect("spawn lssc");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "lssc {args:?} failed\nstdout: {stdout}\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let plans: Vec<&str> = stdout.lines().filter(|l| l.starts_with("plan: ")).collect();
+        assert_eq!(plans.len(), 1, "expected one plan line:\n{stdout}");
+        plans[0].to_string()
+    };
+    assert_eq!(plan_line(&["--run-model"]), plan_line(&["--run", "1"]));
+}
+
 /// A three-file project in its own temp directory: producer and consumer
 /// modules linked by a cross-file connection in the root.
 fn write_project(name: &str) -> PathBuf {

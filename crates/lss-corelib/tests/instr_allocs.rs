@@ -7,7 +7,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use lss_netlist::{instr_layout, Instr, OpClass};
+use lss_corelib::instr::{instr_layout, Instr, OpClass, INSTR_FIELDS};
 use lss_types::Datum;
 
 struct Counting;
@@ -81,10 +81,10 @@ fn instruction_codec_allocation_budget() {
     assert_eq!(n, 0, "clone made {n} allocations");
     assert_eq!(copy, datum);
 
-    // A struct with its own layout (as decoded from JSON or binary) is
+    // A struct with its own layout (as decoded from a binary netlist) is
     // read by name, still without allocating.
     let named = Datum::record(
-        lss_netlist::INSTR_FIELDS
+        INSTR_FIELDS
             .iter()
             .map(|f| (*f, datum.field(f).cloned().unwrap_or(Datum::Int(0)))),
     );

@@ -41,7 +41,7 @@ pub fn build_sim(netlist: &Netlist, scheduler: Scheduler) -> Result<Simulator, S
 }
 
 /// Like [`build_sim`] but with full control over the engine options
-/// (scheduler, thread count, batch seed, ...).
+/// (scheduler, seed, type checks, mutations, ...).
 ///
 /// # Errors
 ///
@@ -81,6 +81,23 @@ pub fn run_to_completion_opts(
     opts: SimOptions,
     max_cycles: u64,
 ) -> Result<RunStats, String> {
+    let mut sim = build_sim_opts(netlist, opts)?;
+    run_sim_to_completion(netlist, &mut sim, max_cycles)
+}
+
+/// Runs `sim`, already built from `netlist` (see [`build_sim_opts`]),
+/// until every fetch unit's instructions have committed (or the cycle
+/// count reaches `max_cycles`), then gathers statistics. The caller keeps
+/// the simulator, e.g. to report its plan.
+///
+/// # Errors
+///
+/// Simulation errors and non-termination are reported as strings.
+pub fn run_sim_to_completion(
+    netlist: &Netlist,
+    sim: &mut Simulator,
+    max_cycles: u64,
+) -> Result<RunStats, String> {
     let commit_sym = netlist.sym("commit");
     let fetch_sym = netlist.sym("fetch");
     let commit_paths: Vec<String> = netlist
@@ -107,7 +124,6 @@ pub fn run_to_completion_opts(
         })
         .sum();
 
-    let mut sim = build_sim_opts(netlist, opts)?;
     let committed_total = |sim: &Simulator| -> i64 {
         commit_paths
             .iter()
@@ -121,17 +137,17 @@ pub fn run_to_completion_opts(
     loop {
         sim.step()
             .map_err(|e| format!("cycle {}: {e}", sim.cycle()))?;
-        if committed_total(&sim) >= target {
+        if committed_total(sim) >= target {
             break;
         }
         if sim.cycle() >= max_cycles {
             return Err(format!(
                 "model did not finish: {} of {target} instructions committed after {max_cycles} cycles",
-                committed_total(&sim)
+                committed_total(sim)
             ));
         }
     }
-    let committed = committed_total(&sim);
+    let committed = committed_total(sim);
     let mispredicts = fetch_paths
         .iter()
         .map(|p| {

@@ -1,21 +1,26 @@
-//! JSON round-trip fidelity for every netlist the repo ships: the six
-//! Table 3 models and the standalone `examples/lss/*.lss` sources.
+//! Binary round-trip fidelity for every netlist the repo ships: the six
+//! Table 3 models, generated programs, the standalone `examples/lss/*.lss`
+//! sources and a protocol-annotated model.
 //!
-//! This pins the JSON rendering's round trip (the cache itself stores the
-//! binary format): `from_json(to_json(n))` must reproduce a netlist that
-//! is indistinguishable from the original — same reuse statistics, same
-//! shape counts, and a byte-identical second serialization.
+//! Binary is the one format a netlist is loaded back from (the driver's
+//! cache stores it): `from_binary(to_binary(n))` must reproduce a netlist
+//! that is indistinguishable from the original — same reuse statistics,
+//! same shape counts, the same JSON rendering, and a byte-identical second
+//! encoding.
 
 use lss_driver::Driver;
 use lss_interp::CompileOptions;
 use lss_models::{compile_source, models};
-use lss_netlist::json::{from_json, to_json};
+use lss_netlist::binary::{from_binary, to_binary};
+use lss_netlist::json::to_json;
 use lss_netlist::netlist::Netlist;
 use lss_netlist::stats::reuse_stats;
 
-fn assert_round_trip(name: &str, netlist: &Netlist) {
-    let first = to_json(netlist);
-    let restored = from_json(&first).unwrap_or_else(|e| panic!("{name}: from_json failed: {e}"));
+/// Checks the round trip of `netlist` and returns the decoded netlist.
+fn assert_round_trip(name: &str, netlist: &Netlist) -> Netlist {
+    let first = to_binary(netlist);
+    let restored =
+        from_binary(&first).unwrap_or_else(|e| panic!("{name}: from_binary failed: {e}"));
 
     // Reuse statistics (Table 2) survive the trip. f64 fields compare via
     // Debug so an accidental NaN shows up as a readable mismatch.
@@ -42,17 +47,26 @@ fn assert_round_trip(name: &str, netlist: &Netlist) {
         "{name}: constraint count changed"
     );
 
-    // The second serialization is byte-identical to the first, so the
-    // cache's content hash is stable across store/load cycles.
-    let second = to_json(&restored);
+    // The decoded netlist is the same netlist: its complete JSON rendering
+    // is byte-identical to the original's.
+    assert_eq!(
+        to_json(netlist),
+        to_json(&restored),
+        "{name}: decoding changed the netlist"
+    );
+
+    // The second encoding is byte-identical to the first, so the cache's
+    // content hash is stable across store/load cycles.
+    let second = to_binary(&restored);
     assert_eq!(
         first, second,
-        "{name}: second serialization is not byte-identical"
+        "{name}: second encoding is not byte-identical"
     );
+    restored
 }
 
 #[test]
-fn table3_models_round_trip_through_json() {
+fn table3_models_round_trip_through_binary() {
     for model in models() {
         let compiled = compile_source(model.source, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("model {} failed to compile:\n{e}", model.id));
@@ -61,10 +75,10 @@ fn table3_models_round_trip_through_json() {
 }
 
 #[test]
-fn generated_programs_round_trip_through_json() {
+fn generated_programs_round_trip_through_binary() {
     // Property test over the structure-aware fuzzer: every netlist the
     // generator produces — hierarchical wrappers, disjunctive alus,
-    // cache/bp clusters — must survive the cache's JSON format.
+    // cache/bp clusters — must survive the cache's binary format.
     let cfg = lss_verify::GenConfig::default();
     let mut compiled_count = 0;
     for seed in 0..24u64 {
@@ -116,7 +130,7 @@ fn protocol_annotations_round_trip_byte_identically() {
         .unwrap_or_else(|e| panic!("protocol model failed to compile:\n{e}"));
     let netlist = &compiled.netlist;
 
-    // The format-3 JSON carries the bindings: queue (2 groups), fu (2),
+    // The netlist carries the bindings: queue (2 groups), fu (2),
     // cache (2), memory-free; plus the instance-level custom automaton.
     let annotated: usize = netlist.instances.iter().map(|i| i.protocols.len()).sum();
     assert!(
@@ -132,11 +146,10 @@ fn protocol_annotations_round_trip_byte_identically() {
     assert_eq!(custom.automaton.states.len(), 2);
     assert_eq!(custom.automaton.transitions.len(), 2);
 
-    assert_round_trip("protocol model", netlist);
+    let restored = assert_round_trip("protocol model", netlist);
 
     // Binding-level fidelity, not just byte identity: every group, role,
     // template, and transition table survives the trip.
-    let restored = from_json(&to_json(netlist)).expect("reparses");
     for (a, b) in netlist.instances.iter().zip(restored.instances.iter()) {
         assert_eq!(
             a.protocols, b.protocols,
@@ -191,7 +204,7 @@ fn cache_warm_loads_preserve_protocol_annotations() {
 }
 
 #[test]
-fn example_sources_round_trip_through_json() {
+fn example_sources_round_trip_through_binary() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/lss");
     let mut seen = 0;
     for entry in std::fs::read_dir(&dir).expect("examples/lss exists") {

@@ -1,20 +1,19 @@
 //! Compact binary serialization of the elaborated netlist (format 4).
 //!
-//! The document mirrors [`crate::json`]'s format-3 data model exactly —
-//! interner symbols, type-variable names, elaboration counters, module
-//! metadata, full instances, connections, collectors, and the constraint
-//! set — but encodes it as length-prefixed binary sections instead of
-//! JSON text: an interned-symbol table up front, dense ID arrays for
-//! endpoints, LEB128 varints for lengths and indices, and raw IEEE-754
-//! bits for floats (so NaN payloads survive without tagging tricks).
+//! This is the one format a netlist is loaded back from: it backs the
+//! driver's on-disk cache. The document carries the same data model as
+//! the JSON rendering ([`crate::json`], an output only) — interner
+//! symbols, type-variable names, elaboration counters, module metadata,
+//! full instances, connections, collectors, and the constraint set — but
+//! encodes it as length-prefixed binary sections: an interned-symbol
+//! table up front, dense ID arrays for endpoints, LEB128 varints for
+//! lengths and indices, and raw IEEE-754 bits for floats (so NaN payloads
+//! survive without tagging tricks).
 //!
 //! [`to_binary`] is a pure function of the netlist, so
-//! encode→decode→encode is byte-identical (the same invariant the JSON
-//! round-trip suite pins). Decoding validates every cross-reference
-//! (symbols, instance ids, port ids) before returning, mirroring the JSON
-//! reader: a corrupt document yields `Err`, never a netlist that panics
-//! later. This format backs the driver's on-disk cache (format 4 entries);
-//! JSON remains for external tooling.
+//! encode→decode→encode is byte-identical. Decoding validates every
+//! cross-reference (symbols, instance ids, port ids) before returning: a
+//! corrupt document yields `Err`, never a netlist that panics later.
 
 use std::collections::BTreeMap;
 
@@ -948,7 +947,7 @@ pub fn from_binary(bytes: &[u8]) -> Result<Netlist, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{from_json, to_json};
+    use crate::json::to_json;
     use crate::netlist::testutil::{add, ep};
 
     #[test]
@@ -1044,15 +1043,135 @@ mod tests {
         n
     }
 
+    /// [`sample`] plus every other corner the format carries: runtime
+    /// vars, events, collectors, every constraint origin, module metadata,
+    /// struct/array/disjunctive schemes, ±inf floats and a built-in and a
+    /// second custom protocol template.
+    fn full() -> Netlist {
+        let mut n = sample();
+        let rtv = n.intern("count");
+        let ev = n.intern("sent");
+        n.instances[0].runtime_vars.push(RuntimeVar {
+            name: rtv,
+            ty: Ty::Int,
+            init: Datum::Int(0),
+        });
+        n.instances[0].events.push(EventDecl {
+            name: ev,
+            args: vec![Ty::Int, Ty::record([("x", Ty::Float)])],
+        });
+        n.collectors.push(Collector {
+            inst: InstanceId(0),
+            event: ev,
+            code: "total += 1;".into(),
+        });
+        for (key, v) in [
+            ("scale", 2.0),
+            ("nan", f64::NAN),
+            ("inf", f64::INFINITY),
+            ("ninf", f64::NEG_INFINITY),
+        ] {
+            n.instances[1].params.insert(key.into(), Datum::Float(v));
+        }
+        let src_sym = n.intern("wide");
+        n.modules.insert(
+            src_sym,
+            ModuleMeta {
+                hierarchical: true,
+                from_library: false,
+                trivial: true,
+            },
+        );
+        n.constraints.push(Constraint::with_origin(
+            Scheme::Array(Box::new(Scheme::Var(TyVar(1))), 4),
+            Scheme::Struct(vec![("f".into(), Scheme::Bool)]),
+            ConstraintOrigin::Annotation {
+                target: "b.in".into(),
+            },
+        ));
+        n.constraints.push(Constraint::with_origin(
+            Scheme::Int,
+            Scheme::Int,
+            ConstraintOrigin::PortDecl {
+                port: "a.out".into(),
+            },
+        ));
+        n.constraints.push(Constraint::with_origin(
+            Scheme::String,
+            Scheme::String,
+            ConstraintOrigin::Synthetic,
+        ));
+        n.instances[0].protocols.push(ProtocolBinding {
+            group: "credits".into(),
+            role: Role::Producer,
+            automaton: Automaton {
+                template: Template::Credit(Some(4)),
+                states: Vec::new(),
+                transitions: Vec::new(),
+            },
+            ports: vec![PortId(0)],
+            span: SrcSpan::default(),
+        });
+        n.instances[1].protocols.push(ProtocolBinding {
+            group: "ins".into(),
+            role: Role::Consumer,
+            automaton: Automaton {
+                template: Template::Custom("loopy".into()),
+                states: vec!["idle".into(), "busy".into()],
+                transitions: vec![
+                    Transition {
+                        from: 0,
+                        to: 1,
+                        dir: ActionDir::Recv,
+                        action: "item".into(),
+                    },
+                    Transition {
+                        from: 1,
+                        to: 0,
+                        dir: ActionDir::Send,
+                        action: "go".into(),
+                    },
+                ],
+            },
+            ports: vec![PortId(0)],
+            span: SrcSpan::default(),
+        });
+        n
+    }
+
     #[test]
     fn round_trip_is_byte_identical() {
-        let n = sample();
+        let n = full();
         let bytes = to_binary(&n);
         let back = from_binary(&bytes).expect("round trip");
         let bytes2 = to_binary(&back);
         assert_eq!(bytes, bytes2, "second emission must be byte-identical");
-        // And it agrees with the JSON model observationally.
+        // And it is the same netlist: the same JSON rendering, and equal
+        // pieces where downstream passes read them.
         assert_eq!(to_json(&back), to_json(&n));
+        assert_eq!(back.connections.len(), n.connections.len());
+        assert_eq!(back.collectors.len(), n.collectors.len());
+        assert_eq!(back.modules, n.modules);
+        assert_eq!(back.constraints, n.constraints);
+        assert_eq!(back.elab, n.elab);
+        assert_eq!(back.vars.len(), n.vars.len());
+        // NaN params defeat PartialEq; Debug renders them identically.
+        assert_eq!(
+            format!("{:?}", back.instances),
+            format!("{:?}", n.instances)
+        );
+        assert_eq!(
+            crate::stats::reuse_stats(&back),
+            crate::stats::reuse_stats(&n)
+        );
+        // The special floats keep their variant and value.
+        let params = &back.instances[1].params;
+        assert!(matches!(params.get("nan"), Some(Datum::Float(f)) if f.is_nan()));
+        assert!(matches!(params.get("inf"), Some(Datum::Float(f)) if *f == f64::INFINITY));
+        assert!(matches!(params.get("ninf"), Some(Datum::Float(f)) if *f == f64::NEG_INFINITY));
+        // Protocol bindings survive structurally, not just textually.
+        assert_eq!(back.instances[0].protocols, n.instances[0].protocols);
+        assert_eq!(back.instances[1].protocols, n.instances[1].protocols);
     }
 
     #[test]
@@ -1064,18 +1183,8 @@ mod tests {
 
     #[test]
     fn binary_is_smaller_than_json() {
-        let n = sample();
+        let n = full();
         assert!(to_binary(&n).len() < to_json(&n).len());
-    }
-
-    #[test]
-    fn agrees_with_json_reader() {
-        // A netlist that passed through JSON equals one that passed
-        // through binary (modulo NaN, compared via re-dump).
-        let n = sample();
-        let via_json = from_json(&to_json(&n)).unwrap();
-        let via_bin = from_binary(&to_binary(&n)).unwrap();
-        assert_eq!(to_json(&via_json), to_json(&via_bin));
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! A minimal JSON reader for the netlist serialization and the driver's
-//! on-disk cache envelopes. Hand-rolled for the same reason the writer in
-//! [`crate::json`] is: the documents are small, the schema is ours, and a
-//! serializer dependency is not warranted (DESIGN.md §6).
+//! A minimal JSON reader for the `lssd` wire protocol and the tools that
+//! read JSON documents back (the `lssc` client, the service benches).
+//! Hand-rolled for the same reason the writer in [`crate::json`] is: the
+//! documents are small, the schema is ours, and a serializer dependency
+//! is not warranted (DESIGN.md §6).
 //!
 //! Objects preserve key order (they are stored as `Vec<(String, JsonValue)>`),
-//! which is what lets `from_json(to_json(n))` re-emit byte-identical output.
+//! so a reader sees members in the order the writer emitted them.
 
 use std::fmt;
 

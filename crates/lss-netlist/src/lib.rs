@@ -11,10 +11,13 @@
 //! * [`lint`] — the advisory static model checks (unconnected inputs,
 //!   dangling hierarchical ports, suspicious width mismatches), each run
 //!   as its own pass by `lss-analyze`;
-//! * [`json`] — complete JSON serialization ([`to_json`] / [`from_json`]
-//!   round-trip) for the driver's netlist cache and external tooling;
-//! * [`dump`] — ASCII-tree and GraphViz renderings;
-//! * [`instr`] — the instruction codec the CPU behaviors share.
+//! * [`binary`] — the compact binary serialization ([`to_binary`] /
+//!   [`from_binary`]), the one load format, behind the driver's netlist
+//!   cache;
+//! * [`json`] — the complete JSON rendering ([`to_json`]), an output for
+//!   `lssc`, `lssd` and external tooling;
+//! * [`jsonval`] — a small JSON value parser for the `lssd` wire protocol;
+//! * [`dump`] — ASCII-tree and GraphViz renderings.
 //!
 //! # Example
 //!
@@ -30,7 +33,6 @@
 
 pub mod binary;
 pub mod dump;
-pub mod instr;
 pub mod intern;
 pub mod json;
 pub mod jsonval;
@@ -41,9 +43,8 @@ pub mod protocol;
 pub mod stats;
 
 pub use binary::{from_binary, to_binary, BIN_FORMAT};
-pub use instr::{instr_layout, Instr, OpClass, INSTR_FIELDS};
 pub use intern::{CollectorId, EventId, Interner, PortId, RtvId, SlotId, Symbol, UserpointId};
-pub use json::{from_json, from_value, to_json, JSON_FORMAT};
+pub use json::{to_json, JSON_FORMAT};
 pub use jsonval::{parse_json, JsonValue};
 pub use link::{link, DeferredConnection, DeferredEndpoint, LinkError, LinkUnit};
 pub use lint::{

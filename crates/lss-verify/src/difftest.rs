@@ -12,7 +12,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use lss_driver::{Driver, Elaborated};
-use lss_netlist::{from_binary, from_json, to_binary, to_json, Netlist};
+use lss_netlist::{from_binary, to_binary, to_json, Netlist};
 use lss_sim::{KernelMutation, Scheduler};
 
 use crate::exhaustive::TypeDiscrepancy;
@@ -78,9 +78,11 @@ pub enum Discrepancy {
         /// The reference's error.
         error: String,
     },
-    /// The netlist did not survive a JSON round-trip byte-identically.
+    /// The netlist did not survive a binary round trip (encode, decode,
+    /// encode) byte-identically, or decoding changed it.
     Roundtrip {
-        /// What went wrong (parse error or first differing line).
+        /// What went wrong (decode error, first differing byte, or a
+        /// changed netlist).
         detail: String,
     },
     /// The multi-file project split of a program disagrees with its
@@ -116,7 +118,7 @@ impl std::fmt::Display for Discrepancy {
                     "reference error at cycle {cycle} (engine ran clean): {error}"
                 )
             }
-            Discrepancy::Roundtrip { detail } => write!(f, "JSON round-trip: {detail}"),
+            Discrepancy::Roundtrip { detail } => write!(f, "netlist round-trip: {detail}"),
             Discrepancy::Split { detail } => write!(f, "project split: {detail}"),
         }
     }
@@ -236,31 +238,6 @@ pub fn diff_netlist(
     Ok(None)
 }
 
-/// Checks that `netlist` survives `to_json` → `from_json` → `to_json`
-/// byte-identically.
-pub fn check_roundtrip(netlist: &Netlist) -> Option<Discrepancy> {
-    let first = to_json(netlist);
-    let reparsed = match from_json(&first) {
-        Ok(n) => n,
-        Err(e) => {
-            return Some(Discrepancy::Roundtrip {
-                detail: format!("serialized netlist fails to parse: {e}"),
-            })
-        }
-    };
-    let second = to_json(&reparsed);
-    if first != second {
-        let line = first
-            .lines()
-            .zip(second.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| format!("first difference at line {}", i + 1))
-            .unwrap_or_else(|| "dumps differ in length".to_string());
-        return Some(Discrepancy::Roundtrip { detail: line });
-    }
-    None
-}
-
 /// Full differential run over one source text: compile, trace-compare,
 /// and round-trip-check.
 ///
@@ -278,9 +255,6 @@ pub fn difftest_source(
         Err(error) => return Ok(Some(Discrepancy::Compile { error })),
     };
     if let Some(d) = diff_netlist(&mut driver, &elab.netlist, opts)? {
-        return Ok(Some(d));
-    }
-    if let Some(d) = check_roundtrip(&elab.netlist) {
         return Ok(Some(d));
     }
     Ok(check_binary_roundtrip(&elab.netlist))
@@ -345,9 +319,6 @@ pub fn difftest_root(root: &Path, opts: &DiffOptions) -> Result<Option<Discrepan
         Err(error) => return Ok(Some(Discrepancy::Compile { error })),
     };
     if let Some(d) = diff_netlist(&mut driver, &elab.netlist, opts)? {
-        return Ok(Some(d));
-    }
-    if let Some(d) = check_roundtrip(&elab.netlist) {
         return Ok(Some(d));
     }
     Ok(check_binary_roundtrip(&elab.netlist))

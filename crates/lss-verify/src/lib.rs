@@ -42,8 +42,8 @@ pub mod refsim;
 
 pub use adversarial::{run_adversarial, AdversarialConfig, AdversarialFinding, AdversarialReport};
 pub use difftest::{
-    check_binary_roundtrip, check_roundtrip, compile_root, compile_source, diff_netlist,
-    diff_project_vs_single, difftest_root, difftest_source, DiffOptions, Discrepancy,
+    check_binary_roundtrip, compile_root, compile_source, diff_netlist, diff_project_vs_single,
+    difftest_root, difftest_source, DiffOptions, Discrepancy,
 };
 pub use exhaustive::{check_types, solve_exhaustive, ExhaustiveConfig, TypeDiscrepancy, Verdict};
 pub use fuzz::{run_fuzz, Finding, FuzzConfig, FuzzReport};

@@ -263,7 +263,7 @@ fn kernel_mutations_stay_off_the_dynamic_scheduler() {
 }
 
 #[test]
-fn generated_netlists_roundtrip_through_json() {
+fn generated_netlists_roundtrip_through_binary() {
     for seed in [1u64, 2, 3, 4, 5] {
         let spec = generate(seed, &GenConfig::default());
         let (_driver, elab) = match lss_verify::compile_source("roundtrip.lss", &spec.render()) {
@@ -271,8 +271,8 @@ fn generated_netlists_roundtrip_through_json() {
             Err(e) => panic!("seed {seed} failed to compile: {e}"),
         };
         assert!(
-            lss_verify::check_roundtrip(&elab.netlist).is_none(),
-            "seed {seed} netlist does not survive JSON round-trip"
+            lss_verify::check_binary_roundtrip(&elab.netlist).is_none(),
+            "seed {seed} netlist does not survive the netlist round-trip"
         );
     }
 }

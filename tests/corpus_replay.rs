@@ -3,7 +3,7 @@
 //! Every `.lss` file under `tests/corpus/` is run through the full
 //! differential harness: static-schedule engine vs. the naive fixpoint
 //! reference simulator, the exhaustive type oracle vs. the heuristic
-//! solver, and the netlist JSON + binary round-trips. A file that
+//! solver, and the binary netlist round trip. A file that
 //! compiles but diverges on any oracle fails the suite with the
 //! discrepancy report.
 //!
