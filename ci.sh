@@ -103,20 +103,20 @@ rm -rf target/verify
 ./target/release/lssc fuzz --seed 2 --iters 200 --types-only
 ./target/release/lssc fuzz --seed 3 --iters 200 --sim-only
 
-echo "==> stage windows: engine fuzz smoke + injected-bug canaries (fixed seed)"
-# The sim-only loop above already checks the engine's staged plan against
+echo "==> static plan: engine fuzz smoke + injected-bug canaries (fixed seed)"
+# The sim-only loop above already checks the engine's static plan against
 # the reference inside every difftest; this stage additionally proves the
-# harness *would* catch a stage-window bug: both injected mutations must
+# harness *would* catch a static-leaf bug: both injected mutations must
 # produce findings (exit 1).
 ./target/release/lssc fuzz --seed 4 --iters 200 --sim-only
 if ./target/release/lssc fuzz --seed 4 --iters 20 --sim-only --mutate stale-commit \
     --out target/verify-kernel-canary >/dev/null 2>&1; then
-  echo "stage windows: the stale-commit mutation went undetected" >&2
+  echo "static plan: the stale-commit mutation went undetected" >&2
   exit 1
 fi
 if ./target/release/lssc difftest --mutate skip-barrier \
     tests/corpus/arbiter_funnel.lss >/dev/null 2>&1; then
-  echo "stage windows: the skip-barrier mutation went undetected" >&2
+  echo "static plan: the skip-barrier mutation went undetected" >&2
   exit 1
 fi
 rm -rf target/verify-kernel-canary

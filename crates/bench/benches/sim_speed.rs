@@ -5,7 +5,7 @@
 //! LSE precomputes a topological evaluation order, while SystemC-style
 //! systems re-evaluate components from a dynamic worklist until signals
 //! settle. We benchmark the same compiled models under both schedulers —
-//! the dynamic worklist baseline and the static engine, whose staged plan
+//! the dynamic worklist baseline and the static engine, whose static plan
 //! evaluates each acyclic leaf once per cycle with no change detection —
 //! and the ratios are the reproduced result. Both run the same behavior
 //! bodies against the same concrete engine context, so the ratio measures

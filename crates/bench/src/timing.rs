@@ -147,7 +147,7 @@ pub fn to_json(samples: &[Sample]) -> String {
         writeln!(
             out,
             "  {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"min_ns\": {}}}{comma}",
-            escape(&s.name),
+            lss_netlist::json::escape(&s.name),
             s.iters,
             s.median_ns,
             s.mean_ns,
@@ -158,17 +158,6 @@ pub fn to_json(samples: &[Sample]) -> String {
     out.push(']');
     out.push('\n');
     out
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Writes samples to `path` as JSON, reporting where they went.
@@ -209,14 +198,14 @@ mod tests {
     #[test]
     fn json_is_well_formed() {
         let samples = vec![Sample {
-            name: "a\"b".into(),
+            name: "a\"b\tc\r".into(),
             iters: 3,
             median_ns: 10,
             mean_ns: 11,
             min_ns: 9,
         }];
         let json = to_json(&samples);
-        assert!(json.contains("\\\""));
+        assert!(json.contains(r#""a\"b\tc\r""#), "{json}");
         assert!(json.trim_end().starts_with('[') && json.trim_end().ends_with(']'));
     }
 }

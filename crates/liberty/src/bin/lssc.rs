@@ -83,7 +83,7 @@
 //!   --run N            simulate N cycles after compiling
 //!   --run-model        run a built-in model to completion and report CPI
 //!   --scheduler S      static (default) or dynamic: static executes the
-//!                      staged plan, each acyclic leaf once per cycle,
+//!                      static plan, each acyclic leaf once per cycle,
 //!                      writing straight into the flat state arena;
 //!                      dynamic is the worklist baseline
 //!   --batch N          with --run: simulate the netlist N times, seeded
@@ -141,12 +141,10 @@ fn print_sim_stats(sim: &liberty::Simulator) {
     println!("  comp_evals         {}", stats.comp_evals);
     println!("  events_dispatched  {}", stats.events_dispatched);
     println!("  port_firings       {}", stats.port_firings);
-    let stages = sim.plan_stages();
-    let blocks = stages.iter().flatten().filter(|u| u.1).count();
+    let blocks = sim.plan_stages().iter().filter(|u| u.1).count();
     println!(
-        "plan: {} components in {} stages, {} static leaves, {blocks} combinational cycle blocks",
+        "plan: {} components, {} static leaves, {blocks} combinational cycle blocks",
         sim.component_count(),
-        stages.len(),
         sim.static_leaf_count(),
     );
 }

@@ -73,12 +73,10 @@ fn run_with_stats_prints_engine_and_schedule_summary() {
         stdout.contains("events_dispatched"),
         "missing events_dispatched:\n{stdout}"
     );
-    // The plan shape: the sink registers its input, so both leaves share
-    // one stage's static window; no combinational cycles.
+    // The plan shape: the sink registers its input, so both leaves are
+    // static leaves; no combinational cycles.
     assert!(
-        stdout.contains(
-            "plan: 2 components in 1 stages, 2 static leaves, 0 combinational cycle blocks"
-        ),
+        stdout.contains("plan: 2 components, 2 static leaves, 0 combinational cycle blocks"),
         "missing plan summary:\n{stdout}"
     );
     let _ = std::fs::remove_file(&model);

@@ -2,9 +2,9 @@
 //!
 //! This module is the single source of truth for combinational edges: the
 //! analyzer's cycle detector ([`crate::passes::cycles`]) and the
-//! simulator's static scheduler (`lss-sim::sched`) both consume the
-//! [`Condensation`] computed here, so they can never disagree about what
-//! is a cycle.
+//! simulator's static scheduler (`lss_sim::build`, which runs the SCCs in
+//! [`Condensation::sccs`] order) both consume the [`Condensation`]
+//! computed here, so they can never disagree about what is a cycle.
 //!
 //! Two granularities are built from one wire scan:
 //!
@@ -252,46 +252,6 @@ impl Condensation {
     pub fn cycle_count(&self) -> usize {
         self.cyclic.iter().filter(|&&c| c).count()
     }
-
-    /// Stage depth of every SCC: the length of the longest dependency chain
-    /// of SCCs ending at it (sources are depth 0). Two SCCs with the same
-    /// depth cannot depend on each other, so each depth class is a set of
-    /// mutually independent schedule units — the parallelism structure the
-    /// static engine executes stage by stage.
-    ///
-    /// `g` must be the graph this condensation was computed from.
-    pub fn stage_depths(&self, g: &DepGraph) -> Vec<usize> {
-        let mut depth = vec![0usize; self.sccs.len()];
-        // `sccs` is topologically ordered, so every cross-SCC edge goes from
-        // a lower index to a higher one; a single forward sweep relaxes all
-        // longest paths.
-        for (i, scc) in self.sccs.iter().enumerate() {
-            for &v in scc {
-                for &w in g.successors(v) {
-                    let j = self.comp_of[w];
-                    debug_assert!(j >= i, "condensation must be in topological order");
-                    if j != i && depth[j] < depth[i] + 1 {
-                        depth[j] = depth[i] + 1;
-                    }
-                }
-            }
-        }
-        depth
-    }
-
-    /// Groups SCC indices by [`Condensation::stage_depths`]: `stages()[d]`
-    /// lists the SCCs at depth `d`, in topological (= index) order. All
-    /// members of one stage are mutually independent and may be evaluated
-    /// concurrently once every earlier stage has committed its writes.
-    pub fn stages(&self, g: &DepGraph) -> Vec<Vec<usize>> {
-        let depth = self.stage_depths(g);
-        let max = depth.iter().copied().max().map_or(0, |d| d + 1);
-        let mut stages = vec![Vec::new(); max];
-        for (i, &d) in depth.iter().enumerate() {
-            stages[d].push(i);
-        }
-        stages
-    }
 }
 
 /// The combinational dependency graphs of a netlist, at leaf granularity
@@ -455,46 +415,6 @@ mod tests {
         let c = g.condense();
         assert_eq!(topo_order(&c), vec![0, 1, 2, 3]);
         assert_eq!(c.cycle_count(), 0);
-    }
-
-    #[test]
-    fn stage_depths_are_longest_paths() {
-        // Diamond 0 -> {1,2} -> 3 plus a long spine 0 -> 4 -> 3: node 3's
-        // stage is set by the longest chain, not the shortest.
-        let g = DepGraph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (4, 3)]);
-        let c = g.condense();
-        let depth = c.stage_depths(&g);
-        let d = |v: usize| depth[c.comp_of[v]];
-        assert_eq!(d(0), 0);
-        assert_eq!(d(1), 1);
-        assert_eq!(d(2), 1);
-        assert_eq!(d(4), 1);
-        assert_eq!(d(3), 2);
-    }
-
-    #[test]
-    fn stages_group_independent_sccs() {
-        // Two parallel chains 0->1 and 2->3, plus an isolated node 4 and a
-        // cycle 5 <-> 6 fed by 1.
-        let g = DepGraph::from_edges(7, &[(0, 1), (2, 3), (1, 5), (5, 6), (6, 5)]);
-        let c = g.condense();
-        let stages = c.stages(&g);
-        assert_eq!(stages.len(), 3);
-        // Stage membership is over SCC indices; map back to nodes.
-        let nodes_at = |d: usize| -> Vec<usize> {
-            let mut v: Vec<usize> = stages[d]
-                .iter()
-                .flat_map(|&s| c.sccs[s].iter().copied())
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(nodes_at(0), vec![0, 2, 4]);
-        assert_eq!(nodes_at(1), vec![1, 3]);
-        assert_eq!(nodes_at(2), vec![5, 6]);
-        // Every SCC appears in exactly one stage.
-        let total: usize = stages.iter().map(Vec::len).sum();
-        assert_eq!(total, c.sccs.len());
     }
 
     #[test]

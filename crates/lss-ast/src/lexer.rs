@@ -7,6 +7,23 @@ use crate::diag::{Diagnostic, DiagnosticBag};
 use crate::span::{FileId, Span};
 use crate::token::{Token, TokenKind};
 
+/// Escapes `s` as the body of an LSS string literal (without the quotes):
+/// `"`, `\`, newline and tab become the four escapes [`lex`] reads back,
+/// and every other character stays raw.
+pub fn escape_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Lexes `text` (registered as `file`) into a token vector ending in `Eof`.
 ///
 /// Lexical errors are reported into `diags`; the offending characters are

@@ -6,6 +6,7 @@
 use std::fmt::Write;
 
 use crate::ast::*;
+use crate::lexer::escape_str;
 
 /// Renders a whole program as canonical LSS source.
 pub fn program_to_string(program: &Program) -> String {
@@ -343,7 +344,7 @@ impl Printer {
                 let _ = write!(self.out, "{v:?}");
             }
             ExprKind::Str(s) => {
-                let _ = write!(self.out, "{s:?}");
+                let _ = write!(self.out, "\"{}\"", escape_str(s));
             }
             ExprKind::Bool(b) => {
                 let _ = write!(self.out, "{b}");

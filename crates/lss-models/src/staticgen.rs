@@ -17,6 +17,7 @@
 
 use std::fmt::Write;
 
+use lss_ast::lexer::escape_str;
 use lss_netlist::Netlist;
 use lss_types::{Datum, Ty};
 
@@ -29,14 +30,6 @@ fn mangle(path: &str) -> String {
             other => other,
         })
         .collect()
-}
-
-/// Escapes a string for an LSS string literal.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\t', "\\t")
 }
 
 /// Renders a parameter value as an LSS literal.
@@ -52,7 +45,7 @@ fn datum_literal(value: &Datum) -> String {
                 format!("{s}.0")
             }
         }
-        Datum::Str(s) => format!("\"{}\"", escape(s)),
+        Datum::Str(s) => format!("\"{}\"", escape_str(s)),
         Datum::Array(items) => {
             let inner: Vec<String> = items.iter().map(datum_literal).collect();
             format!("[{}]", inner.join(", "))
@@ -99,7 +92,7 @@ pub fn static_source(netlist: &Netlist) -> String {
                 out,
                 "{name}.{} = \"{}\";",
                 netlist.name(up.name),
-                escape(&up.code)
+                escape_str(&up.code)
             );
         }
     }
@@ -144,7 +137,7 @@ pub fn static_source(netlist: &Netlist) -> String {
             "collector {} : {} = \"{}\";",
             mangle(&inst.path),
             netlist.name(coll.event),
-            escape(&coll.code)
+            escape_str(&coll.code)
         );
     }
     out

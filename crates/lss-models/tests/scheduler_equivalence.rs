@@ -1,5 +1,5 @@
-//! The static staged plan and the dynamic worklist baseline must
-//! be observationally equivalent: on every Table 3 model, the same values
+//! The static plan and the dynamic worklist baseline must be
+//! observationally equivalent: on every Table 3 model, the same values
 //! fire on the same ports in the same cycles, and every collector ends in
 //! the same state. (`comp_evals` legitimately differs — the static
 //! schedule's whole point is evaluating each component fewer times.)
@@ -53,10 +53,10 @@ fn run(
 }
 
 /// The engine must execute exactly the plan the static analyzer derives:
-/// `lss-analyze`'s component-level dependency graph, condensed and grouped
-/// into stages, is the single source of truth for evaluation order. Every
-/// SCC appears exactly once, in its stage, and is a fixpoint unit exactly
-/// when it is cyclic.
+/// `lss-analyze`'s component-level dependency graph, condensed, is the
+/// single source of truth for evaluation order. Every SCC appears exactly
+/// once, in the condensation's topological order, and is a fixpoint unit
+/// exactly when it is cyclic.
 #[test]
 fn engine_schedule_matches_analyzer_condensation() {
     use lss_analyze::leaf_dep_graph;
@@ -70,26 +70,16 @@ fn engine_schedule_matches_analyzer_condensation() {
         let comb = lss_sim::comb_info(&compiled.netlist, &registry);
         let deps = leaf_dep_graph(&compiled.netlist, &wires, &comb);
         let cond = deps.graph.condense();
-        let expected: Vec<Vec<(Vec<usize>, bool)>> = cond
-            .stages(&deps.graph)
-            .into_iter()
-            .map(|stage| {
-                let mut units: Vec<_> = stage
-                    .into_iter()
-                    .map(|si| (cond.sccs[si].clone(), cond.cyclic[si]))
-                    .collect();
-                units.sort();
-                units
-            })
+        let expected: Vec<(Vec<usize>, bool)> = cond
+            .sccs
+            .iter()
+            .cloned()
+            .zip(cond.cyclic.iter().copied())
             .collect();
-        let actual: Vec<Vec<(Vec<usize>, bool)>> = sim
+        let actual: Vec<(Vec<usize>, bool)> = sim
             .plan_stages()
             .into_iter()
-            .map(|stage| {
-                let mut units: Vec<_> = stage.into_iter().map(|(c, f)| (c.to_vec(), f)).collect();
-                units.sort();
-                units
-            })
+            .map(|(c, f)| (c.to_vec(), f))
             .collect();
         assert_eq!(
             actual, expected,
@@ -98,7 +88,7 @@ fn engine_schedule_matches_analyzer_condensation() {
         );
         assert!(
             sim.static_leaf_count() > 0,
-            "model {}: static plan has no static-window leaves",
+            "model {}: static plan has no static leaves",
             model.id
         );
     }

@@ -6,12 +6,12 @@
 //! 1. **Combinational settle** — every leaf component's `eval` computes its
 //!    outputs from this cycle's inputs and current state. The *static*
 //!    scheduler executes a precomputed plan: the dependency graph's
-//!    condensation grouped into stages, each acyclic component run once
-//!    per cycle in its stage's static window, genuine combinational cycles
-//!    iterated to a fixpoint. The *dynamic* scheduler is the SystemC-style
-//!    baseline that re-evaluates components from a worklist until no
-//!    output changes. Both call each behavior through
-//!    [`Component::eval_in`] with the engine's concrete [`Ctx`].
+//!    condensation in topological order, each acyclic component run once
+//!    per cycle, genuine combinational cycles iterated to a fixpoint. The
+//!    *dynamic* scheduler is the SystemC-style baseline that re-evaluates
+//!    components from a worklist until no output changes. Both call each
+//!    behavior through [`Component::eval_in`] with the engine's concrete
+//!    [`Ctx`].
 //! 2. **`end_of_timestep`** — synchronous state update, plus the
 //!    system-defined `end_of_timestep` userpoint on every instance (§4.3).
 //!
@@ -43,6 +43,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use lss_netlist::{
     ActionDir, Dir, EventId, InstanceId, InstanceKind, Netlist, Role, RtvId, SrcSpan, Template,
@@ -57,15 +58,15 @@ use crate::bsl::{compile_bsl, exec, BslEnv, BslProgram};
 use crate::component::{
     BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
 };
-use crate::exec::{CompiledPlan, KernelMutation, SerialStep, StageInfo};
+use crate::exec::{KernelMutation, Plan};
 use crate::slots::SlotTable;
 
 /// Which combinational scheduler to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Precomputed staged plan (LSE's approach \[12\]): each acyclic leaf
-    /// runs once per cycle in its stage's static window; combinational
-    /// cycles iterate to a fixpoint.
+    /// Precomputed plan (LSE's approach \[12\]): the condensation's SCCs
+    /// in topological order, each acyclic leaf run once per cycle and each
+    /// combinational cycle iterated to a fixpoint.
     #[default]
     Static,
     /// Worklist fixpoint (structural-OOP / SystemC-style baseline): every
@@ -82,7 +83,7 @@ pub struct SimOptions {
     /// corelib source folds it into its counter). Seed 0 reproduces
     /// unseeded runs exactly.
     pub seed: i64,
-    /// Injected static-window bug for differential testing
+    /// Injected static-leaf bug for differential testing
     /// ([`KernelMutation::None`] for correct execution).
     pub kernel_mutation: KernelMutation,
     /// Iteration cap for combinational-cycle fixpoints.
@@ -223,10 +224,10 @@ impl Core {
     }
 
     /// Applies an injected [`KernelMutation`] to the writes of the static
-    /// window that just ran: `live[mark..]`, in write order, since every
+    /// leaf that just ran: `live[mark..]`, in write order, since every
     /// output slot starts the cycle absent. Writes the mutation holds back
     /// go to `held`, for the caller to make after settle.
-    fn mutate_stage(
+    fn mutate_leaf(
         &mut self,
         mutation: KernelMutation,
         mark: usize,
@@ -236,7 +237,7 @@ impl Core {
             KernelMutation::None => {}
             KernelMutation::StaleCommit => {
                 if self.live.len() > mark {
-                    let slot = self.live.pop().expect("a stage write");
+                    let slot = self.live.pop().expect("a leaf write");
                     self.values[slot] = None;
                 }
             }
@@ -510,8 +511,8 @@ pub struct Simulator {
     /// Sorted `(path, comp)` pairs; binary-searched at the API boundary.
     path_index: Vec<(String, usize)>,
     port_names: Vec<Vec<String>>,
-    /// The static scheduler's staged plan.
-    plan: CompiledPlan,
+    /// The static scheduler's plan.
+    plan: Plan,
     /// Scratch buffer for eval change detection, reused across evals.
     prev_scratch: Vec<Option<Datum>>,
     /// comp -> downstream comps (for the dynamic scheduler).
@@ -648,47 +649,8 @@ pub fn comb_info(netlist: &Netlist, registry: &ComponentRegistry) -> lss_analyze
         let InstanceKind::Leaf { tar_file } = &inst.kind else {
             continue;
         };
-        let mut ports = Vec::with_capacity(inst.ports.len());
-        for p in &inst.ports {
-            ports.push(PortSpec {
-                name: netlist.name(p.name).to_string(),
-                dir: p.dir,
-                width: p.width,
-                ty: p.ty.clone().unwrap_or(lss_types::Ty::Int),
-            });
-        }
-        let mut userpoints = HashMap::new();
-        let mut compiled_all = true;
-        for up in &inst.userpoints {
-            match compile_bsl(&up.code) {
-                Ok(program) => {
-                    userpoints.insert(netlist.name(up.name).to_string(), program);
-                }
-                Err(_) => {
-                    compiled_all = false;
-                    break;
-                }
-            }
-        }
-        if !compiled_all {
+        let Ok(spec) = leaf_spec(netlist, inst) else {
             continue;
-        }
-        let spec = CompSpec {
-            path: inst.path.clone(),
-            module: netlist.name(inst.module).to_string(),
-            params: inst
-                .params
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            ports,
-            userpoints,
-            runtime_vars: inst
-                .runtime_vars
-                .iter()
-                .map(|rv| (netlist.name(rv.name).to_string(), rv.init.clone()))
-                .collect(),
-            protocols: inst.protocols.clone(),
         };
         let Ok(comp) = registry.build(tar_file, &spec) else {
             continue;
@@ -696,6 +658,56 @@ pub fn comb_info(netlist: &Netlist, registry: &ComponentRegistry) -> lss_analyze
         fill_comb_info(&mut comb, inst, comp.as_ref());
     }
     comb
+}
+
+/// One leaf's behavior configuration: what [`build`] instantiates and
+/// [`comb_info`] asks about.
+fn leaf_spec(netlist: &Netlist, inst: &lss_netlist::Instance) -> Result<CompSpec, BuildError> {
+    let mut ports = Vec::with_capacity(inst.ports.len());
+    for p in &inst.ports {
+        let Some(ty) = p.ty.clone() else {
+            return Err(BuildError::new(format!(
+                "{}.{}: port has no inferred type; run type inference before building",
+                inst.path,
+                netlist.name(p.name)
+            )));
+        };
+        ports.push(PortSpec {
+            name: netlist.name(p.name).to_string(),
+            dir: p.dir,
+            width: p.width,
+            ty,
+        });
+    }
+    let mut userpoints = HashMap::new();
+    for up in &inst.userpoints {
+        let up_name = netlist.name(up.name);
+        let program = compile_bsl(&up.code).map_err(|e| {
+            BuildError::new(format!(
+                "{}: userpoint `{up_name}` does not compile:\n{e}",
+                inst.path
+            ))
+        })?;
+        userpoints.insert(up_name.to_string(), program);
+    }
+    let spec = CompSpec {
+        path: inst.path.clone(),
+        module: netlist.name(inst.module).to_string(),
+        params: inst
+            .params
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect(),
+        ports,
+        userpoints,
+        runtime_vars: inst
+            .runtime_vars
+            .iter()
+            .map(|rv| (netlist.name(rv.name).to_string(), rv.init.clone()))
+            .collect(),
+        protocols: inst.protocols.clone(),
+    };
+    Ok(spec)
 }
 
 /// Builds a simulator from a typed netlist.
@@ -781,44 +793,23 @@ pub fn build(
         let InstanceKind::Leaf { tar_file } = &inst.kind else {
             unreachable!("leaves only")
         };
-        let mut ports = Vec::with_capacity(inst.ports.len());
-        for p in &inst.ports {
-            let Some(ty) = p.ty.clone() else {
-                return Err(BuildError::new(format!(
-                    "{}.{}: port has no inferred type; run type inference before building",
-                    inst.path,
-                    netlist.name(p.name)
-                )));
-            };
-            ports.push(PortSpec {
-                name: netlist.name(p.name).to_string(),
-                dir: p.dir,
-                width: p.width,
-                ty,
-            });
-        }
-        let mut userpoints_src = HashMap::new();
-        let mut userpoints_rt = Vec::with_capacity(inst.userpoints.len());
-        for up in &inst.userpoints {
-            let up_name = netlist.name(up.name);
-            let program = compile_bsl(&up.code).map_err(|e| {
-                BuildError::new(format!(
-                    "{}: userpoint `{up_name}` does not compile:\n{e}",
-                    inst.path
-                ))
-            })?;
-            let arg_names: Vec<String> = up
-                .args
-                .iter()
-                .map(|(s, _)| netlist.name(*s).to_string())
-                .collect();
-            userpoints_src.insert(up_name.to_string(), program.clone());
-            userpoints_rt.push(UserpointRt {
-                name: up_name.to_string(),
-                arg_names,
-                program,
-            });
-        }
+        let spec = leaf_spec(netlist, inst)?;
+        let userpoints_rt: Vec<UserpointRt> = inst
+            .userpoints
+            .iter()
+            .map(|up| {
+                let name = netlist.name(up.name);
+                UserpointRt {
+                    name: name.to_string(),
+                    arg_names: up
+                        .args
+                        .iter()
+                        .map(|(s, _)| netlist.name(*s).to_string())
+                        .collect(),
+                    program: spec.userpoints[name].clone(),
+                }
+            })
+            .collect();
         let init_up = userpoints_rt
             .iter()
             .position(|up| up.name == "init")
@@ -827,27 +818,7 @@ pub fn build(
             .iter()
             .position(|up| up.name == "end_of_timestep")
             .map(UserpointId::from_index);
-        let rtvs = SlotTable::from_pairs(
-            inst.runtime_vars
-                .iter()
-                .map(|rv| (netlist.name(rv.name), rv.init.clone())),
-        );
-        let spec = CompSpec {
-            path: inst.path.clone(),
-            module: netlist.name(inst.module).to_string(),
-            params: inst
-                .params
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            ports,
-            userpoints: userpoints_src,
-            runtime_vars: rtvs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-            protocols: inst.protocols.clone(),
-        };
+        let rtvs = SlotTable::from_pairs(spec.runtime_vars.iter().cloned());
         specs.push((tar_file, spec));
         states.push(CompState {
             rtvs,
@@ -882,42 +853,15 @@ pub fn build(
 
     // Static plan: ask the behaviors which inputs their eval reads, then
     // condense the analyzer's dependency graph — the same graph `lssc
-    // check`'s cycle detector reports on — and group its SCCs into stages
-    // of mutually independent units. Each acyclic singleton without
-    // userpoints joins its stage's static window; fixpoint blocks and
-    // instances with userpoints run as serial steps after it.
+    // check`'s cycle detector reports on — and run its SCCs in
+    // topological order.
     let mut comb = CombInfo::all_combinational();
     for (c, &id) in leaf_ids.iter().enumerate() {
         fill_comb_info(&mut comb, netlist.instance(id), comps[c].as_ref());
     }
     let deps = leaf_dep_graph(netlist, &wires, &comb);
     debug_assert_eq!(deps.leaves, leaf_ids, "analyzer and engine leaf order");
-    let cond = deps.graph.condense();
-    let mut plan = CompiledPlan::default();
-    for stage_sccs in cond.stages(&deps.graph) {
-        let lstart = plan.leaves.len();
-        let sstart = plan.serial_steps.len();
-        for &si in &stage_sccs {
-            let scc = &cond.sccs[si];
-            let cyclic = cond.cyclic[si];
-            if !cyclic && states[scc[0]].userpoints.is_empty() {
-                plan.leaves.push(scc[0]);
-            } else {
-                plan.serial_steps.push(SerialStep {
-                    start: plan.serial_order.len(),
-                    len: scc.len(),
-                    fixpoint: cyclic,
-                });
-                plan.serial_order.extend_from_slice(scc);
-            }
-        }
-        plan.stages.push(StageInfo {
-            lstart,
-            llen: plan.leaves.len() - lstart,
-            sstart,
-            slen: plan.serial_steps.len() - sstart,
-        });
-    }
+    let plan = Plan::new(&deps.graph.condense());
 
     // Collectors: resolve each onto its precomputed listener table —
     // declared events index `event_listeners`, implicit `<port>_fire`
@@ -1102,40 +1046,18 @@ impl Simulator {
         self.comps.len()
     }
 
-    /// Number of leaves in the static plan's stage windows: acyclic
-    /// leaves without userpoints, each evaluated once per cycle with no
-    /// change detection. The dynamic scheduler does not use the plan.
+    /// Number of static leaves in the plan: leaves outside combinational
+    /// cycles, each evaluated once per cycle with no change detection. The
+    /// dynamic scheduler does not use the plan.
     pub fn static_leaf_count(&self) -> usize {
-        self.plan.leaves.len()
+        self.plan.static_leaves()
     }
 
-    /// Number of dependency stages in the static plan.
-    pub fn stage_count(&self) -> usize {
-        self.plan.stages.len()
-    }
-
-    /// The static plan as executed, stage by stage: each unit's components
-    /// and whether it is a combinational-cycle fixpoint block. The static
-    /// window's leaves come first within a stage, then the serial units.
-    pub fn plan_stages(&self) -> Vec<Vec<(&[usize], bool)>> {
-        self.plan
-            .stages
-            .iter()
-            .map(|st| {
-                let leaves = self.plan.leaves[st.lstart..st.lstart + st.llen]
-                    .iter()
-                    .map(|c| (std::slice::from_ref(c), false));
-                let serial = self.plan.serial_steps[st.sstart..st.sstart + st.slen]
-                    .iter()
-                    .map(|s| {
-                        (
-                            &self.plan.serial_order[s.start..s.start + s.len],
-                            s.fixpoint,
-                        )
-                    });
-                leaves.chain(serial).collect()
-            })
-            .collect()
+    /// The static plan as executed, unit by unit in topological order:
+    /// each unit's components and whether it is a combinational-cycle
+    /// fixpoint block. A unit that is not a block is one static leaf.
+    pub fn plan_stages(&self) -> Vec<(&[usize], bool)> {
+        self.plan.units()
     }
 
     /// Current cycle (number of completed cycles).
@@ -1146,17 +1068,6 @@ impl Simulator {
     /// Simulation counters.
     pub fn stats(&self) -> SimStats {
         self.stats
-    }
-
-    /// Evaluates one component, dropping the emissions of its previous
-    /// evaluation. The static plan's serial steps outside fixpoint blocks
-    /// call this untracked: such a component runs once per cycle on outputs
-    /// that start the cycle absent, so there is nothing to retract and no
-    /// change to detect.
-    fn eval_once(&mut self, comp: usize, track: bool) -> Result<(), SimError> {
-        self.stats.comp_evals += 1;
-        self.core.states[comp].eval_events.clear();
-        self.eval_leaf(comp, track)
     }
 
     /// Runs `comp`'s `eval_in`, then reports its error or its first type
@@ -1195,7 +1106,10 @@ impl Simulator {
         before.clear();
         before.extend_from_slice(&self.core.values[slots.clone()]);
         self.core.written[slots.clone()].fill(false);
-        self.eval_once(comp, true)?;
+        // An eval's emissions replace those of its previous evaluation.
+        self.stats.comp_evals += 1;
+        self.core.states[comp].eval_events.clear();
+        self.eval_leaf(comp, true)?;
         for s in slots.clone() {
             if !self.core.written[s] {
                 self.core.retract(s);
@@ -1337,8 +1251,9 @@ impl Simulator {
             result.map_err(|e| self.locate(comp, e))?;
         }
         // An eval's emissions replace earlier ones, so `init`'s never
-        // reach a collector. Static-window leaves evaluate once per cycle
-        // and leave the clearing to the dispatch that drains them.
+        // reach a collector. Static leaves evaluate once per cycle and
+        // leave the clearing to the dispatch that drains them (or to a
+        // failed step).
         for state in &mut self.core.states {
             state.eval_events.clear();
         }
@@ -1364,10 +1279,22 @@ impl Simulator {
         if !self.initialized {
             self.init()?;
         }
+        if let Err(e) = self.advance() {
+            self.drop_pending_events();
+            return Err(e);
+        }
+        self.core.cycle += 1;
+        self.stats.cycles += 1;
+        Ok(())
+    }
+
+    /// The body of [`Simulator::step`]: settle, port events, the state
+    /// update and declared-event dispatch.
+    fn advance(&mut self) -> Result<(), SimError> {
         // New cycle: all port values start absent.
         self.core.reset_values();
         match self.opts.scheduler {
-            Scheduler::Static => self.settle_staged()?,
+            Scheduler::Static => self.settle_static()?,
             Scheduler::Dynamic => self.settle_dynamic()?,
         }
         self.fire_port_events()?;
@@ -1389,10 +1316,19 @@ impl Simulator {
                 return Err(self.locate(comp, e));
             }
         }
-        self.dispatch_declared_events()?;
-        self.core.cycle += 1;
-        self.stats.cycles += 1;
-        Ok(())
+        self.dispatch_declared_events()
+    }
+
+    /// Drops the events a failed step left undispatched, so a retried
+    /// cycle does not dispatch them a second time.
+    #[cold]
+    #[inline(never)]
+    fn drop_pending_events(&mut self) {
+        for &comp in &self.event_comps {
+            let state = &mut self.core.states[comp];
+            state.eval_events.clear();
+            state.eot_events.clear();
+        }
     }
 
     /// Runs `n` cycles.
@@ -1403,30 +1339,66 @@ impl Simulator {
         Ok(())
     }
 
-    /// Evaluates one serial step: a single component, or a
-    /// combinational-cycle fixpoint block iterated until its outputs stop
-    /// changing.
-    fn settle_window(&mut self, step: SerialStep) -> Result<(), SimError> {
-        let SerialStep {
-            start,
-            len,
-            fixpoint,
-        } = step;
-        if !fixpoint {
-            return self.eval_once(self.plan.serial_order[start], false);
+    /// The static settle loop: the plan's units in topological order, each
+    /// static leaf evaluated once and each fixpoint block iterated.
+    fn settle_static(&mut self) -> Result<(), SimError> {
+        let mut held = Vec::new();
+        let mut next = 0;
+        for b in 0..self.plan.blocks.len() {
+            let block = self.plan.blocks[b].clone();
+            self.eval_static(next..block.start, &mut held)?;
+            next = block.end;
+            self.settle_block(block)?;
         }
+        self.eval_static(next..self.plan.order.len(), &mut held)?;
+        // Only the skipped-barrier mutation holds writes back this long.
+        for (slot, v) in held {
+            self.core.write(slot, v);
+        }
+        Ok(())
+    }
+
+    /// Evaluates the static leaves `plan.order[range]`, each once and
+    /// untracked: its inputs are settled and its outputs start the cycle
+    /// absent, so there is nothing to retract and no change to detect.
+    /// An injected [`KernelMutation`] applies to each leaf's writes.
+    fn eval_static(
+        &mut self,
+        range: Range<usize>,
+        held: &mut Vec<(usize, Datum)>,
+    ) -> Result<(), SimError> {
+        let evals = range.len() as u64;
+        let mutation = self.opts.kernel_mutation;
+        if mutation == KernelMutation::None {
+            for i in range {
+                self.eval_leaf(self.plan.order[i], false)?;
+            }
+        } else {
+            for i in range {
+                let mark = self.core.live.len();
+                self.eval_leaf(self.plan.order[i], false)?;
+                self.core.mutate_leaf(mutation, mark, held);
+            }
+        }
+        self.stats.comp_evals += evals;
+        Ok(())
+    }
+
+    /// Iterates the fixpoint block `plan.order[block]` until its outputs
+    /// stop changing.
+    fn settle_block(&mut self, block: Range<usize>) -> Result<(), SimError> {
         let mut iters = 0;
         loop {
             let mut any = false;
-            for j in start..start + len {
-                any |= self.eval_comp(self.plan.serial_order[j])?;
+            for j in block.clone() {
+                any |= self.eval_comp(self.plan.order[j])?;
             }
             if !any {
                 break;
             }
             iters += 1;
             if iters > self.opts.max_fixpoint_iters {
-                let names: Vec<&str> = self.plan.serial_order[start..start + len]
+                let names: Vec<&str> = self.plan.order[block]
                     .iter()
                     .map(|&c| self.paths[c].as_str())
                     .collect();
@@ -1436,34 +1408,6 @@ impl Simulator {
                     names.join(", ")
                 )));
             }
-        }
-        Ok(())
-    }
-
-    /// The static settle loop: per dependency stage, evaluate the leaves
-    /// of the stage's static window, which write straight into the arena,
-    /// then run the stage's serial steps. Stage members are mutually
-    /// independent, so the result is that of any topological order.
-    fn settle_staged(&mut self) -> Result<(), SimError> {
-        let mut held = Vec::new();
-        for si in 0..self.plan.stages.len() {
-            let stage = self.plan.stages[si];
-            if stage.llen > 0 {
-                let mark = self.core.live.len();
-                for i in stage.lstart..stage.lstart + stage.llen {
-                    self.eval_leaf(self.plan.leaves[i], false)?;
-                }
-                self.stats.comp_evals += stage.llen as u64;
-                self.core
-                    .mutate_stage(self.opts.kernel_mutation, mark, &mut held);
-            }
-            for sj in stage.sstart..stage.sstart + stage.slen {
-                self.settle_window(self.plan.serial_steps[sj])?;
-            }
-        }
-        // Only the skipped-barrier mutation holds writes back this long.
-        for (slot, v) in held {
-            self.core.write(slot, v);
         }
         Ok(())
     }

@@ -1,34 +1,33 @@
-//! The static scheduler's execution plan and its injected faults.
+//! The static scheduler's plan and its injected faults.
 //!
-//! `lss-analyze`'s `Condensation::stages` groups the SCCs of the analyzer's
-//! Tarjan condensation into *stages* — sets of mutually independent
-//! schedule units, in dependency order. The plan records, per stage, a
-//! *static window* of acyclic leaves without userpoints, each evaluated
-//! once per cycle with no change detection, and the serial steps that
-//! follow it: leaves with userpoints, and fixpoint blocks, which need
-//! change detection.
-//!
-//! Leaves in one stage never read each other's outputs, so the engine
-//! runs a stage's window in order on one thread and each leaf writes
-//! straight into the value arena; the order is fixed once, when the plan
-//! is built.
+//! The plan is the SCCs of `lss-analyze`'s Tarjan condensation in the
+//! topological order [`Condensation::sccs`] already has, fixed once when
+//! the simulator is built (LSE's static schedule, \[12\]). Each acyclic SCC
+//! is one leaf, evaluated once per cycle with no change detection; each
+//! cyclic SCC is a fixpoint block, iterated with change detection until
+//! its outputs stop changing. Every leaf's inputs are settled before it
+//! runs, so each leaf writes straight into the value arena.
 
-/// Deliberately injected static-window bugs, in the spirit of
+use std::ops::Range;
+
+use lss_analyze::Condensation;
+
+/// Deliberately injected static-leaf bugs, in the spirit of
 /// `lss-verify`'s `Mutation` knob on the reference simulator: each is a
-/// direct-write fault on a stage window's writes that breaks an invariant
-/// the staged executor relies on, and the differential harness must catch
+/// direct-write fault on a static leaf's writes that breaks an invariant
+/// the static plan relies on, and the differential harness must catch
 /// (and minimize) the resulting trace divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMutation {
     /// Correct execution.
     #[default]
     None,
-    /// A stale stage commit: the last write of every stage window is
-    /// retracted, as if one leaf's output never made it into the arena.
+    /// A stale commit: the last write of every static leaf is retracted,
+    /// as if that output never made it into the arena.
     StaleCommit,
-    /// A skipped stage barrier: every stage-window write is moved out of the
-    /// arena and written back only after the whole settle pass, so
-    /// downstream stages read cycle-start (absent) values instead of their
+    /// A skipped barrier: every static leaf's writes are moved out of the
+    /// arena and written back only after the whole settle pass, so the
+    /// leaves after it read cycle-start (absent) values instead of their
     /// inputs.
     SkipBarrier,
 }
@@ -44,41 +43,46 @@ impl KernelMutation {
     }
 }
 
-/// One serial unit of a stage: a leaf with userpoints, or a fixpoint
-/// block.
-#[derive(Debug, Clone, Copy)]
-pub struct SerialStep {
-    /// Window start into [`CompiledPlan::serial_order`].
-    pub start: usize,
-    /// Window length.
-    pub len: usize,
-    /// True for a combinational-cycle fixpoint block.
-    pub fixpoint: bool,
-}
-
-/// One stage of the static plan: a window of mutually independent leaves
-/// plus a window of serial steps.
-#[derive(Debug, Clone, Copy)]
-pub struct StageInfo {
-    /// Static-window start into [`CompiledPlan::leaves`].
-    pub lstart: usize,
-    /// Static-window length.
-    pub llen: usize,
-    /// Serial-step window start into [`CompiledPlan::serial_steps`].
-    pub sstart: usize,
-    /// Serial-step window length.
-    pub slen: usize,
-}
-
-/// The staged schedule the static scheduler executes.
+/// The static schedule: every leaf, SCC by SCC, in topological order.
 #[derive(Debug, Clone, Default)]
-pub struct CompiledPlan {
-    /// Stages in dependency order.
-    pub stages: Vec<StageInfo>,
-    /// The static windows' leaves, windowed by [`StageInfo`].
-    pub leaves: Vec<usize>,
-    /// Serial steps, windowed by [`StageInfo`].
-    pub serial_steps: Vec<SerialStep>,
-    /// Component indices backing the serial steps.
-    pub serial_order: Vec<usize>,
+pub(crate) struct Plan {
+    /// Component indices; the members of one SCC are consecutive.
+    pub(crate) order: Vec<usize>,
+    /// The cyclic SCCs (fixpoint blocks) as windows into `order`, in
+    /// order. Every position outside a block is one static leaf.
+    pub(crate) blocks: Vec<Range<usize>>,
+}
+
+impl Plan {
+    pub(crate) fn new(cond: &Condensation) -> Plan {
+        let mut plan = Plan::default();
+        for (scc, &cyclic) in cond.sccs.iter().zip(&cond.cyclic) {
+            let start = plan.order.len();
+            plan.order.extend_from_slice(scc);
+            if cyclic {
+                plan.blocks.push(start..plan.order.len());
+            }
+        }
+        plan
+    }
+
+    /// Number of leaves outside fixpoint blocks.
+    pub(crate) fn static_leaves(&self) -> usize {
+        let in_blocks: usize = self.blocks.iter().map(|b| b.len()).sum();
+        self.order.len() - in_blocks
+    }
+
+    /// The units in order: each its components, and whether it is a
+    /// fixpoint block.
+    pub(crate) fn units(&self) -> Vec<(&[usize], bool)> {
+        let mut units = Vec::with_capacity(self.order.len());
+        let mut next = 0;
+        for block in &self.blocks {
+            units.extend(self.order[next..block.start].chunks(1).map(|c| (c, false)));
+            units.push((&self.order[block.clone()], true));
+            next = block.end;
+        }
+        units.extend(self.order[next..].chunks(1).map(|c| (c, false)));
+        units
+    }
 }

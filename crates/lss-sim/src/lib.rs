@@ -10,16 +10,16 @@
 //! * [`bsl`] — the interpreter for userpoint and collector BSL code;
 //! * [`slots`] — flat name/value tables ([`SlotTable`]) that back runtime
 //!   variables and collector state without per-cycle hashing;
-//! * [`engine`] — the cycle engine with the static scheduler (the staged
-//!   plan over the analyzer's condensation, LSE's optimization of \[12\])
-//!   and a SystemC-style dynamic (worklist fixpoint) baseline, plus the
-//!   aspect-oriented event/collector instrumentation of §4.5. Both
+//! * [`engine`] — the cycle engine with the static scheduler (the
+//!   analyzer's condensation in topological order, LSE's optimization of
+//!   \[12\]) and a SystemC-style dynamic (worklist fixpoint) baseline,
+//!   plus the aspect-oriented event/collector instrumentation of §4.5. Both
 //!   schedulers call every leaf through [`Component::eval_in`] with the
 //!   engine's concrete [`Ctx`]; a behavior written once, generic over
 //!   [`CompCtx`], is thereby specialized to the value arena, as LSE's code
 //!   generator specializes one BSL source per component;
-//! * [`exec`] — the static plan's stages and the injected static-window
-//!   mutations for the differential harness;
+//! * [`exec`] — the static plan and the injected static-leaf mutations
+//!   for the differential harness;
 //! * [`wave`] — VCD and ASCII waveform output from the firing log.
 
 #![warn(missing_docs)]
@@ -36,6 +36,6 @@ pub use component::{
     BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
 };
 pub use engine::{build, comb_info, Ctx, FiringRecord, Scheduler, SimOptions, SimStats, Simulator};
-pub use exec::{CompiledPlan, KernelMutation};
+pub use exec::KernelMutation;
 pub use slots::SlotTable;
 pub use wave::{to_ascii, to_vcd};

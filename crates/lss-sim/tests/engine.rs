@@ -146,6 +146,35 @@ impl Component for Inverter {
     }
 }
 
+/// Drives its cycle number on `out` and emits a declared `tick` event in
+/// every `eval`.
+struct Ticker {
+    out: usize,
+}
+impl Component for Ticker {
+    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        let cycle = Datum::Int(ctx.cycle() as i64);
+        ctx.set_output(self.out, 0, cycle.clone());
+        ctx.emit("tick", vec![cycle]);
+        Ok(())
+    }
+}
+
+/// Reads `in` combinationally and fails the first evaluation of cycle 1.
+struct Flaky {
+    inp: usize,
+    failed: bool,
+}
+impl Component for Flaky {
+    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        if ctx.input(self.inp, 0) == Some(Datum::Int(1)) && !self.failed {
+            self.failed = true;
+            return Err(SimError::new("transient failure"));
+        }
+        Ok(())
+    }
+}
+
 fn registry() -> ComponentRegistry {
     let mut reg = ComponentRegistry::new();
     reg.register("test/counter.tar", |spec| {
@@ -184,6 +213,17 @@ fn registry() -> ComponentRegistry {
             inp: spec.port_index("in")?,
             out: spec.port_index("out")?,
             floor: spec.int_param_or("floor", 0)?,
+        }) as Box<dyn Component>)
+    });
+    reg.register("test/ticker.tar", |spec| {
+        Ok(Box::new(Ticker {
+            out: spec.port_index("out")?,
+        }) as Box<dyn Component>)
+    });
+    reg.register("test/flaky.tar", |spec| {
+        Ok(Box::new(Flaky {
+            inp: spec.port_index("in")?,
+            failed: false,
         }) as Box<dyn Component>)
     });
     reg.register("test/inv.tar", |spec| {
@@ -234,6 +274,15 @@ module inv {
     inport in:bool;
     outport out:bool;
     tar_file = "test/inv.tar";
+};
+module ticker {
+    outport out:int;
+    event tick(int);
+    tar_file = "test/ticker.tar";
+};
+module flaky {
+    inport in:int;
+    tar_file = "test/flaky.tar";
 };
 "#;
 
@@ -500,9 +549,36 @@ fn convergent_combinational_loop_settles() {
     }
     // The static plan contains exactly one fixpoint block.
     let sim = sim_of(src, Scheduler::Static);
-    let stages = sim.plan_stages();
-    let blocks: Vec<_> = stages.iter().flatten().filter(|u| u.1).collect();
+    let blocks: Vec<_> = sim.plan_stages().into_iter().filter(|u| u.1).collect();
     assert_eq!(blocks.len(), 1);
+}
+
+#[test]
+fn a_retried_cycle_dispatches_its_events_once() {
+    // `f` fails cycle 1 after `e` has emitted that cycle's tick; the tick
+    // must not survive into the retried cycle 1, which emits its own.
+    let src = r#"
+        instance e:ticker;
+        instance f:flaky;
+        e.out -> f.in;
+        collector e : tick = "seen = seen + 1;";
+    "#;
+    for scheduler in [Scheduler::Static, Scheduler::Dynamic] {
+        let mut sim = sim_of(src, scheduler);
+        sim.step().unwrap();
+        let err = sim.step().unwrap_err();
+        assert!(
+            err.message.contains("transient failure"),
+            "{scheduler:?}: {err}"
+        );
+        sim.step().unwrap();
+        assert_eq!(sim.cycle(), 2, "{scheduler:?}");
+        assert_eq!(
+            sim.collector_stat("e", "tick", "seen"),
+            Some(Datum::Int(2)),
+            "{scheduler:?}"
+        );
+    }
 }
 
 #[test]

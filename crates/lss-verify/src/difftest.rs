@@ -2,7 +2,7 @@
 //!
 //! An LSS program is compiled once through the full driver pipeline, then
 //! run twice — on the production engine (`lss_sim::Simulator` with its
-//! staged static plan) and on the naive [`RefSim`](crate::RefSim) fixpoint
+//! static plan) and on the naive [`RefSim`](crate::RefSim) fixpoint
 //! oracle — comparing the canonical `state_lines` dump after every cycle.
 //! Any divergence (a differing line, or a runtime error on one side only)
 //! is a [`Discrepancy`], the currency the fuzzer and the minimizer trade
@@ -28,7 +28,7 @@ pub struct DiffOptions {
     /// Injected reference bug (mutation testing only; [`Mutation::None`]
     /// for real verification runs).
     pub mutation: Mutation,
-    /// Injected stage-window bug in the engine under test (mutation
+    /// Injected static-leaf bug in the engine under test (mutation
     /// testing only; [`KernelMutation::None`] for real verification runs).
     /// It must surface as a `Trace` or `EngineError` against the reference.
     pub kernel_mutation: KernelMutation,

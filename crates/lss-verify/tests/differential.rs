@@ -164,7 +164,7 @@ fn minimizer_shrinks_hand_built_finding_to_three_instances() {
     );
 }
 
-/// True for the discrepancy classes a stage-window bug can produce: the
+/// True for the discrepancy classes a static-leaf bug can produce: the
 /// mutated engine's state diverges from the reference, or it fails a cycle
 /// the reference runs clean.
 fn engine_side(d: &Discrepancy) -> bool {
@@ -174,7 +174,7 @@ fn engine_side(d: &Discrepancy) -> bool {
 #[test]
 fn stale_commit_kernel_mutation_is_caught_and_minimized() {
     // An injected direct-write fault in the engine (the last write of each
-    // stage window silently retracted) must surface against the reference
+    // static leaf silently retracted) must surface against the reference
     // and shrink to a small repro, exactly like the reference-simulator
     // mutations.
     let out = std::env::temp_dir().join("lss-verify-kernel-mutation");
@@ -218,8 +218,8 @@ fn stale_commit_kernel_mutation_is_caught_and_minimized() {
 
 #[test]
 fn skip_barrier_kernel_mutation_is_caught() {
-    // The second injected stage-window bug: every window write is moved
-    // out of the arena and written back only after the settle pass, so any
+    // The second injected static-leaf bug: every static leaf's writes are
+    // moved out of the arena and written back only after the settle pass, so any
     // *combinational* consumer (the tee here) reads an absent value while
     // the reference sees the real one. A pure delay chain cannot tell —
     // delays sample at end-of-timestep, after the late commit — which is
@@ -247,9 +247,9 @@ fn skip_barrier_kernel_mutation_is_caught() {
 
 #[test]
 fn kernel_mutations_stay_off_the_dynamic_scheduler() {
-    // Stage windows exist only in the static plan: the dynamic scheduler
-    // evaluates every leaf from its worklist, so a window mutation cannot
-    // reach it and the same chain diffs clean.
+    // Static leaves exist only in the static plan: the dynamic scheduler
+    // evaluates every leaf from its worklist, so a static-leaf mutation
+    // cannot reach it and the same chain diffs clean.
     for mutation in [KernelMutation::StaleCommit, KernelMutation::SkipBarrier] {
         let opts = DiffOptions {
             scheduler: Scheduler::Dynamic,

@@ -123,6 +123,59 @@ fn pretty_print_reparse_is_stable() {
         assert!(!diags.has_errors(), "case {case}: {printed}");
         assert_eq!(printed, pretty::program_to_string(&p2), "case {case}");
     }
+    // String literals: quotes, backslashes, newline and tab go through the
+    // lexer's escapes; CR, other control characters and non-ASCII text
+    // stay raw and survive the round trip unchanged.
+    use lss_ast::{ExprKind, Program, Stmt};
+    fn printed_arg(p: &Program) -> &str {
+        let [Stmt::Expr(call)] = p.top.as_slice() else {
+            panic!("one print statement expected");
+        };
+        let ExprKind::Call(_, args) = &call.kind else {
+            panic!("a call expected");
+        };
+        let ExprKind::Str(s) = &args[0].kind else {
+            panic!("a string argument expected");
+        };
+        s
+    }
+    const CHARS: &[char] = &[
+        'a', ' ', '"', '\\', '\n', '\t', '\r', '\0', '\u{1b}', '\u{7f}', 'é', '☃', '\u{200b}', '𝄞',
+    ];
+    for case in 0..128 {
+        let len = rng.index(8);
+        let value: String = (0..len).map(|_| CHARS[rng.index(CHARS.len())]).collect();
+        let mut literal = String::new();
+        for c in value.chars() {
+            match c {
+                '"' => literal.push_str("\\\""),
+                '\\' => literal.push_str("\\\\"),
+                '\n' => literal.push_str("\\n"),
+                '\t' => literal.push_str("\\t"),
+                c => literal.push(c),
+            }
+        }
+        let src = format!("print(\"{literal}\");");
+        let mut sources = SourceMap::new();
+        let f1 = sources.add_file("a.lss", src.as_str());
+        let mut diags = DiagnosticBag::new();
+        let p1 = parse(f1, &src, &mut diags);
+        assert!(!diags.has_errors(), "string case {case}: {src:?}");
+        let printed = pretty::program_to_string(&p1);
+        let f2 = sources.add_file("b.lss", printed.as_str());
+        let p2 = parse(f2, &printed, &mut diags);
+        assert!(!diags.has_errors(), "string case {case}: {printed:?}");
+        assert_eq!(printed_arg(&p2), value, "string case {case}: {printed:?}");
+        assert_eq!(
+            printed,
+            pretty::program_to_string(&p2),
+            "string case {case}"
+        );
+        assert!(
+            printed.contains(&format!("\"{literal}\"")),
+            "string case {case}: {value:?} printed as {printed:?}"
+        );
+    }
 }
 
 /// BSL (simulation-time) arithmetic agrees with compile-time evaluation
