@@ -35,6 +35,15 @@ for f in examples/lss/*.lss examples/lss/model_a examples/lss/model_e; do
     --format sarif --output "target/analysis/example_${name}.sarif"
 done
 
+echo "==> static plan: no fixpoint block on a Table 3 model (none has an LSS101 cycle)"
+for m in A B C D E F; do
+  plan="$(./target/release/lssc --model "$m" --run 1 --stats | grep '^plan: ')"
+  if ! grep -q ', 0 combinational cycle blocks$' <<<"${plan}"; then
+    echo "model ${m}: leaf-level cycles must run as fixed sequences: ${plan}" >&2
+    exit 1
+  fi
+done
+
 echo "==> protocol: composition checks clean over Table 3 models, examples and example projects"
 for m in A B C D E F; do
   ./target/release/lssc check --model "$m" --deny LSS105 --deny LSS107
@@ -106,7 +115,7 @@ rm -rf target/verify
 echo "==> static plan: engine fuzz smoke + injected-bug canaries (fixed seed)"
 # The sim-only loop above already checks the engine's static plan against
 # the reference inside every difftest; this stage additionally proves the
-# harness *would* catch a static-leaf bug: both injected mutations must
+# harness *would* catch a static-plan bug: both injected mutations must
 # produce findings (exit 1).
 ./target/release/lssc fuzz --seed 4 --iters 200 --sim-only
 if ./target/release/lssc fuzz --seed 4 --iters 20 --sim-only --mutate stale-commit \

@@ -60,8 +60,8 @@
 //!                      not for real verification: `reversed` and
 //!                      `single-pass` break the reference scheduler;
 //!                      `stale-commit` and `skip-barrier` inject
-//!                      direct-write faults into the engine's stage
-//!                      windows
+//!                      direct-write faults into every evaluation of the
+//!                      engine's static plan outside fixpoint blocks
 //!
 //! `fuzz` generates random well-formed programs, checks the heuristic type
 //! solver against exhaustive disjunct enumeration and the engine against a
@@ -83,14 +83,16 @@
 //!   --run N            simulate N cycles after compiling
 //!   --run-model        run a built-in model to completion and report CPI
 //!   --scheduler S      static (default) or dynamic: static executes the
-//!                      static plan, each acyclic leaf once per cycle,
-//!                      writing straight into the flat state arena;
-//!                      dynamic is the worklist baseline
+//!                      static plan, each acyclic leaf once per cycle and
+//!                      each leaf-level cycle as a fixed sequence, writing
+//!                      straight into the flat state arena; dynamic is the
+//!                      worklist baseline
 //!   --batch N          with --run: simulate the netlist N times, seeded
 //!                      0..N-1, and print per-lane summaries (lane k is
 //!                      the run with seed k; tests/golden_batch.rs pins
 //!                      the seeded traces)
 //!   --emit-lss         pretty-print the parsed sources in canonical form
+//!                      and stop
 //!   --dump-tree        print the instance hierarchy
 //!   --dump-dot         print the flattened wire graph as GraphViz dot
 //!   --dump-json        print the netlist as JSON
@@ -143,9 +145,11 @@ fn print_sim_stats(sim: &liberty::Simulator) {
     println!("  port_firings       {}", stats.port_firings);
     let blocks = sim.plan_stages().iter().filter(|u| u.1).count();
     println!(
-        "plan: {} components, {} static leaves, {blocks} combinational cycle blocks",
+        "plan: {} components, {} static leaves, {} repeated evaluations, \
+         {blocks} combinational cycle blocks",
         sim.component_count(),
         sim.static_leaf_count(),
+        sim.repeated_eval_count(),
     );
 }
 
@@ -1358,6 +1362,9 @@ fn real_main() -> ExitCode {
             }
             print!("{}", liberty::ast::pretty::program_to_string(&program));
         }
+        // Stop here: elaborating would append the model's `print` output
+        // to the emitted source.
+        return ExitCode::SUCCESS;
     }
 
     let compiled = match driver.elaborate() {

@@ -76,7 +76,10 @@ fn run_with_stats_prints_engine_and_schedule_summary() {
     // The plan shape: the sink registers its input, so both leaves are
     // static leaves; no combinational cycles.
     assert!(
-        stdout.contains("plan: 2 components, 2 static leaves, 0 combinational cycle blocks"),
+        stdout.contains(
+            "plan: 2 components, 2 static leaves, 0 repeated evaluations, \
+             0 combinational cycle blocks"
+        ),
         "missing plan summary:\n{stdout}"
     );
     let _ = std::fs::remove_file(&model);
@@ -131,9 +134,9 @@ fn batch_runs_one_lane_per_seed() {
     assert_eq!(
         stdout,
         "batch: 3 lane(s), 100 cycles each\n\
-         \x20 lane 0 (seed 0): 2060 component evaluations, 1675 port firings\n\
-         \x20 lane 1 (seed 1): 2060 component evaluations, 1675 port firings\n\
-         \x20 lane 2 (seed 2): 2060 component evaluations, 1675 port firings\n"
+         \x20 lane 0 (seed 0): 2000 component evaluations, 1675 port firings\n\
+         \x20 lane 1 (seed 1): 2000 component evaluations, 1675 port firings\n\
+         \x20 lane 2 (seed 2): 2000 component evaluations, 1675 port firings\n"
     );
 }
 
@@ -148,6 +151,31 @@ fn print_keeps_non_ascii_string_bytes() {
     assert!(out.status.success());
     assert_eq!(out.stdout, "é☃\n".as_bytes());
     let _ = std::fs::remove_file(&model);
+}
+
+#[test]
+fn emit_lss_stops_before_the_models_print_output() {
+    let emit = |path: &PathBuf| -> String {
+        let out = lssc()
+            .arg(path)
+            .args(["--no-cache", "--emit-lss"])
+            .output()
+            .expect("spawn lssc");
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        String::from_utf8(out.stdout).expect("UTF-8 source")
+    };
+    let model = write_source("emit-print", "instance s:sink;\nprint(\"hello\");\n");
+    let first = emit(&model);
+    assert!(
+        !first.lines().any(|l| l == "hello"),
+        "print output leaked into the emitted source:\n{first}"
+    );
+    // The emitted text is a model in its own right: it re-parses and
+    // re-emits byte-identically.
+    let again = write_source("emit-print-again", &first);
+    assert_eq!(emit(&again), first);
+    let _ = std::fs::remove_file(&model);
+    let _ = std::fs::remove_file(&again);
 }
 
 #[test]
@@ -1099,6 +1127,13 @@ fn run_model_stats_print_the_same_plan_as_run() {
         assert_eq!(plans.len(), 1, "expected one plan line:\n{stdout}");
         plans[0].to_string()
     };
+    // Model C's two leaf-level cycles (queue/decode credit, cache/memory)
+    // are fixed sequences of three evaluations, two of one leaf each.
+    assert_eq!(
+        plan_line(&["--run-model"]),
+        "plan: 18 components, 16 static leaves, 4 repeated evaluations, \
+         0 combinational cycle blocks"
+    );
     assert_eq!(plan_line(&["--run-model"]), plan_line(&["--run", "1"]));
 }
 

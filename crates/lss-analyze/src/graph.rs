@@ -13,16 +13,18 @@
 //!   *that `B` reads combinationally* (state elements consume their inputs
 //!   at `end_of_timestep`, which is what breaks synchronous feedback
 //!   loops). Components evaluate as a unit, so this is the graph the
-//!   static scheduler condenses;
+//!   static scheduler condenses first;
 //! * **port level** ([`LeafDepGraph::ports`]) — nodes are individual leaf
 //!   ports; wire edges connect outputs to combinational inputs, and
 //!   *internal* edges connect each combinational input to the outputs
 //!   whose `eval` value actually reads it. Behaviors with independent port
 //!   paths (a credit output computed from buffer occupancy alone, a cache
 //!   `lower_req` that does not read `lower_resp`) break apparent loops
-//!   here: a credit handshake is a leaf-level cycle — the scheduler
-//!   iterates it to a fixpoint — but only a *port-level* cycle is a true
-//!   unbroken zero-delay loop, which is what `LSS101` reports.
+//!   here: a credit handshake is a leaf-level cycle — the scheduler orders
+//!   its members by their own port subgraph and runs them as a fixed
+//!   sequence — but only a *port-level* cycle is a true unbroken
+//!   zero-delay loop, which is what `LSS101` reports and what the
+//!   scheduler iterates to a fixpoint.
 //!
 //! Which inputs are combinational and which output→input pairs are
 //! independent comes from the behavior registry via [`CombInfo`]; without
@@ -294,6 +296,11 @@ impl LeafDepGraph {
     pub fn port_node(&self, leaf: usize, port: usize) -> usize {
         debug_assert!(port < self.port_base[leaf + 1] - self.port_base[leaf]);
         self.port_base[leaf] + port
+    }
+
+    /// The port-graph node ids of every port of `leaf`, in port order.
+    pub fn port_nodes(&self, leaf: usize) -> std::ops::Range<usize> {
+        self.port_base[leaf]..self.port_base[leaf + 1]
     }
 
     /// The `(leaf index, port index)` a port-graph node id refers to.

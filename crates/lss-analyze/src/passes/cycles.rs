@@ -5,8 +5,8 @@
 //! ([`LeafDepGraph::ports`](crate::graph::LeafDepGraph)): wire edges plus
 //! internal input→output edges for every pair the behaviors did not
 //! declare independent. A leaf-level loop (a credit handshake, a cache
-//! request/response pair) is legal — the static scheduler iterates it to a
-//! fixpoint and the independent internal paths guarantee convergence — but
+//! request/response pair) is legal — the independent internal paths let
+//! the static scheduler run it as a fixed evaluation sequence — but
 //! a cyclic SCC *here* means a value would have to depend on itself within
 //! one zero-delay timestep, which no amount of iteration resolves. The
 //! report names the full port path of one concrete cycle through the SCC

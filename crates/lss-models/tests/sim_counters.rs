@@ -14,17 +14,17 @@ const CYCLES: u64 = 1010;
 /// `(model, scheduler, comp_evals, port_firings, events_dispatched)` after
 /// [`CYCLES`] cycles.
 const PINNED: [(char, Scheduler, u64, u64, u64); 12] = [
-    ('A', Scheduler::Static, 23522, 20290, 144),
+    ('A', Scheduler::Static, 23230, 20290, 144),
     ('A', Scheduler::Dynamic, 43155, 20290, 144),
-    ('B', Scheduler::Static, 16538, 10341, 167),
+    ('B', Scheduler::Static, 16160, 10341, 167),
     ('B', Scheduler::Dynamic, 26761, 10341, 167),
-    ('C', Scheduler::Static, 20604, 14665, 228),
+    ('C', Scheduler::Static, 20200, 14665, 228),
     ('C', Scheduler::Dynamic, 31505, 14665, 228),
-    ('D', Scheduler::Static, 26501, 21602, 1134),
+    ('D', Scheduler::Static, 25250, 21602, 1134),
     ('D', Scheduler::Dynamic, 38737, 21602, 1134),
-    ('E', Scheduler::Static, 58176, 44974, 2115),
+    ('E', Scheduler::Static, 50500, 44974, 2115),
     ('E', Scheduler::Dynamic, 80903, 44974, 2115),
-    ('F', Scheduler::Static, 24652, 16935, 247),
+    ('F', Scheduler::Static, 25250, 16935, 247),
     ('F', Scheduler::Dynamic, 35431, 16935, 247),
 ];
 

@@ -291,8 +291,8 @@ pub trait CompCtx {
     /// events). `None` means nothing can listen — emission is a no-op.
     fn event_id(&self, name: &str) -> Option<EventId>;
     /// Emits a declared event by table index. Emissions from `eval` are
-    /// kept only from the final evaluation of the cycle (fixpoint
-    /// re-evaluations discard earlier emissions); emissions from
+    /// kept only from the final evaluation of the cycle (re-evaluations
+    /// discard earlier emissions); emissions from
     /// `end_of_timestep` always stand.
     fn emit_by_id(&mut self, event: EventId, args: Vec<Datum>);
 
@@ -337,9 +337,12 @@ pub trait CompCtx {
 /// A leaf hardware behavior.
 ///
 /// The engine drives each cycle in two phases: `eval` computes outputs from
-/// inputs and current state (and may run several times until the
-/// combinational network settles — it must be a pure function of inputs and
-/// state), then `end_of_timestep` commits synchronous state updates once.
+/// inputs and current state (and may run several times per cycle, the
+/// earlier runs with inputs that are not yet settled — it must be a pure
+/// function of inputs and state, so a repeated `eval` leaves what a single
+/// one with the final inputs would), then `end_of_timestep` commits
+/// synchronous state updates once. `lss_verify::contract` checks this and
+/// the dependency hooks below.
 pub trait Component {
     /// One-time initialization before cycle 0.
     fn init(&mut self, _ctx: &mut dyn CompCtx) -> Result<(), SimError> {
@@ -372,7 +375,8 @@ pub trait Component {
     /// `lower_req` that never reads `lower_resp`) should override this:
     /// the static analyzer's port-granularity cycle detector uses it to
     /// tell a convergent credit handshake from a genuinely unbroken
-    /// zero-delay loop.
+    /// zero-delay loop, and the static scheduler orders the handshake's
+    /// evaluations by it.
     fn output_depends_on(&self, _output: usize, input: usize) -> bool {
         self.input_is_combinational(input)
     }

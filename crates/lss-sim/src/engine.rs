@@ -5,13 +5,14 @@
 //!
 //! 1. **Combinational settle** — every leaf component's `eval` computes its
 //!    outputs from this cycle's inputs and current state. The *static*
-//!    scheduler executes a precomputed plan: the dependency graph's
-//!    condensation in topological order, each acyclic component run once
-//!    per cycle, genuine combinational cycles iterated to a fixpoint. The
-//!    *dynamic* scheduler is the SystemC-style baseline that re-evaluates
-//!    components from a worklist until no output changes. Both call each
-//!    behavior through [`Component::eval_in`] with the engine's concrete
-//!    [`Ctx`].
+//!    scheduler executes a precomputed plan ([`crate::exec`]): the leaf
+//!    dependency graph's condensation in topological order, each acyclic
+//!    component run once per cycle, each leaf-level cycle that is acyclic
+//!    at port granularity run as a fixed evaluation sequence, and only
+//!    port-level combinational cycles iterated to a fixpoint. The *dynamic*
+//!    scheduler is the SystemC-style baseline that re-evaluates components
+//!    from a worklist until no output changes. Both call each behavior
+//!    through [`Component::eval_in`] with the engine's concrete [`Ctx`].
 //! 2. **`end_of_timestep`** — synchronous state update, plus the
 //!    system-defined `end_of_timestep` userpoint on every instance (§4.3).
 //!
@@ -58,15 +59,17 @@ use crate::bsl::{compile_bsl, exec, BslEnv, BslProgram};
 use crate::component::{
     BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
 };
-use crate::exec::{KernelMutation, Plan};
+use crate::exec::{KernelMutation, Plan, Window};
 use crate::slots::SlotTable;
 
 /// Which combinational scheduler to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// Precomputed plan (LSE's approach \[12\]): the condensation's SCCs
-    /// in topological order, each acyclic leaf run once per cycle and each
-    /// combinational cycle iterated to a fixpoint.
+    /// in topological order, each acyclic leaf run once per cycle, each
+    /// leaf-level cycle without a port-level one run as a fixed evaluation
+    /// sequence, and each port-level combinational cycle iterated to a
+    /// fixpoint.
     #[default]
     Static,
     /// Worklist fixpoint (structural-OOP / SystemC-style baseline): every
@@ -83,7 +86,7 @@ pub struct SimOptions {
     /// corelib source folds it into its counter). Seed 0 reproduces
     /// unseeded runs exactly.
     pub seed: i64,
-    /// Injected static-leaf bug for differential testing
+    /// Injected static-plan bug for differential testing
     /// ([`KernelMutation::None`] for correct execution).
     pub kernel_mutation: KernelMutation,
     /// Iteration cap for combinational-cycle fixpoints.
@@ -133,9 +136,10 @@ pub struct SimStats {
     pub cycles: u64,
     /// Total component `eval` invocations. This is the static-vs-dynamic
     /// scheduler comparison metric: the static schedule evaluates each
-    /// component once per cycle (plus fixpoint iterations inside genuine
-    /// combinational cycles), while the dynamic baseline re-evaluates from
-    /// a worklist until quiescence.
+    /// component once per cycle (plus the repeats of its fixed sequences
+    /// and the fixpoint iterations inside port-level combinational cycles),
+    /// while the dynamic baseline re-evaluates from a worklist until
+    /// quiescence.
     pub comp_evals: u64,
     /// Collector invocations: one per (event, listening collector) pair.
     pub events_dispatched: u64,
@@ -182,7 +186,7 @@ struct Core {
     /// the next cycle clears.
     live: Vec<usize>,
     /// Per-slot flag: written during the current tracked evaluation
-    /// (fixpoint blocks and the dynamic scheduler).
+    /// (repeated evaluations, fixpoint blocks and the dynamic scheduler).
     written: Vec<bool>,
     states: Vec<CompState>,
     /// comp -> port -> (name, inferred type); empty unless checking.
@@ -223,10 +227,11 @@ impl Core {
         }
     }
 
-    /// Applies an injected [`KernelMutation`] to the writes of the static
-    /// leaf that just ran: `live[mark..]`, in write order, since every
-    /// output slot starts the cycle absent. Writes the mutation holds back
-    /// go to `held`, for the caller to make after settle.
+    /// Applies an injected [`KernelMutation`] to the writes of the
+    /// evaluation outside a fixpoint block that just ran: `live[mark..]`,
+    /// the slots it made present, in write order (every slot of a static
+    /// leaf, since each starts the cycle absent). Writes the mutation holds
+    /// back go to `held`, for the caller to make after settle.
     fn mutate_leaf(
         &mut self,
         mutation: KernelMutation,
@@ -332,8 +337,9 @@ pub struct Ctx<'a> {
     comp: usize,
     /// Running `end_of_timestep` (routes `emit`).
     in_eot: bool,
-    /// Record written slots in [`Core::written`] (fixpoint blocks and the
-    /// dynamic scheduler retract what an evaluation did not rewrite).
+    /// Record written slots in [`Core::written`] (repeated evaluations,
+    /// fixpoint blocks and the dynamic scheduler retract what an
+    /// evaluation did not rewrite).
     track: bool,
 }
 
@@ -852,16 +858,16 @@ pub fn build(
     drop(specs);
 
     // Static plan: ask the behaviors which inputs their eval reads, then
-    // condense the analyzer's dependency graph — the same graph `lssc
-    // check`'s cycle detector reports on — and run its SCCs in
-    // topological order.
+    // condense the analyzer's leaf dependency graph and run its SCCs in
+    // topological order; a leaf-level cycle is ordered by its own port
+    // subgraph, the graph `lssc check`'s cycle detector reports on.
     let mut comb = CombInfo::all_combinational();
     for (c, &id) in leaf_ids.iter().enumerate() {
         fill_comb_info(&mut comb, netlist.instance(id), comps[c].as_ref());
     }
     let deps = leaf_dep_graph(netlist, &wires, &comb);
     debug_assert_eq!(deps.leaves, leaf_ids, "analyzer and engine leaf order");
-    let plan = Plan::new(&deps.graph.condense());
+    let plan = Plan::new(&deps);
 
     // Collectors: resolve each onto its precomputed listener table —
     // declared events index `event_listeners`, implicit `<port>_fire`
@@ -1046,16 +1052,23 @@ impl Simulator {
         self.comps.len()
     }
 
-    /// Number of static leaves in the plan: leaves outside combinational
-    /// cycles, each evaluated once per cycle with no change detection. The
-    /// dynamic scheduler does not use the plan.
+    /// Number of static leaves in the plan: leaves evaluated exactly once
+    /// per cycle, with no change detection. The dynamic scheduler does not
+    /// use the plan.
     pub fn static_leaf_count(&self) -> usize {
         self.plan.static_leaves()
     }
 
-    /// The static plan as executed, unit by unit in topological order:
-    /// each unit's components and whether it is a combinational-cycle
-    /// fixpoint block. A unit that is not a block is one static leaf.
+    /// Number of evaluations per cycle of leaves that a fixed sequence
+    /// runs more than once (each retracts what it does not rewrite).
+    pub fn repeated_eval_count(&self) -> usize {
+        self.plan.window_len(Window::Repeated)
+    }
+
+    /// The static plan as executed, unit by unit in order: each unit's
+    /// components and whether it is a combinational-cycle fixpoint block.
+    /// A unit that is not a block is one evaluation of one leaf; a leaf
+    /// that a sequence repeats appears in several units.
     pub fn plan_stages(&self) -> Vec<(&[usize], bool)> {
         self.plan.units()
     }
@@ -1093,28 +1106,34 @@ impl Simulator {
         }
     }
 
-    /// Evaluates one component inside a fixpoint block or under the
-    /// dynamic scheduler; returns whether any of its outputs changed.
-    fn eval_comp(&mut self, comp: usize) -> Result<bool, SimError> {
-        // During eval the component still *sees* the outputs of its previous
-        // evaluation (self-loops observe their own last value), but any
-        // output lane it does not write this time is retracted afterwards —
-        // that keeps fixpoint re-evaluation able to withdraw stale values
-        // (essential for credit networks).
+    /// Evaluates `comp` again within the cycle. During eval the component
+    /// still *sees* the outputs of its previous evaluation (self-loops
+    /// observe their own last value), but any output lane it does not
+    /// write this time is retracted afterwards — that keeps re-evaluation
+    /// able to withdraw stale values (essential for credit networks). Its
+    /// emissions replace those of its previous evaluation.
+    fn eval_tracked(&mut self, comp: usize) -> Result<(), SimError> {
         let slots = self.layout.out_slots(comp);
-        let mut before = std::mem::take(&mut self.prev_scratch);
-        before.clear();
-        before.extend_from_slice(&self.core.values[slots.clone()]);
         self.core.written[slots.clone()].fill(false);
-        // An eval's emissions replace those of its previous evaluation.
-        self.stats.comp_evals += 1;
         self.core.states[comp].eval_events.clear();
         self.eval_leaf(comp, true)?;
-        for s in slots.clone() {
+        for s in slots {
             if !self.core.written[s] {
                 self.core.retract(s);
             }
         }
+        Ok(())
+    }
+
+    /// Evaluates one component inside a fixpoint block or under the
+    /// dynamic scheduler; returns whether any of its outputs changed.
+    fn eval_comp(&mut self, comp: usize) -> Result<bool, SimError> {
+        let slots = self.layout.out_slots(comp);
+        let mut before = std::mem::take(&mut self.prev_scratch);
+        before.clear();
+        before.extend_from_slice(&self.core.values[slots.clone()]);
+        self.stats.comp_evals += 1;
+        self.eval_tracked(comp)?;
         let changed = self.core.values[slots] != before[..];
         self.prev_scratch = before;
         Ok(changed)
@@ -1339,16 +1358,20 @@ impl Simulator {
         Ok(())
     }
 
-    /// The static settle loop: the plan's units in topological order, each
-    /// static leaf evaluated once and each fixpoint block iterated.
+    /// The static settle loop: the plan in order, each static leaf
+    /// evaluated once, each repeated evaluation tracked and each fixpoint
+    /// block iterated.
     fn settle_static(&mut self) -> Result<(), SimError> {
         let mut held = Vec::new();
         let mut next = 0;
-        for b in 0..self.plan.blocks.len() {
-            let block = self.plan.blocks[b].clone();
-            self.eval_static(next..block.start, &mut held)?;
-            next = block.end;
-            self.settle_block(block)?;
+        for w in 0..self.plan.windows.len() {
+            let (window, kind) = self.plan.windows[w].clone();
+            self.eval_static(next..window.start, &mut held)?;
+            next = window.end;
+            match kind {
+                Window::Repeated => self.eval_repeated(window, &mut held)?,
+                Window::Block => self.settle_block(window)?,
+            }
         }
         self.eval_static(next..self.plan.order.len(), &mut held)?;
         // Only the skipped-barrier mutation holds writes back this long.
@@ -1379,6 +1402,26 @@ impl Simulator {
                 self.eval_leaf(self.plan.order[i], false)?;
                 self.core.mutate_leaf(mutation, mark, held);
             }
+        }
+        self.stats.comp_evals += evals;
+        Ok(())
+    }
+
+    /// Runs the repeated evaluations `plan.order[range]`, each tracked so
+    /// that it retracts what it does not rewrite, with no snapshot and no
+    /// compare. An injected [`KernelMutation`] applies to each one's new
+    /// writes.
+    fn eval_repeated(
+        &mut self,
+        range: Range<usize>,
+        held: &mut Vec<(usize, Datum)>,
+    ) -> Result<(), SimError> {
+        let evals = range.len() as u64;
+        let mutation = self.opts.kernel_mutation;
+        for i in range {
+            let mark = self.core.live.len();
+            self.eval_tracked(self.plan.order[i])?;
+            self.core.mutate_leaf(mutation, mark, held);
         }
         self.stats.comp_evals += evals;
         Ok(())

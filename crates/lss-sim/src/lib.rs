@@ -11,15 +11,16 @@
 //! * [`slots`] — flat name/value tables ([`SlotTable`]) that back runtime
 //!   variables and collector state without per-cycle hashing;
 //! * [`engine`] — the cycle engine with the static scheduler (the
-//!   analyzer's condensation in topological order, LSE's optimization of
-//!   \[12\]) and a SystemC-style dynamic (worklist fixpoint) baseline,
+//!   analyzer's condensation in topological order, leaf-level cycles as
+//!   fixed evaluation sequences, LSE's optimization of \[12\]) and a
+//!   SystemC-style dynamic (worklist fixpoint) baseline,
 //!   plus the aspect-oriented event/collector instrumentation of §4.5. Both
 //!   schedulers call every leaf through [`Component::eval_in`] with the
 //!   engine's concrete [`Ctx`]; a behavior written once, generic over
 //!   [`CompCtx`], is thereby specialized to the value arena, as LSE's code
 //!   generator specializes one BSL source per component;
-//! * [`exec`] — the static plan and the injected static-leaf mutations
-//!   for the differential harness;
+//! * [`exec`] — the static plan, its fixed evaluation sequences and the
+//!   injected static-plan mutations for the differential harness;
 //! * [`wave`] — VCD and ASCII waveform output from the firing log.
 
 #![warn(missing_docs)]

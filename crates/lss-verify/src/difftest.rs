@@ -28,7 +28,7 @@ pub struct DiffOptions {
     /// Injected reference bug (mutation testing only; [`Mutation::None`]
     /// for real verification runs).
     pub mutation: Mutation,
-    /// Injected static-leaf bug in the engine under test (mutation
+    /// Injected static-plan bug in the engine under test (mutation
     /// testing only; [`KernelMutation::None`] for real verification runs).
     /// It must surface as a `Trace` or `EngineError` against the reference.
     pub kernel_mutation: KernelMutation,

@@ -38,7 +38,7 @@ pub struct FuzzConfig {
     /// Injected reference bug (mutation testing; [`Mutation::None`] for
     /// real runs).
     pub mutation: Mutation,
-    /// Injected static-leaf bug (mutation testing;
+    /// Injected static-plan bug (mutation testing;
     /// [`KernelMutation::None`] for real runs).
     pub kernel_mutation: KernelMutation,
     /// Directory for minimized repro files.

@@ -16,6 +16,9 @@
 //! * [`refsim`] — a naive global-fixpoint simulator sharing only the
 //!   behavior registry with the engine, compared cycle-by-cycle on a
 //!   canonical state dump.
+//! * [`contract`] — each leaf behavior driven on its own: its declared
+//!   port dependencies and its repeated `eval` checked against what it
+//!   does, the two promises the static plan's fixed sequences rely on.
 //! * [`minimize`] — a ddmin-style delta debugger that shrinks any
 //!   discrepancy to a minimal `.lss` repro file under `target/verify/`.
 //! * [`fuzz`] — the orchestrating loop behind `lssc fuzz`, with
@@ -32,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod adversarial;
+pub mod contract;
 pub mod difftest;
 pub mod exhaustive;
 pub mod fuzz;
@@ -41,6 +45,7 @@ pub mod protocol;
 pub mod refsim;
 
 pub use adversarial::{run_adversarial, AdversarialConfig, AdversarialFinding, AdversarialReport};
+pub use contract::{check_contracts, ContractReport, ContractViolation};
 pub use difftest::{
     check_binary_roundtrip, compile_root, compile_source, diff_netlist, diff_project_vs_single,
     difftest_root, difftest_source, DiffOptions, Discrepancy,

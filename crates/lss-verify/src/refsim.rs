@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use lss_netlist::{Dir, EventId, InstanceKind, Netlist, RtvId, UserpointId};
+use lss_netlist::{Dir, EventId, Instance, InstanceKind, Netlist, RtvId, UserpointId};
 use lss_sim::{
     compile_bsl, exec, BslEnv, BslProgram, BuildError, CompCtx, CompSpec, Component,
     ComponentRegistry, PortSpec, SimError, SlotTable,
@@ -52,21 +52,127 @@ pub enum Mutation {
 /// A key addressing one port instance: `(component, port, lane)`.
 type LaneKey = (usize, usize, u32);
 
+#[derive(Clone)]
 struct UserpointRt {
     name: String,
     arg_names: Vec<String>,
     program: BslProgram,
 }
 
-struct RefState {
+/// One leaf as the reference builds it: the spec its behavior factory
+/// takes, its userpoints by [`UserpointId`], its runtime variables and its
+/// declared event names.
+#[derive(Clone)]
+pub(crate) struct LeafParts {
+    pub(crate) spec: CompSpec,
+    userpoints: Vec<UserpointRt>,
+    rtvs: SlotTable,
+    event_names: Vec<String>,
+}
+
+/// Builds one leaf's [`LeafParts`] from the netlist.
+pub(crate) fn leaf_parts(netlist: &Netlist, inst: &Instance) -> Result<LeafParts, BuildError> {
+    let mut ports = Vec::with_capacity(inst.ports.len());
+    for p in &inst.ports {
+        let Some(ty) = p.ty.clone() else {
+            return Err(BuildError::new(format!(
+                "{}.{}: port has no inferred type; run type inference first",
+                inst.path,
+                netlist.name(p.name)
+            )));
+        };
+        ports.push(PortSpec {
+            name: netlist.name(p.name).to_string(),
+            dir: p.dir,
+            width: p.width,
+            ty,
+        });
+    }
+    let mut userpoints_src = HashMap::new();
+    let mut userpoints = Vec::with_capacity(inst.userpoints.len());
+    for up in &inst.userpoints {
+        let up_name = netlist.name(up.name);
+        let program = compile_bsl(&up.code).map_err(|e| {
+            BuildError::new(format!(
+                "{}: userpoint `{up_name}` does not compile:\n{e}",
+                inst.path
+            ))
+        })?;
+        userpoints_src.insert(up_name.to_string(), program.clone());
+        userpoints.push(UserpointRt {
+            name: up_name.to_string(),
+            arg_names: up
+                .args
+                .iter()
+                .map(|(s, _)| netlist.name(*s).to_string())
+                .collect(),
+            program,
+        });
+    }
+    let rtvs = SlotTable::from_pairs(
+        inst.runtime_vars
+            .iter()
+            .map(|rv| (netlist.name(rv.name), rv.init.clone())),
+    );
+    let spec = CompSpec {
+        path: inst.path.clone(),
+        module: netlist.name(inst.module).to_string(),
+        params: inst
+            .params
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect(),
+        ports,
+        userpoints: userpoints_src,
+        runtime_vars: rtvs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect(),
+        protocols: inst.protocols.clone(),
+    };
+    Ok(LeafParts {
+        spec,
+        userpoints,
+        rtvs,
+        event_names: inst
+            .events
+            .iter()
+            .map(|e| netlist.name(e.name).to_string())
+            .collect(),
+    })
+}
+
+pub(crate) struct RefState {
     rtvs: SlotTable,
     userpoints: Vec<UserpointRt>,
     event_names: Vec<String>,
-    eval_events: Vec<(EventId, Vec<Datum>)>,
+    pub(crate) eval_events: Vec<(EventId, Vec<Datum>)>,
     eot_events: Vec<(EventId, Vec<Datum>)>,
     in_eot: bool,
     init_up: Option<UserpointId>,
     eot_up: Option<UserpointId>,
+}
+
+impl RefState {
+    fn new(parts: LeafParts) -> RefState {
+        let up = |name: &str| {
+            parts
+                .userpoints
+                .iter()
+                .position(|up| up.name == name)
+                .map(UserpointId::from_index)
+        };
+        RefState {
+            init_up: up("init"),
+            eot_up: up("end_of_timestep"),
+            rtvs: parts.rtvs,
+            userpoints: parts.userpoints,
+            event_names: parts.event_names,
+            eval_events: Vec::new(),
+            eot_events: Vec::new(),
+            in_eot: false,
+        }
+    }
 }
 
 struct RefCollector {
@@ -78,18 +184,18 @@ struct RefCollector {
 
 /// Everything a component evaluation touches, split from the behavior boxes
 /// so both can be borrowed at once.
-struct RefCore {
-    cycle: u64,
+pub(crate) struct RefCore {
+    pub(crate) cycle: u64,
     /// Present port-instance values (absent = no value this cycle).
-    values: BTreeMap<LaneKey, Datum>,
+    pub(crate) values: BTreeMap<LaneKey, Datum>,
     /// Lanes written by the evaluation currently in progress.
     written: BTreeSet<LaneKey>,
     /// Input lane -> driving output lane, re-derived independently from
     /// `Netlist::flatten`.
     drivers: BTreeMap<LaneKey, LaneKey>,
-    dirs: Vec<Vec<Dir>>,
-    widths: Vec<Vec<u32>>,
-    states: Vec<RefState>,
+    pub(crate) dirs: Vec<Vec<Dir>>,
+    pub(crate) widths: Vec<Vec<u32>>,
+    pub(crate) states: Vec<RefState>,
     bsl_max_steps: u64,
 }
 
@@ -205,7 +311,7 @@ impl Component for Placeholder {
 
 /// The naive event-driven fixpoint simulator.
 pub struct RefSim {
-    core: RefCore,
+    pub(crate) core: RefCore,
     comps: Vec<Box<dyn Component>>,
     paths: Vec<String>,
     port_names: Vec<Vec<String>>,
@@ -254,89 +360,18 @@ impl RefSim {
             let InstanceKind::Leaf { tar_file } = &inst.kind else {
                 unreachable!("leaves only")
             };
-            let mut ports = Vec::with_capacity(inst.ports.len());
-            for p in &inst.ports {
-                let Some(ty) = p.ty.clone() else {
-                    return Err(BuildError::new(format!(
-                        "{}.{}: port has no inferred type; run type inference first",
-                        inst.path,
-                        netlist.name(p.name)
-                    )));
-                };
-                ports.push(PortSpec {
-                    name: netlist.name(p.name).to_string(),
-                    dir: p.dir,
-                    width: p.width,
-                    ty,
-                });
-            }
-            let mut userpoints_src = HashMap::new();
-            let mut userpoints_rt = Vec::with_capacity(inst.userpoints.len());
-            for up in &inst.userpoints {
-                let up_name = netlist.name(up.name);
-                let program = compile_bsl(&up.code).map_err(|e| {
-                    BuildError::new(format!(
-                        "{}: userpoint `{up_name}` does not compile:\n{e}",
-                        inst.path
-                    ))
-                })?;
-                userpoints_src.insert(up_name.to_string(), program.clone());
-                userpoints_rt.push(UserpointRt {
-                    name: up_name.to_string(),
-                    arg_names: up
-                        .args
-                        .iter()
-                        .map(|(s, _)| netlist.name(*s).to_string())
-                        .collect(),
-                    program,
-                });
-            }
-            let init_up = userpoints_rt
-                .iter()
-                .position(|up| up.name == "init")
-                .map(UserpointId::from_index);
-            let eot_up = userpoints_rt
-                .iter()
-                .position(|up| up.name == "end_of_timestep")
-                .map(UserpointId::from_index);
-            let rtvs = SlotTable::from_pairs(
-                inst.runtime_vars
+            let parts = leaf_parts(netlist, inst)?;
+            comps.push(registry.build(tar_file, &parts.spec)?);
+            port_names.push(
+                parts
+                    .spec
+                    .ports
                     .iter()
-                    .map(|rv| (netlist.name(rv.name), rv.init.clone())),
+                    .map(|p| p.name.clone())
+                    .collect::<Vec<_>>(),
             );
-            let spec = CompSpec {
-                path: inst.path.clone(),
-                module: netlist.name(inst.module).to_string(),
-                params: inst
-                    .params
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-                ports: ports.clone(),
-                userpoints: userpoints_src,
-                runtime_vars: rtvs
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-                protocols: inst.protocols.clone(),
-            };
-            comps.push(registry.build(tar_file, &spec)?);
-            states.push(RefState {
-                rtvs,
-                userpoints: userpoints_rt,
-                event_names: inst
-                    .events
-                    .iter()
-                    .map(|e| netlist.name(e.name).to_string())
-                    .collect(),
-                eval_events: Vec::new(),
-                eot_events: Vec::new(),
-                in_eot: false,
-                init_up,
-                eot_up,
-            });
+            states.push(RefState::new(parts));
             paths.push(inst.path.clone());
-            port_names.push(ports.iter().map(|p| p.name.clone()).collect::<Vec<_>>());
             dirs.push(inst.ports.iter().map(|p| p.dir).collect::<Vec<_>>());
             widths.push(inst.ports.iter().map(|p| p.width).collect::<Vec<_>>());
         }
@@ -419,6 +454,49 @@ impl RefSim {
         self.comps.len()
     }
 
+    /// A reference holding one leaf, `comp`, as component 0, with no
+    /// collectors. Each of its input lanes reads the same port and lane of
+    /// a phantom component 1, whose values the caller sets directly in
+    /// `core.values`.
+    pub(crate) fn single_leaf(comp: Box<dyn Component>, parts: LeafParts) -> RefSim {
+        let ports = &parts.spec.ports;
+        let mut drivers = BTreeMap::new();
+        for (port, p) in ports.iter().enumerate() {
+            if p.dir == Dir::In {
+                for lane in 0..p.width {
+                    drivers.insert((0, port, lane), (1, port, lane));
+                }
+            }
+        }
+        let dirs = vec![ports.iter().map(|p| p.dir).collect()];
+        let widths = vec![ports.iter().map(|p| p.width).collect()];
+        let port_names: Vec<String> = ports.iter().map(|p| p.name.clone()).collect();
+        let fire_listeners = vec![vec![Vec::new(); port_names.len()]];
+        let event_listeners = vec![vec![Vec::new(); parts.event_names.len()]];
+        let paths = vec![parts.spec.path.clone()];
+        RefSim {
+            core: RefCore {
+                cycle: 0,
+                values: BTreeMap::new(),
+                written: BTreeSet::new(),
+                drivers,
+                dirs,
+                widths,
+                states: vec![RefState::new(parts)],
+                bsl_max_steps: 1_000_000,
+            },
+            comps: vec![comp],
+            paths,
+            port_names: vec![port_names],
+            collectors: Vec::new(),
+            fire_listeners,
+            event_listeners,
+            mutation: Mutation::None,
+            max_passes: 1,
+            initialized: false,
+        }
+    }
+
     /// Current cycle (completed steps).
     pub fn cycle(&self) -> u64 {
         self.core.cycle
@@ -457,7 +535,11 @@ impl RefSim {
         out
     }
 
-    fn eval_comp(&mut self, comp: usize) -> Result<bool, SimError> {
+    /// Evaluates one component as a fixpoint pass does: its previous
+    /// outputs stay visible, lanes it leaves unwritten are retracted and
+    /// its eval events replace the previous ones. Returns whether an
+    /// output changed.
+    pub(crate) fn eval_comp(&mut self, comp: usize) -> Result<bool, SimError> {
         self.core.states[comp].eval_events.clear();
         let lanes = self.out_lanes(comp);
         let before: Vec<Option<Datum>> = lanes
@@ -540,22 +622,26 @@ impl RefSim {
         self.settle()?;
         self.fire_port_events()?;
         for comp in 0..self.comps.len() {
-            self.core.states[comp].in_eot = true;
-            self.with_comp(comp, |c, ctx| c.end_of_timestep(ctx))
-                .map_err(|e| self.locate(comp, e))?;
-            if let Some(up) = self.core.states[comp].eot_up {
-                let mut ctx = RefCtx {
-                    core: &mut self.core,
-                    comp,
-                };
-                ctx.call_userpoint_by_id(up, &[])
-                    .map_err(|e| self.locate(comp, e))?;
-            }
-            self.core.states[comp].in_eot = false;
+            self.end_of_timestep(comp)?;
         }
         self.dispatch_declared_events()?;
         self.core.cycle += 1;
         Ok(())
+    }
+
+    /// One component's `end_of_timestep` and its `end_of_timestep`
+    /// userpoint.
+    pub(crate) fn end_of_timestep(&mut self, comp: usize) -> Result<(), SimError> {
+        self.core.states[comp].in_eot = true;
+        let result = self.with_comp(comp, |c, ctx| {
+            c.end_of_timestep(ctx)?;
+            match ctx.core.states[comp].eot_up {
+                Some(up) => ctx.call_userpoint_by_id(up, &[]).map(drop),
+                None => Ok(()),
+            }
+        });
+        self.core.states[comp].in_eot = false;
+        result.map_err(|e| self.locate(comp, e))
     }
 
     /// Runs `n` cycles.

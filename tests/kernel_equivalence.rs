@@ -94,33 +94,37 @@ fn all_table3_models_agree_with_refsim() {
 
 #[test]
 fn all_table3_static_leaves_run_in_stage_windows() {
-    // Every leaf outside a fixpoint block, with or without userpoints, is a
-    // static leaf, evaluated once per cycle: no behavior is left off the
-    // fast path.
+    // No Table 3 model has a port-level combinational cycle, so no leaf
+    // runs in a fixpoint block: each is a static leaf, evaluated once per
+    // cycle, or a leaf that a fixed sequence evaluates more than once. No
+    // behavior is left off the fast path.
     for m in models() {
         let compiled = compile_model(m).expect("compile");
         let sim = build_engine(&compiled.netlist);
-        let in_blocks: BTreeSet<usize> = sim
-            .plan_stages()
-            .iter()
-            .filter(|unit| unit.1)
-            .flat_map(|unit| unit.0.iter().copied())
-            .collect();
-        let eligible = compiled
-            .netlist
-            .leaves()
-            .enumerate()
-            .filter(|(c, _)| !in_blocks.contains(c))
-            .count();
-        assert_eq!(
-            sim.static_leaf_count(),
-            eligible,
-            "model {}: {} of {} eligible leaves are static",
-            m.id,
-            sim.static_leaf_count(),
-            eligible
+        let units = sim.plan_stages();
+        assert!(
+            units.iter().all(|unit| !unit.1),
+            "model {}: fixpoint block in the plan",
+            m.id
         );
-        assert!(eligible > 0, "model {}: no static leaves", m.id);
+        let mut evals = vec![0usize; sim.component_count()];
+        for unit in &units {
+            evals[unit.0[0]] += 1;
+        }
+        let once = evals.iter().filter(|&&n| n == 1).count();
+        let repeated: usize = evals.iter().filter(|&&n| n > 1).sum();
+        assert!(
+            evals.iter().all(|&n| n > 0),
+            "model {}: a leaf is missing from the plan",
+            m.id
+        );
+        assert_eq!(
+            (sim.static_leaf_count(), sim.repeated_eval_count()),
+            (once, repeated),
+            "model {}: static leaves and repeated evaluations",
+            m.id
+        );
+        assert!(once > 0, "model {}: no static leaves", m.id);
     }
 }
 
@@ -191,4 +195,83 @@ fn corpus_agrees_with_refsim() {
         }
     }
     assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
+}
+
+/// A two-tee ring: a port-level combinational cycle (`LSS101`).
+const TEE_RING: &str =
+    "instance a:tee;\ninstance b:tee;\na.out -> b.in;\nb.out -> a.in;\na.out :: int;\n";
+
+/// The engine keeps a fixpoint block for exactly the analyzer's
+/// port-level cyclic SCCs (the `LSS101` findings), as leaf sets; every
+/// other leaf-level cycle runs as a fixed sequence. Checked over the
+/// Table 3 models, `examples/lss/`, `tests/corpus/` and a tee ring.
+#[test]
+fn fixpoint_blocks_are_exactly_the_port_level_cycles() {
+    use lss_analyze::{leaf_dep_graph, AnalysisConfig, Code, PassManager};
+
+    let mut netlists: Vec<(String, Netlist)> = models()
+        .iter()
+        .map(|m| {
+            (
+                format!("model {}", m.id),
+                compile_model(m).expect("compile").netlist,
+            )
+        })
+        .collect();
+    let mut files = corpus_files();
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/lss");
+    files.extend(
+        fs::read_dir(examples)
+            .expect("examples/lss must exist")
+            .filter_map(|e| Some(e.ok()?.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "lss")),
+    );
+    let mut sources: Vec<(String, String)> = files
+        .iter()
+        .map(|p| {
+            (
+                p.display().to_string(),
+                fs::read_to_string(p).expect("readable"),
+            )
+        })
+        .collect();
+    sources.push(("tee ring".to_string(), TEE_RING.to_string()));
+    for (name, text) in sources {
+        if let Ok(compiled) = compile_source(&text, &CompileOptions::default()) {
+            netlists.push((name, compiled.netlist));
+        }
+    }
+    let registry = lss_corelib::registry();
+    let mut blocks_seen = 0;
+    for (name, netlist) in &netlists {
+        let sim = build_engine(netlist);
+        let blocks: BTreeSet<Vec<usize>> = sim
+            .plan_stages()
+            .into_iter()
+            .filter(|unit| unit.1)
+            .map(|unit| unit.0.to_vec())
+            .collect();
+        let comb = lss_sim::comb_info(netlist, &registry);
+        let deps = leaf_dep_graph(netlist, &netlist.flatten(), &comb);
+        let cycles: BTreeSet<Vec<usize>> = deps
+            .ports
+            .condense()
+            .cycles()
+            .map(|scc| {
+                let mut leaves: Vec<usize> = scc.iter().map(|&n| deps.port_of_node(n).0).collect();
+                leaves.sort_unstable();
+                leaves.dedup();
+                leaves
+            })
+            .collect();
+        assert_eq!(blocks, cycles, "{name}: blocks vs port-level cycles");
+        let findings = PassManager::with_default_passes()
+            .run(netlist, &comb, &AnalysisConfig::default())
+            .with_code(Code::CombCycle)
+            .count();
+        assert_eq!(blocks.len(), findings, "{name}: blocks vs LSS101 findings");
+        blocks_seen += blocks.len();
+    }
+    assert!(netlists.len() > 20, "too few inputs: {}", netlists.len());
+    assert_eq!(blocks_seen, 1, "only the tee ring has a port-level cycle");
 }
