@@ -873,6 +873,22 @@ fn exit_contract_clean_build_is_exit_0_and_compile_error_is_exit_1() {
     let _ = std::fs::remove_file(&bad);
 }
 
+/// A RAM whose `words` would take 8 TB of simulator state.
+const HUGE_RAM: &str = "instance a:source; instance r:ram; instance k:sink;\n\
+                        r.words = 1000000000000;\n\
+                        a.out -> r.addr; a.out -> r.wdata; a.out -> r.wen; r.rdata -> k.in;\n";
+
+#[test]
+fn check_and_lint_of_a_huge_ram_allocate_no_simulator_state() {
+    let model = write_source("huge-ram", HUGE_RAM);
+    for args in [&["check", "--no-cache"][..], &["--no-cache", "--lint"][..]] {
+        let out = lssc().args(args).arg(&model).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}:\n{stderr}");
+    }
+    let _ = std::fs::remove_file(&model);
+}
+
 #[test]
 fn exit_contract_usage_errors_are_exit_2() {
     for bad in [

@@ -27,9 +27,10 @@
 //!   scheduler iterates to a fixpoint.
 //!
 //! Which inputs are combinational and which output→input pairs are
-//! independent comes from the behavior registry via [`CombInfo`]; without
-//! behaviors, every input conservatively counts as combinational and every
-//! output depends on every input.
+//! independent comes from each behavior's registered declaration via
+//! [`CombInfo`] (`lss_sim::comb_info`, which builds no behavior); without
+//! a declaration, every input conservatively counts as combinational and
+//! every output depends on every input.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -78,11 +79,6 @@ impl CombInfo {
     /// independent.
     pub fn output_depends_on(&self, inst: InstanceId, output: PortId, input: PortId) -> bool {
         self.is_combinational(inst, input) && !self.independent.contains(&(inst, output, input))
-    }
-
-    /// Number of registered (non-combinational) inputs recorded.
-    pub fn registered_inputs(&self) -> usize {
-        self.non_comb.len()
     }
 
     /// Number of independent output/input pairs recorded.
@@ -502,6 +498,5 @@ mod tests {
         info.set_non_combinational(inst, PortId(0));
         assert!(!info.is_combinational(inst, PortId(0)));
         assert!(info.is_combinational(inst, PortId(1)));
-        assert_eq!(info.registered_inputs(), 1);
     }
 }

@@ -267,12 +267,8 @@ fn same_shape(a: &ProtocolBinding, b: &ProtocolBinding) -> bool {
 }
 
 fn span_of(b: &ProtocolBinding) -> Option<Span> {
-    let s = &b.span;
-    if s.file == u32::MAX || (s.file == 0 && s.start == 0 && s.end == 0) {
-        None
-    } else {
-        Some(Span::new(FileId(s.file), s.start, s.end))
-    }
+    let s = b.span.known()?;
+    Some(Span::new(FileId(s.file), s.start, s.end))
 }
 
 fn group_label(netlist: &Netlist, inst: &Instance, b: &ProtocolBinding) -> String {

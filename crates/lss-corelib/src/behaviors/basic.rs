@@ -1,7 +1,7 @@
 //! Basic data-movement components: sources, sinks, registers, fan-out.
 
 use lss_netlist::{EventId, RtvId};
-use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
+use lss_sim::{BuildError, CompCtx, CompSpec, Component, Deps, SimError};
 use lss_types::{Datum, Ty};
 
 /// `corelib/source.tar` — emits a value on every lane of `out` each cycle.
@@ -18,6 +18,9 @@ pub struct Source {
 }
 
 impl Source {
+    /// No inputs, no state update.
+    pub const DEPS: Deps = Deps::STATELESS;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let out = spec.port_index("out")?;
@@ -45,10 +48,6 @@ impl Source {
 
 impl Component for Source {
     eval_body!();
-
-    fn has_end_of_timestep(&self) -> bool {
-        false
-    }
 }
 
 /// `corelib/sink.tar` — consumes everything on `in`, counting arrivals in
@@ -59,6 +58,9 @@ pub struct Sink {
 }
 
 impl Sink {
+    /// Arrivals are counted at the end of the cycle.
+    pub const DEPS: Deps = Deps::REGISTERED;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Sink {
@@ -91,10 +93,6 @@ impl Component for Sink {
     }
 
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        false
-    }
 }
 
 /// `corelib/delay.tar` — the paper's Figure 5 single-cycle delay element:
@@ -107,6 +105,9 @@ pub struct Delay {
 }
 
 impl Delay {
+    /// `out` is the state; `in` is latched at the end of the cycle.
+    pub const DEPS: Deps = Deps::REGISTERED;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Delay {
@@ -134,10 +135,6 @@ impl Delay {
 impl Component for Delay {
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        false
-    }
 }
 
 /// `corelib/latch.tar` — a polymorphic register: each `out` lane carries
@@ -150,6 +147,9 @@ pub struct Latch {
 }
 
 impl Latch {
+    /// `out` is the state; `in` is latched at the end of the cycle.
+    pub const DEPS: Deps = Deps::REGISTERED;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Latch {
@@ -184,10 +184,6 @@ impl Latch {
 impl Component for Latch {
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        false
-    }
 }
 
 /// `corelib/tee.tar` — combinational fan-out: copies `in[0]` to every lane
@@ -198,6 +194,9 @@ pub struct Tee {
 }
 
 impl Tee {
+    /// Combinational fan-out, no state.
+    pub const DEPS: Deps = Deps::STATELESS;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Tee {
@@ -218,10 +217,6 @@ impl Tee {
 
 impl Component for Tee {
     eval_body!();
-
-    fn has_end_of_timestep(&self) -> bool {
-        false
-    }
 }
 
 /// `corelib/probe.tar` — a pure observation tap: counts arrivals per lane
@@ -235,6 +230,9 @@ pub struct Probe {
 }
 
 impl Probe {
+    /// Arrivals are observed at the end of the cycle.
+    pub const DEPS: Deps = Deps::REGISTERED;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Probe {
@@ -272,8 +270,4 @@ impl Component for Probe {
     }
 
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        false
-    }
 }

@@ -1,7 +1,7 @@
 //! Computation and storage components: ALU, register file, memories, cache.
 
 use lss_netlist::{EventId, UserpointId};
-use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
+use lss_sim::{BuildError, CompCtx, CompSpec, Component, Deps, SimError};
 use lss_types::{Datum, Ty};
 
 /// `corelib/alu.tar` — the overloaded ALU of §4.4: its ports are declared
@@ -30,6 +30,9 @@ enum AluOp {
 }
 
 impl Alu {
+    /// Combinational arithmetic, no state.
+    pub const DEPS: Deps = Deps::STATELESS;
+
     /// Factory; fails on unsupported ops or port types.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let op = match spec.str_param_or("op", "add")?.as_str() {
@@ -95,10 +98,6 @@ impl Alu {
 
 impl Component for Alu {
     eval_body!();
-
-    fn has_end_of_timestep(&self) -> bool {
-        false
-    }
 }
 
 /// `corelib/regfile.tar` — a polymorphic register file with a
@@ -117,6 +116,9 @@ pub struct RegFile {
 }
 
 impl RegFile {
+    /// Reads are combinational; writes land at the end of the cycle.
+    pub const DEPS: Deps = Deps::reading(&["rd_addr"]);
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let nregs = spec.int_param_or("nregs", 32)?;
@@ -167,10 +169,6 @@ impl RegFile {
 impl Component for RegFile {
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, port: usize) -> bool {
-        port == self.rd_addr
-    }
 }
 
 /// `corelib/ram.tar` — a word-addressed data memory.
@@ -187,6 +185,9 @@ pub struct Ram {
 }
 
 impl Ram {
+    /// Reads are combinational; writes land at the end of the cycle.
+    pub const DEPS: Deps = Deps::reading(&["addr"]);
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let words = spec.int_param_or("words", 1024)?;
@@ -244,10 +245,6 @@ impl Ram {
 impl Component for Ram {
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, port: usize) -> bool {
-        port == self.addr
-    }
 }
 
 /// `corelib/memory.tar` — a fixed-latency backing store used as the bottom
@@ -262,6 +259,9 @@ pub struct MemoryLat {
 }
 
 impl MemoryLat {
+    /// Answers the same cycle, no state.
+    pub const DEPS: Deps = Deps::STATELESS;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(MemoryLat {
@@ -283,10 +283,6 @@ impl MemoryLat {
 
 impl Component for MemoryLat {
     eval_body!();
-
-    fn has_end_of_timestep(&self) -> bool {
-        false
-    }
 }
 
 /// `corelib/cache.tar` — a set-associative latency-model cache.
@@ -326,6 +322,16 @@ pub struct Cache {
 }
 
 impl Cache {
+    /// `req` drives `resp` combinationally, and `lower_resp` feeds back
+    /// into `resp` as well. `lower_req` is a pure function of `req` — it
+    /// never reads `lower_resp`, which is what makes the request/response
+    /// pair with the next level a convergent handshake rather than a true
+    /// zero-delay cycle.
+    pub const DEPS: Deps = Deps {
+        outputs: &[("resp", &["req", "lower_resp"]), ("lower_req", &["req"])],
+        ..Deps::reading(&["req", "lower_resp"])
+    };
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let lines = spec.int_param_or("lines", 64)?.max(1);
@@ -453,19 +459,4 @@ impl Component for Cache {
 
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, port: usize) -> bool {
-        // `req` drives `resp` combinationally; `lower_resp` feeds back into
-        // `resp` as well.
-        port == self.req || port == self.lower_resp
-    }
-
-    fn output_depends_on(&self, output: usize, input: usize) -> bool {
-        // `lower_req` is a pure function of `req` — it never reads
-        // `lower_resp`, which is what makes the request/response pair with
-        // the next level a convergent fixpoint rather than a true
-        // zero-delay cycle.
-        (output == self.resp && (input == self.req || input == self.lower_resp))
-            || (output == self.lower_req && input == self.req)
-    }
 }

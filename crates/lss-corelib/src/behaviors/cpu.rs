@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use lss_netlist::{EventId, RtvId, SrcSpan};
-use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
+use lss_sim::{BuildError, CompCtx, CompSpec, Component, Deps, SimError};
 use lss_types::Datum;
 
 use super::flow::read_int_or;
@@ -101,6 +101,10 @@ pub struct Fetch {
 }
 
 impl Fetch {
+    /// Only the downstream credit feeds eval; predictions are consumed at
+    /// the end of the cycle.
+    pub const DEPS: Deps = Deps::reading(&["credit_in"]);
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let mix = Mix {
@@ -230,10 +234,6 @@ impl Component for Fetch {
 
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, port: usize) -> bool {
-        port == self.credit_in
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -254,6 +254,13 @@ pub struct Decode {
 }
 
 impl Decode {
+    /// Data and credit run on independent paths: `out` forwards `in`,
+    /// `credit` forwards `credit_in`. No state.
+    pub const DEPS: Deps = Deps {
+        outputs: &[("out", &["in"]), ("credit", &["credit_in"])],
+        ..Deps::STATELESS
+    };
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Decode {
@@ -281,17 +288,6 @@ impl Decode {
 
 impl Component for Decode {
     eval_body!();
-
-    fn has_end_of_timestep(&self) -> bool {
-        false
-    }
-
-    fn output_depends_on(&self, output: usize, input: usize) -> bool {
-        // Data and credit run on independent paths: `out` forwards `in`,
-        // `credit` forwards `credit_in`.
-        (output == self.out && input == self.inp)
-            || (output == self.credit && input == self.credit_in)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +318,13 @@ pub struct Dispatch {
 }
 
 impl Dispatch {
+    /// Routing reads the stations' credits; `credit` is free buffer space —
+    /// pure state — and `in` is buffered at the end of the cycle.
+    pub const DEPS: Deps = Deps {
+        outputs: &[("out", &["rs_credit"]), ("credit", &[])],
+        ..Deps::reading(&["rs_credit"])
+    };
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let out = spec.port_index("out")?;
@@ -408,15 +411,6 @@ impl Dispatch {
 impl Component for Dispatch {
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, port: usize) -> bool {
-        port == self.rs_credit
-    }
-
-    fn output_depends_on(&self, output: usize, input: usize) -> bool {
-        // `credit` is free buffer space — pure state, no eval input.
-        output == self.out && input == self.rs_credit
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -453,6 +447,13 @@ pub struct Issue {
 }
 
 impl Issue {
+    /// Picks read the units' credits; `credit` is free window space — pure
+    /// state — and `in` and `complete` land at the end of the cycle.
+    pub const DEPS: Deps = Deps {
+        outputs: &[("out", &["fu_credit"]), ("credit", &[])],
+        ..Deps::reading(&["fu_credit"])
+    };
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let out = spec.port_index("out")?;
@@ -582,15 +583,6 @@ impl Issue {
 impl Component for Issue {
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, port: usize) -> bool {
-        port == self.fu_credit
-    }
-
-    fn output_depends_on(&self, output: usize, input: usize) -> bool {
-        // `credit` is free window space — pure state, no eval input.
-        output == self.out && input == self.fu_credit
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -629,6 +621,10 @@ pub struct Fu {
 }
 
 impl Fu {
+    /// Its outputs are pipeline state; every input lands at the end of the
+    /// cycle.
+    pub const DEPS: Deps = Deps::REGISTERED;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let inp = spec.port_index("in")?;
@@ -737,10 +733,6 @@ impl Fu {
 impl Component for Fu {
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        false
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -763,6 +755,9 @@ pub struct Commit {
 }
 
 impl Commit {
+    /// Retirement is counted at the end of the cycle.
+    pub const DEPS: Deps = Deps::REGISTERED;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Commit {
@@ -820,10 +815,6 @@ impl Component for Commit {
     }
 
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        false
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -855,6 +846,10 @@ pub struct BranchPred {
 }
 
 impl BranchPred {
+    /// Lookups are combinational; updates are learned at the end of the
+    /// cycle.
+    pub const DEPS: Deps = Deps::reading(&["lookup"]);
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let entries = spec.int_param_or("entries", 1024)?.max(1) as usize;
@@ -929,8 +924,4 @@ impl Component for BranchPred {
 
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, port: usize) -> bool {
-        port == self.lookup
-    }
 }

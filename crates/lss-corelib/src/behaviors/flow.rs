@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 
 use lss_netlist::{SrcSpan, UserpointId};
-use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
+use lss_sim::{BuildError, CompCtx, CompSpec, Component, Deps, SimError};
 use lss_types::Datum;
 
 /// Reads an integer from an optional single-lane port, with a default for
@@ -44,6 +44,13 @@ pub struct Queue {
 }
 
 impl Queue {
+    /// Only `credit_in` feeds eval; `in` is consumed at end_of_timestep.
+    /// `credit` is free space at the start of the cycle — pure state.
+    pub const DEPS: Deps = Deps {
+        outputs: &[("out", &["credit_in"]), ("credit", &[])],
+        ..Deps::reading(&["credit_in"])
+    };
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         let depth = spec.int_param_or("depth", 8)?;
@@ -107,16 +114,6 @@ impl Queue {
 impl Component for Queue {
     eval_body!();
     end_of_timestep_body!();
-
-    fn input_is_combinational(&self, port: usize) -> bool {
-        // Only `credit_in` feeds eval; `in` is consumed at end_of_timestep.
-        port == self.credit_in
-    }
-
-    fn output_depends_on(&self, output: usize, input: usize) -> bool {
-        // `credit` is free space at the start of the cycle — pure state.
-        output == self.out && input == self.credit_in
-    }
 }
 
 /// `corelib/arbiter.tar` — picks up to `out.width` of the valid `in` lanes
@@ -134,6 +131,9 @@ pub struct Arbiter {
 }
 
 impl Arbiter {
+    /// Combinational selection, no state.
+    pub const DEPS: Deps = Deps::STATELESS;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Arbiter {
@@ -182,10 +182,6 @@ impl Component for Arbiter {
     }
 
     eval_body!();
-
-    fn has_end_of_timestep(&self) -> bool {
-        false
-    }
 }
 
 /// `corelib/mux.tar` — combinational selector: `out[0] = in[sel]`.
@@ -196,6 +192,9 @@ pub struct Mux {
 }
 
 impl Mux {
+    /// Combinational selector, no state.
+    pub const DEPS: Deps = Deps::STATELESS;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Mux {
@@ -218,10 +217,6 @@ impl Mux {
 
 impl Component for Mux {
     eval_body!();
-
-    fn has_end_of_timestep(&self) -> bool {
-        false
-    }
 }
 
 /// `corelib/demux.tar` — combinational router: `out[dest] = in[0]`.
@@ -232,6 +227,9 @@ pub struct Demux {
 }
 
 impl Demux {
+    /// Combinational router, no state.
+    pub const DEPS: Deps = Deps::STATELESS;
+
     /// Factory.
     pub fn new(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(Demux {
@@ -255,8 +253,4 @@ impl Demux {
 
 impl Component for Demux {
     eval_body!();
-
-    fn has_end_of_timestep(&self) -> bool {
-        false
-    }
 }

@@ -893,11 +893,12 @@ impl Driver {
     /// Runs the full static-analysis pass suite over the elaborated
     /// netlist.
     ///
-    /// Combinational/registered input classification comes from this
-    /// session's behavior registry (the same answer the simulator's
-    /// static scheduler uses), so `check` diagnostics and runtime
-    /// scheduling can never disagree. Not memoized — the config varies
-    /// per call.
+    /// Combinational/registered input classification comes from the
+    /// dependencies this session's registry declares for each behavior
+    /// (`lss_sim::comb_info`, the same answer the simulator's static
+    /// scheduler uses), so `check` diagnostics and runtime scheduling can
+    /// never disagree. No behavior is built, so checking a model allocates
+    /// no simulator state. Not memoized — the config varies per call.
     ///
     /// # Errors
     ///

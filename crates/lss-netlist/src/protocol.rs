@@ -122,6 +122,14 @@ pub struct SrcSpan {
     pub end: u32,
 }
 
+impl SrcSpan {
+    /// The span, or `None` when it is unknown (`file` `u32::MAX`, or all
+    /// zero as in a hand-built netlist).
+    pub fn known(self) -> Option<SrcSpan> {
+        (self.file != u32::MAX && (self.file, self.start, self.end) != (0, 0, 0)).then_some(self)
+    }
+}
+
 /// An explicit automaton: named states (index 0 initial) plus transitions.
 /// Built-in templates leave `states` empty — their automata are expanded on
 /// demand by the analyzer from [`Template`].

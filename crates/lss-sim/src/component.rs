@@ -109,29 +109,13 @@ impl CompSpec {
         Ok(self.int_param_or(name, default as i64)? != 0)
     }
 
-    /// The protocol binding whose *primary* (data) port is `port`, if the
-    /// instance declares one. Behaviors use this to name the violated
-    /// group and carry the annotation's source span in runtime protocol
-    /// diagnostics.
-    pub fn protocol_for_port(&self, port: usize) -> Option<&ProtocolBinding> {
-        self.protocols.iter().find(|b| b.primary().index() == port)
-    }
-
     /// Diagnostic context for protocol violations observed on `port`: the
     /// declared group name and annotation span, falling back to the port's
     /// own name (and no span) when the instance declares no contract
     /// there. Feed the result to [`SimError::protocol_violation`].
     pub fn protocol_context(&self, port: usize) -> (String, Option<SrcSpan>) {
-        match self.protocol_for_port(port) {
-            Some(b) => {
-                let s = &b.span;
-                let span = if s.file == u32::MAX || (s.file == 0 && s.start == 0 && s.end == 0) {
-                    None
-                } else {
-                    Some(*s)
-                };
-                (b.group.clone(), span)
-            }
+        match self.protocols.iter().find(|b| b.primary().index() == port) {
+            Some(b) => (b.group.clone(), b.span.known()),
             None => (
                 self.ports
                     .get(port)
@@ -312,10 +296,6 @@ pub trait CompCtx {
         let id = self.ensure_rtv(name, Datum::Int(0));
         self.set_rtv_by_id(id, value);
     }
-    /// True if the instance carries the named userpoint.
-    fn has_userpoint(&self, name: &str) -> bool {
-        self.userpoint_id(name).is_some()
-    }
     /// Invokes a userpoint by name.
     fn call_userpoint(&mut self, name: &str, args: &[Datum]) -> Result<Datum, SimError> {
         match self.userpoint_id(name) {
@@ -341,8 +321,9 @@ pub trait CompCtx {
 /// earlier runs with inputs that are not yet settled — it must be a pure
 /// function of inputs and state, so a repeated `eval` leaves what a single
 /// one with the final inputs would), then `end_of_timestep` commits
-/// synchronous state updates once. `lss_verify::contract` checks this and
-/// the dependency hooks below.
+/// synchronous state updates once. Which ports those phases read is stated
+/// once, as data, in the behavior's [`Deps`]; `lss_verify::contract` checks
+/// both promises.
 pub trait Component {
     /// One-time initialization before cycle 0.
     fn init(&mut self, _ctx: &mut dyn CompCtx) -> Result<(), SimError> {
@@ -355,30 +336,6 @@ pub trait Component {
     /// Synchronous state update at the end of the cycle.
     fn end_of_timestep(&mut self, _ctx: &mut dyn CompCtx) -> Result<(), SimError> {
         Ok(())
-    }
-
-    /// Whether `eval` reads the given input port.
-    ///
-    /// Ports consumed only in `end_of_timestep` (like a register's data
-    /// input) should return `false`; this is what lets the static scheduler
-    /// break feedback loops at state elements.
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        true
-    }
-
-    /// Whether `eval`'s value on `output` reads the given (combinational)
-    /// input port.
-    ///
-    /// Defaults to "every output reads every combinational input" — the
-    /// safe over-approximation. Behaviors whose port paths are independent
-    /// (a credit output computed from buffer occupancy alone, a cache
-    /// `lower_req` that never reads `lower_resp`) should override this:
-    /// the static analyzer's port-granularity cycle detector uses it to
-    /// tell a convergent credit handshake from a genuinely unbroken
-    /// zero-delay loop, and the static scheduler orders the handshake's
-    /// evaluations by it.
-    fn output_depends_on(&self, _output: usize, input: usize) -> bool {
-        self.input_is_combinational(input)
     }
 
     /// `eval` against the engine's own context.
@@ -398,22 +355,85 @@ pub trait Component {
     fn end_of_timestep_in(&mut self, ctx: &mut Ctx<'_>) -> Result<(), SimError> {
         self.end_of_timestep(ctx)
     }
+}
 
-    /// False when `end_of_timestep` does nothing, so the engine can leave
-    /// the instance out of its per-cycle state-update walk. An
-    /// `end_of_timestep` userpoint on the instance still runs.
-    fn has_end_of_timestep(&self) -> bool {
-        true
+/// A behavior's scheduling facts, declared beside its body and registered
+/// with its factory; ports are named as in its LSS module. Analysis and
+/// the static scheduler read them without building the behavior.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deps {
+    /// The inputs `eval` reads (`None`: all). The others are registered:
+    /// read only by `end_of_timestep`, they break feedback loops.
+    pub comb: Option<&'static [&'static str]>,
+    /// Per listed output, the inputs its `eval` value reads (a credit
+    /// computed from state alone reads none); an unlisted output reads
+    /// every input `eval` reads.
+    pub outputs: &'static [(&'static str, &'static [&'static str])],
+    /// Whether `end_of_timestep` does anything; when false the engine skips
+    /// it (an `end_of_timestep` userpoint still runs).
+    pub end_of_timestep: bool,
+}
+
+impl Deps {
+    /// The safe over-approximation for a behavior that declares nothing:
+    /// every output reads every input, and `end_of_timestep` runs.
+    pub const DEFAULT: Deps = Deps {
+        comb: None,
+        outputs: &[],
+        end_of_timestep: true,
+    };
+    /// A state element: `eval` reads no input.
+    pub const REGISTERED: Deps = Deps::reading(&[]);
+    /// Logic without state: `end_of_timestep` does nothing.
+    pub const STATELESS: Deps = Deps {
+        end_of_timestep: false,
+        ..Deps::DEFAULT
+    };
+
+    /// `eval` reads only `inputs`; `end_of_timestep` runs.
+    pub const fn reading(inputs: &'static [&'static str]) -> Deps {
+        Deps {
+            comb: Some(inputs),
+            ..Deps::DEFAULT
+        }
+    }
+
+    /// Whether `eval` reads `input`.
+    pub fn reads(&self, input: &str) -> bool {
+        self.comb.is_none_or(|comb| comb.contains(&input))
+    }
+
+    /// Whether `output`'s `eval` value reads `input`.
+    pub fn output_reads(&self, output: &str, input: &str) -> bool {
+        let listed = self.outputs.iter().find(|(o, _)| *o == output);
+        self.reads(input) && listed.is_none_or(|(_, inputs)| inputs.contains(&input))
+    }
+
+    /// Checks that each port the declaration names is a port of `spec` in
+    /// the direction its place implies.
+    pub fn check(&self, spec: &CompSpec) -> Result<(), BuildError> {
+        let read = self.outputs.iter().flat_map(|(_, inputs)| *inputs);
+        let inputs = self.comb.unwrap_or(&[]).iter().chain(read);
+        let outputs = self.outputs.iter().map(|(o, _)| (o, Dir::Out));
+        for (name, dir) in inputs.map(|p| (p, Dir::In)).chain(outputs) {
+            if spec.port(name)?.dir != dir {
+                let path = &spec.path;
+                return Err(BuildError::new(format!(
+                    "{path}: `{name}` is not an {dir}put port"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
 /// Factory producing a configured behavior from a spec.
 pub type Factory = Box<dyn Fn(&CompSpec) -> Result<Box<dyn Component>, BuildError> + Send + Sync>;
 
-/// Maps `tar_file` keys to behavior factories.
+/// Maps `tar_file` keys to behavior factories and their [`Deps`].
 #[derive(Default)]
 pub struct ComponentRegistry {
-    factories: HashMap<String, Factory>,
+    factories: HashMap<String, (Deps, Factory)>,
 }
 
 impl ComponentRegistry {
@@ -422,7 +442,8 @@ impl ComponentRegistry {
         Self::default()
     }
 
-    /// Registers a factory for `tar_file`.
+    /// Registers a factory for `tar_file` with its behavior's scheduling
+    /// facts ([`Deps::DEFAULT`] when it declares none).
     ///
     /// # Panics
     ///
@@ -431,17 +452,29 @@ impl ComponentRegistry {
     pub fn register(
         &mut self,
         tar_file: impl Into<String>,
+        deps: Deps,
         factory: impl Fn(&CompSpec) -> Result<Box<dyn Component>, BuildError> + Send + Sync + 'static,
     ) {
         let key = tar_file.into();
-        let prev = self.factories.insert(key.clone(), Box::new(factory));
+        let prev = self
+            .factories
+            .insert(key.clone(), (deps, Box::new(factory)));
         assert!(prev.is_none(), "behavior `{key}` registered twice");
+    }
+
+    /// The scheduling facts registered for `tar_file`; [`Deps::DEFAULT`]
+    /// for an unknown key, which errs toward *reporting* cycles rather
+    /// than hiding them.
+    pub fn deps(&self, tar_file: &str) -> Deps {
+        self.factories
+            .get(tar_file)
+            .map_or(Deps::DEFAULT, |(deps, _)| *deps)
     }
 
     /// Instantiates the behavior for `tar_file`.
     pub fn build(&self, tar_file: &str, spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         match self.factories.get(tar_file) {
-            Some(f) => f(spec),
+            Some((_, f)) => f(spec),
             None => {
                 let mut known: Vec<&String> = self.factories.keys().collect();
                 known.sort();
@@ -529,7 +562,7 @@ mod tests {
     fn registry_builds_and_reports_unknown() {
         let mut reg = ComponentRegistry::new();
         assert!(reg.is_empty());
-        reg.register("corelib/nop.tar", |_spec| {
+        reg.register("corelib/nop.tar", Deps::DEFAULT, |_spec| {
             Ok(Box::new(Nop) as Box<dyn Component>)
         });
         assert_eq!(reg.len(), 1);
@@ -542,10 +575,31 @@ mod tests {
     }
 
     #[test]
+    fn deps_default_to_every_input_and_listed_outputs_narrow_it() {
+        assert!(Deps::DEFAULT.output_reads("out", "in"));
+        assert!(!Deps::REGISTERED.reads("in"));
+        let deps = Deps {
+            comb: Some(&["credit_in"]),
+            outputs: &[("credit", &[])],
+            ..Deps::DEFAULT
+        };
+        assert!(!deps.reads("in"));
+        assert!(!deps.output_reads("out", "in"));
+        assert!(deps.output_reads("out", "credit_in"));
+        assert!(!deps.output_reads("credit", "credit_in"));
+        let reg = ComponentRegistry::new();
+        assert_eq!(reg.deps("corelib/missing.tar"), Deps::DEFAULT);
+    }
+
+    #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_registration_panics() {
         let mut reg = ComponentRegistry::new();
-        reg.register("a", |_s| Ok(Box::new(Nop) as Box<dyn Component>));
-        reg.register("a", |_s| Ok(Box::new(Nop) as Box<dyn Component>));
+        reg.register("a", Deps::DEFAULT, |_s| {
+            Ok(Box::new(Nop) as Box<dyn Component>)
+        });
+        reg.register("a", Deps::DEFAULT, |_s| {
+            Ok(Box::new(Nop) as Box<dyn Component>)
+        });
     }
 }

@@ -77,6 +77,11 @@ pub enum Scheduler {
     Dynamic,
 }
 
+/// Iteration cap for combinational-cycle fixpoints.
+const MAX_FIXPOINT_ITERS: usize = 64;
+/// Step budget per BSL invocation (userpoints and collectors).
+pub const BSL_MAX_STEPS: u64 = 1_000_000;
+
 /// Simulation options.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
@@ -89,10 +94,6 @@ pub struct SimOptions {
     /// Injected static-plan bug for differential testing
     /// ([`KernelMutation::None`] for correct execution).
     pub kernel_mutation: KernelMutation,
-    /// Iteration cap for combinational-cycle fixpoints.
-    pub max_fixpoint_iters: usize,
-    /// Step budget per BSL invocation.
-    pub bsl_max_steps: u64,
     /// Validate every value sent on a port against the port's inferred
     /// type, failing the cycle on a violation. Catches behaviors that
     /// disagree with the static types; costs a structural check per send.
@@ -120,8 +121,6 @@ impl Default for SimOptions {
             scheduler: Scheduler::Static,
             seed: 0,
             kernel_mutation: KernelMutation::None,
-            max_fixpoint_iters: 64,
-            bsl_max_steps: 1_000_000,
             check_types: false,
             check_protocols: false,
             budget: Budget::unlimited(),
@@ -169,7 +168,6 @@ struct CompState {
     eval_events: Vec<(EventId, Vec<Datum>)>,
     /// Events emitted during `end_of_timestep`.
     eot_events: Vec<(EventId, Vec<Datum>)>,
-    bsl_max_steps: u64,
     /// Cached ids of the system userpoints, resolved once at build.
     init_up: Option<UserpointId>,
     eot_up: Option<UserpointId>,
@@ -457,7 +455,7 @@ impl CompCtx for Ctx<'_> {
             )));
         }
         let mut env = BslEnv::bound(&up.arg_names, args.to_vec(), &mut state.rtvs);
-        match exec(&up.program, &mut env, state.bsl_max_steps)? {
+        match exec(&up.program, &mut env, BSL_MAX_STEPS)? {
             Some(v) => Ok(v),
             None => Ok(Datum::Int(0)),
         }
@@ -614,61 +612,50 @@ struct ProtocolMonitor {
     kind: MonitorKind,
 }
 
-/// Records a leaf behavior's dependency contract into a [`CombInfo`]:
-/// which inputs are registered (`input_is_combinational`) and which
-/// output/input pairs run on independent paths (`output_depends_on`).
-fn fill_comb_info(comb: &mut CombInfo, inst: &lss_netlist::Instance, comp: &dyn Component) {
-    for (i_idx, input) in inst.ports.iter().enumerate() {
-        if input.dir != Dir::In {
-            continue;
-        }
-        if !comp.input_is_combinational(i_idx) {
-            comb.set_non_combinational(inst.id, PortId::from_index(i_idx));
-            continue;
-        }
-        for (o_idx, output) in inst.ports.iter().enumerate() {
-            if output.dir == Dir::Out && !comp.output_depends_on(o_idx, i_idx) {
-                comb.set_independent(
-                    inst.id,
-                    PortId::from_index(o_idx),
-                    PortId::from_index(i_idx),
-                );
-            }
-        }
-    }
-}
-
-/// Computes which leaf inputs are *not* combinational by instantiating each
-/// leaf's behavior and asking it (`Component::input_is_combinational`).
-///
-/// This is the behavioral half of the static analyzer's zero-delay
-/// dependency graph: `lss-analyze` owns the graph and its condensation, but
-/// only the component registry knows whether a given input is consumed in
-/// `eval` (combinational) or in `end_of_timestep` (registered, cycle
-/// breaking). Leaves whose behavior cannot be instantiated — unknown
-/// `tar_file`, missing port types, userpoints that do not compile — are left
-/// at the combinational default, which errs toward *reporting* cycles rather
-/// than hiding them.
-pub fn comb_info(netlist: &Netlist, registry: &ComponentRegistry) -> lss_analyze::CombInfo {
+/// Which leaf inputs are registered and which output/input pairs run on
+/// independent paths: the behavioral half of the analyzer's zero-delay
+/// dependency graph, looked up by `tar_file` and port name in each
+/// behavior's registered [`Deps`](crate::Deps). No behavior is built. An
+/// unregistered `tar_file` keeps the combinational default, which errs
+/// toward *reporting* cycles. [`build`] schedules from this same answer.
+pub fn comb_info(netlist: &Netlist, registry: &ComponentRegistry) -> CombInfo {
     let mut comb = CombInfo::all_combinational();
     for inst in &netlist.instances {
         let InstanceKind::Leaf { tar_file } = &inst.kind else {
             continue;
         };
-        let Ok(spec) = leaf_spec(netlist, inst) else {
-            continue;
-        };
-        let Ok(comp) = registry.build(tar_file, &spec) else {
-            continue;
-        };
-        fill_comb_info(&mut comb, inst, comp.as_ref());
+        let deps = registry.deps(tar_file);
+        for (i_idx, input) in inst.ports.iter().enumerate() {
+            if input.dir != Dir::In {
+                continue;
+            }
+            let in_name = netlist.name(input.name);
+            if !deps.reads(in_name) {
+                comb.set_non_combinational(inst.id, PortId::from_index(i_idx));
+                continue;
+            }
+            for (o_idx, output) in inst.ports.iter().enumerate() {
+                if output.dir == Dir::Out && !deps.output_reads(netlist.name(output.name), in_name)
+                {
+                    comb.set_independent(
+                        inst.id,
+                        PortId::from_index(o_idx),
+                        PortId::from_index(i_idx),
+                    );
+                }
+            }
+        }
     }
     comb
 }
 
-/// One leaf's behavior configuration: what [`build`] instantiates and
-/// [`comb_info`] asks about.
-fn leaf_spec(netlist: &Netlist, inst: &lss_netlist::Instance) -> Result<CompSpec, BuildError> {
+/// One leaf's behavior configuration, with its userpoints compiled: what
+/// [`build`] and the reference simulator instantiate.
+///
+/// # Errors
+///
+/// A port has no inferred type, or a userpoint does not compile.
+pub fn leaf_spec(netlist: &Netlist, inst: &lss_netlist::Instance) -> Result<CompSpec, BuildError> {
     let mut ports = Vec::with_capacity(inst.ports.len());
     for p in &inst.ports {
         let Some(ty) = p.ty.clone() else {
@@ -794,12 +781,16 @@ pub fn build(
     let mut states: Vec<CompState> = Vec::with_capacity(n);
     let mut paths = Vec::with_capacity(n);
     let mut port_names = Vec::with_capacity(n);
+    let mut has_update = Vec::with_capacity(n);
     for &id in &leaf_ids {
         let inst = netlist.instance(id);
         let InstanceKind::Leaf { tar_file } = &inst.kind else {
             unreachable!("leaves only")
         };
         let spec = leaf_spec(netlist, inst)?;
+        let deps = registry.deps(tar_file);
+        deps.check(&spec)?;
+        has_update.push(deps.end_of_timestep);
         let userpoints_rt: Vec<UserpointRt> = inst
             .userpoints
             .iter()
@@ -836,7 +827,6 @@ pub fn build(
                 .collect(),
             eval_events: Vec::new(),
             eot_events: Vec::new(),
-            bsl_max_steps: opts.bsl_max_steps,
             init_up,
             eot_up,
         });
@@ -857,15 +847,11 @@ pub fn build(
         .collect::<Result<Vec<_>, _>>()?;
     drop(specs);
 
-    // Static plan: ask the behaviors which inputs their eval reads, then
-    // condense the analyzer's leaf dependency graph and run its SCCs in
+    // Static plan: condense the analyzer's leaf dependency graph, built
+    // from the behaviors' declared dependencies, and run its SCCs in
     // topological order; a leaf-level cycle is ordered by its own port
     // subgraph, the graph `lssc check`'s cycle detector reports on.
-    let mut comb = CombInfo::all_combinational();
-    for (c, &id) in leaf_ids.iter().enumerate() {
-        fill_comb_info(&mut comb, netlist.instance(id), comps[c].as_ref());
-    }
-    let deps = leaf_dep_graph(netlist, &wires, &comb);
+    let deps = leaf_dep_graph(netlist, &wires, &comb_info(netlist, registry));
     debug_assert_eq!(deps.leaves, leaf_ids, "analyzer and engine leaf order");
     let plan = Plan::new(&deps);
 
@@ -941,7 +927,7 @@ pub fn build(
     };
     let eot_comps: Vec<(usize, Option<UserpointId>)> = (0..n)
         .map(|c| (c, states[c].eot_up))
-        .filter(|&(c, up)| comps[c].has_end_of_timestep() || up.is_some())
+        .filter(|&(c, up)| has_update[c] || up.is_some())
         .collect();
     let event_comps: Vec<usize> = (0..n)
         .filter(|&c| !states[c].event_names.is_empty())
@@ -958,12 +944,6 @@ pub fn build(
                     continue;
                 };
                 let port_out = pport.dir == Dir::Out;
-                let s = &b.span;
-                let span = if s.file == u32::MAX || (s.file == 0 && s.start == 0 && s.end == 0) {
-                    None
-                } else {
-                    Some(*s)
-                };
                 let kind = match (&b.automaton.template, b.role) {
                     (Template::Custom(_), _) => {
                         let rev = b.reverse().and_then(|r| {
@@ -992,7 +972,7 @@ pub fn build(
                 monitors.push(ProtocolMonitor {
                     comp: c,
                     group: b.group.clone(),
-                    span,
+                    span: b.span.known(),
                     port: primary,
                     port_out,
                     states: b.automaton.states.clone(),
@@ -1440,14 +1420,14 @@ impl Simulator {
                 break;
             }
             iters += 1;
-            if iters > self.opts.max_fixpoint_iters {
+            if iters > MAX_FIXPOINT_ITERS {
                 let names: Vec<&str> = self.plan.order[block]
                     .iter()
                     .map(|&c| self.paths[c].as_str())
                     .collect();
                 return Err(SimError::new(format!(
                     "combinational cycle did not settle after {} iterations: {}",
-                    self.opts.max_fixpoint_iters,
+                    MAX_FIXPOINT_ITERS,
                     names.join(", ")
                 )));
             }
@@ -1460,7 +1440,7 @@ impl Simulator {
         let mut queue: VecDeque<usize> = (0..n).collect();
         let mut queued = vec![true; n];
         let mut safety = 0u64;
-        let cap = (n as u64 + 1) * (self.opts.max_fixpoint_iters as u64 + 1) * 4;
+        let cap = (n as u64 + 1) * (MAX_FIXPOINT_ITERS as u64 + 1) * 4;
         while let Some(comp) = queue.pop_front() {
             queued[comp] = false;
             let changed = self.eval_comp(comp)?;
@@ -1605,7 +1585,7 @@ impl Simulator {
                 vars: &mut coll.state,
                 implicit_zero: true,
             };
-            exec(&coll.program, &mut env, self.opts.bsl_max_steps).map_err(|e| {
+            exec(&coll.program, &mut env, BSL_MAX_STEPS).map_err(|e| {
                 SimError::new(format!(
                     "collector on {} event {}: {}",
                     self.paths[comp], coll.event, e.message

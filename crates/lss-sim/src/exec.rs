@@ -150,7 +150,8 @@ impl Plan {
 /// sees. Afterwards, each member whose inputs may have changed since its
 /// last run runs once more, so every member's last evaluation sees settled
 /// inputs. This is sound when each behavior keeps its dependency contract
-/// (an output does not read an input its hooks exclude) and a repeated
+/// (an output does not read an input its [`Deps`](crate::Deps) exclude)
+/// and a repeated
 /// `eval` leaves what a single one with the final inputs would.
 fn sequence(deps: &LeafDepGraph, members: &[usize]) -> Option<Vec<usize>> {
     // The members' port nodes, renumbered densely, and each one's member.

@@ -5,8 +5,9 @@
 //! clock-accurate simulator.
 //!
 //! * [`component`] — the [`Component`] behavior trait, [`CompSpec`]
-//!   configuration, and the [`ComponentRegistry`] keyed by `tar_file`
-//!   strings (our substitute for the paper's BSL `.tar` payloads);
+//!   configuration, each behavior's static scheduling facts ([`Deps`]),
+//!   and the [`ComponentRegistry`] keyed by `tar_file` strings (our
+//!   substitute for the paper's BSL `.tar` payloads);
 //! * [`bsl`] — the interpreter for userpoint and collector BSL code;
 //! * [`slots`] — flat name/value tables ([`SlotTable`]) that back runtime
 //!   variables and collector state without per-cycle hashing;
@@ -34,9 +35,12 @@ pub mod wave;
 
 pub use bsl::{compile_bsl, datum_binary, exec, BslEnv, BslProgram};
 pub use component::{
-    BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
+    BuildError, CompCtx, CompSpec, Component, ComponentRegistry, Deps, PortSpec, SimError,
 };
-pub use engine::{build, comb_info, Ctx, FiringRecord, Scheduler, SimOptions, SimStats, Simulator};
+pub use engine::{
+    build, comb_info, leaf_spec, Ctx, FiringRecord, Scheduler, SimOptions, SimStats, Simulator,
+    BSL_MAX_STEPS,
+};
 pub use exec::KernelMutation;
 pub use slots::SlotTable;
 pub use wave::{to_ascii, to_vcd};

@@ -5,8 +5,8 @@ use lss_ast::{parse, DiagnosticBag, SourceMap};
 use lss_interp::{compile, CompileOptions, Unit};
 use lss_netlist::Netlist;
 use lss_sim::{
-    build, BuildError, CompCtx, Component, ComponentRegistry, Scheduler, SimError, SimOptions,
-    Simulator,
+    build, BuildError, CompCtx, Component, ComponentRegistry, Deps, Scheduler, SimError,
+    SimOptions, Simulator,
 };
 use lss_types::Datum;
 
@@ -44,9 +44,6 @@ impl Component for Accumulate {
         ctx.set_rtv("total", Datum::Int(total));
         Ok(())
     }
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        false
-    }
 }
 
 /// One-cycle register: output = state; state <- input at end of cycle.
@@ -71,9 +68,6 @@ impl Component for Register {
             self.state[lane] = ctx.input(self.inp, lane as u32);
         }
         Ok(())
-    }
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        false
     }
 }
 
@@ -177,56 +171,56 @@ impl Component for Flaky {
 
 fn registry() -> ComponentRegistry {
     let mut reg = ComponentRegistry::new();
-    reg.register("test/counter.tar", |spec| {
+    reg.register("test/counter.tar", Deps::DEFAULT, |spec| {
         Ok(Box::new(Counter {
             out: spec.port_index("out")?,
             start: spec.int_param_or("start", 0)?,
         }) as Box<dyn Component>)
     });
-    reg.register("test/acc.tar", |spec| {
+    reg.register("test/acc.tar", Deps::REGISTERED, |spec| {
         Ok(Box::new(Accumulate {
             inp: spec.port_index("in")?,
         }) as Box<dyn Component>)
     });
-    reg.register("test/reg.tar", |spec| {
+    reg.register("test/reg.tar", Deps::REGISTERED, |spec| {
         Ok(Box::new(Register {
             inp: spec.port_index("in")?,
             out: spec.port_index("out")?,
             state: Vec::new(),
         }) as Box<dyn Component>)
     });
-    reg.register("test/add.tar", |spec| {
+    reg.register("test/add.tar", Deps::DEFAULT, |spec| {
         Ok(Box::new(Add {
             a: spec.port_index("a")?,
             b: spec.port_index("b")?,
             out: spec.port_index("out")?,
         }) as Box<dyn Component>)
     });
-    reg.register("test/apply.tar", |spec| {
+    reg.register("test/apply.tar", Deps::DEFAULT, |spec| {
         Ok(Box::new(Apply {
             inp: spec.port_index("in")?,
             out: spec.port_index("out")?,
         }) as Box<dyn Component>)
     });
-    reg.register("test/clamp.tar", |spec| {
+    reg.register("test/clamp.tar", Deps::DEFAULT, |spec| {
         Ok(Box::new(Clamp {
             inp: spec.port_index("in")?,
             out: spec.port_index("out")?,
             floor: spec.int_param_or("floor", 0)?,
         }) as Box<dyn Component>)
     });
-    reg.register("test/ticker.tar", |spec| {
+    reg.register("test/ticker.tar", Deps::DEFAULT, |spec| {
         Ok(Box::new(Ticker {
             out: spec.port_index("out")?,
         }) as Box<dyn Component>)
     });
-    reg.register("test/flaky.tar", |spec| {
+    reg.register("test/flaky.tar", Deps::DEFAULT, |spec| {
         Ok(Box::new(Flaky {
             inp: spec.port_index("in")?,
             failed: false,
         }) as Box<dyn Component>)
     });
-    reg.register("test/inv.tar", |spec| {
+    reg.register("test/inv.tar", Deps::DEFAULT, |spec| {
         Ok(Box::new(Inverter {
             inp: spec.port_index("in")?,
             out: spec.port_index("out")?,
@@ -765,7 +759,7 @@ fn type_checking_mode_catches_behavior_type_violations() {
         }
     }
     let mut reg = registry();
-    reg.register("test/liar.tar", |spec| {
+    reg.register("test/liar.tar", Deps::DEFAULT, |spec| {
         Ok(Box::new(Liar {
             out: spec.port_index("out")?,
         }) as Box<dyn Component>)

@@ -1,11 +1,15 @@
-//! Behavior contracts: an oracle for the two promises the static plan
-//! takes on trust from every leaf behavior.
+//! Behavior contracts: an oracle for the promises the static plan takes on
+//! trust from every leaf behavior.
 //!
-//! * **Dependency contract.** `input_is_combinational` and
-//!   `output_depends_on` say which inputs an output's `eval` value reads.
-//!   The port-level graph, and so every `LSS101` verdict and every fixed
-//!   evaluation sequence, is built from them. Perturbing an input that an
-//!   output does not read must leave that output unchanged.
+//! * **Dependency contract.** A behavior's registered [`Deps`] say which
+//!   inputs an output's `eval` value reads. The port-level graph, and so
+//!   every `LSS101` verdict and every fixed evaluation sequence, is built
+//!   from them. Perturbing an input that an output does not read must
+//!   leave that output unchanged.
+//! * **Declared no update.** The engine skips `end_of_timestep` for a
+//!   behavior declared without one. Running it must leave the next
+//!   cycle's outputs and eval events, the runtime variables and the
+//!   `end_of_timestep` events as skipping it does.
 //! * **Repeatable eval.** A fixed sequence may evaluate a leaf more than
 //!   once per cycle, the earlier runs with stale inputs. `eval` with stale
 //!   inputs, then `eval` with the final inputs, then `end_of_timestep`
@@ -26,7 +30,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use lss_netlist::{Dir, InstanceKind, Netlist};
-use lss_sim::{build, BuildError, Component, ComponentRegistry, SimError, SimOptions};
+use lss_sim::{build, BuildError, ComponentRegistry, Deps, SimError, SimOptions};
 use lss_types::rng::SplitMix64;
 use lss_types::{Datum, Ty};
 
@@ -44,8 +48,8 @@ const RECORD_CYCLES: u64 = 40;
 /// One broken promise of a behavior.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContractViolation {
-    /// Perturbing `input` changed `output`, though the hooks say the
-    /// output does not read it.
+    /// Perturbing `input` changed `output`, though the declaration says
+    /// the output does not read it.
     Dependency {
         /// Instance path.
         path: String,
@@ -64,6 +68,14 @@ pub enum ContractViolation {
         /// What differed.
         detail: String,
     },
+    /// The behavior is declared without an update, but skipping its
+    /// `end_of_timestep` left a different outcome than running it.
+    Update {
+        /// Instance path.
+        path: String,
+        /// What differed.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ContractViolation {
@@ -76,11 +88,15 @@ impl fmt::Display for ContractViolation {
                 detail,
             } => write!(
                 f,
-                "{path}: `{output}` changed with `{input}`, which its hooks say it does not read ({detail})"
+                "{path}: `{output}` changed with `{input}`, which its declaration says it does not read ({detail})"
             ),
             ContractViolation::Repeat { path, detail } => {
                 write!(f, "{path}: a repeated eval is not a single eval ({detail})")
             }
+            ContractViolation::Update { path, detail } => write!(
+                f,
+                "{path}: declared without an update, but end_of_timestep matters ({detail})"
+            ),
         }
     }
 }
@@ -103,8 +119,8 @@ type Lanes = Vec<Vec<Option<Datum>>>;
 /// (rendered), or the error.
 type Outcome = Result<(Lanes, String), String>;
 
-/// Checks the dependency contract and repeatable eval of every leaf of
-/// `netlist` (see the module docs).
+/// Checks the declared dependencies, the declared absence of an update and
+/// repeatable eval of every leaf of `netlist` (see the module docs).
 ///
 /// # Errors
 ///
@@ -121,13 +137,12 @@ pub fn check_contracts(
             continue;
         };
         let parts = leaf_parts(netlist, inst)?;
-        let hooks = registry.build(tar_file, &parts.spec)?;
         let leaf = Leaf {
             tar_file,
             parts: &parts,
             registry,
             pools: &pools[leaf],
-            hooks: hooks.as_ref(),
+            deps: registry.deps(tar_file),
         };
         report.behaviors.insert(tar_file.clone());
         for _ in 0..TRIALS {
@@ -190,8 +205,8 @@ struct Leaf<'a> {
     registry: &'a ComponentRegistry,
     /// Per port, the values its lanes may carry.
     pools: &'a [Vec<Datum>],
-    /// An instance asked for the dependency hooks only.
-    hooks: &'a dyn Component,
+    /// The behavior's declared scheduling facts.
+    deps: Deps,
 }
 
 impl Leaf<'_> {
@@ -227,7 +242,7 @@ impl Leaf<'_> {
         let mut probe = Probe::new(self.tar_file, self.parts, self.registry)?;
         for inputs in history {
             probe.begin_cycle(inputs);
-            if probe.eval().is_err() || probe.end_of_timestep().is_err() {
+            if probe.eval().is_err() || probe.end_of_timestep(true).is_err() {
                 return Ok(None);
             }
         }
@@ -251,11 +266,12 @@ impl Leaf<'_> {
         let Ok(out_x) = base.eval() else {
             return Ok(false);
         };
-        if base.end_of_timestep().is_err() {
+        if base.end_of_timestep(true).is_err() {
             return Ok(false);
         }
         base.begin_cycle(&y);
         let out_y = base.eval();
+        let state_y = base.state();
 
         // Dependency contract: perturb each input that some output does
         // not read.
@@ -266,10 +282,7 @@ impl Leaf<'_> {
             }
             let independent: Vec<usize> = (0..ports.len())
                 .filter(|&o| ports[o].dir == Dir::Out && ports[o].width > 0)
-                .filter(|&o| {
-                    !self.hooks.input_is_combinational(input)
-                        || !self.hooks.output_depends_on(o, input)
-                })
+                .filter(|&o| !self.deps.output_reads(&ports[o].name, &p.name))
                 .collect();
             if independent.is_empty() {
                 continue;
@@ -307,6 +320,24 @@ impl Leaf<'_> {
             }
         }
 
+        // Declared no update: skip `end_of_timestep` as the engine does.
+        if !self.deps.end_of_timestep {
+            if let Some(mut probe) = self.replay(&history)? {
+                probe.begin_cycle(&x);
+                let ended = probe
+                    .eval()
+                    .and_then(|_| probe.end_of_timestep(false).map_err(|e| e.message));
+                probe.begin_cycle(&y);
+                let skipped = (ended.and_then(|()| probe.eval()), probe.state());
+                if skipped.0 != out_y || skipped.1 != state_y {
+                    found.push(ContractViolation::Update {
+                        path: self.path(),
+                        detail: format!("{skipped:?} instead of {:?}", (&out_y, &state_y)),
+                    });
+                }
+            }
+        }
+
         // Repeatable eval: stale inputs first, then the final ones.
         let Some(mut probe) = self.replay(&history)? else {
             return Ok(true);
@@ -319,7 +350,7 @@ impl Leaf<'_> {
             probe.set_inputs(&x);
             match probe.eval() {
                 Ok(out) if out == out_x => {
-                    if let Err(e) = probe.end_of_timestep() {
+                    if let Err(e) = probe.end_of_timestep(true) {
                         detail = Some(format!("end_of_timestep failed: {e}"));
                     } else {
                         probe.begin_cycle(&y);
@@ -394,9 +425,18 @@ impl Probe {
         Ok((outputs, format!("{:?}", core.states[0].eval_events)))
     }
 
-    fn end_of_timestep(&mut self) -> Result<(), SimError> {
-        self.0.end_of_timestep(0)?;
+    /// Ends the cycle; with `method` false, without the behavior's
+    /// `end_of_timestep` (see `RefSim::end_of_timestep`).
+    fn end_of_timestep(&mut self, method: bool) -> Result<(), SimError> {
+        self.0.end_of_timestep(0, method)?;
         self.0.core.cycle += 1;
         Ok(())
+    }
+
+    /// The runtime variables and `end_of_timestep` events so far, rendered.
+    fn state(&self) -> String {
+        let state = &self.0.core.states[0];
+        let rtvs: Vec<_> = state.rtvs.iter().collect();
+        format!("rtvs {rtvs:?}, events {:?}", state.eot_events)
     }
 }

@@ -1,8 +1,9 @@
 //! A deliberately naive reference simulator.
 //!
-//! [`RefSim`] executes the same typed netlist and the same leaf behaviors
-//! as `lss_sim::Simulator`, but shares none of the engine's machinery: no
-//! precomputed schedule, no slot array, no interned IDs. Values live in a
+//! [`RefSim`] executes the same typed netlist and the same leaf behaviors,
+//! configured by the same `lss_sim::leaf_spec`, as `lss_sim::Simulator`,
+//! but shares none of the engine's machinery: no precomputed schedule, no
+//! slot array, no interned IDs. Values live in a
 //! `BTreeMap` keyed by `(component, port, lane)`; the combinational settle
 //! phase is a global fixpoint — evaluate *every* component in instance
 //! order, repeat until nothing changes. Where the engine derives a static
@@ -27,8 +28,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use lss_netlist::{Dir, EventId, Instance, InstanceKind, Netlist, RtvId, UserpointId};
 use lss_sim::{
-    compile_bsl, exec, BslEnv, BslProgram, BuildError, CompCtx, CompSpec, Component,
-    ComponentRegistry, PortSpec, SimError, SlotTable,
+    compile_bsl, exec, leaf_spec, BslEnv, BslProgram, BuildError, CompCtx, CompSpec, Component,
+    ComponentRegistry, SimError, SlotTable, BSL_MAX_STEPS,
 };
 use lss_types::Datum;
 
@@ -72,68 +73,27 @@ pub(crate) struct LeafParts {
 
 /// Builds one leaf's [`LeafParts`] from the netlist.
 pub(crate) fn leaf_parts(netlist: &Netlist, inst: &Instance) -> Result<LeafParts, BuildError> {
-    let mut ports = Vec::with_capacity(inst.ports.len());
-    for p in &inst.ports {
-        let Some(ty) = p.ty.clone() else {
-            return Err(BuildError::new(format!(
-                "{}.{}: port has no inferred type; run type inference first",
-                inst.path,
-                netlist.name(p.name)
-            )));
-        };
-        ports.push(PortSpec {
-            name: netlist.name(p.name).to_string(),
-            dir: p.dir,
-            width: p.width,
-            ty,
-        });
-    }
-    let mut userpoints_src = HashMap::new();
-    let mut userpoints = Vec::with_capacity(inst.userpoints.len());
-    for up in &inst.userpoints {
-        let up_name = netlist.name(up.name);
-        let program = compile_bsl(&up.code).map_err(|e| {
-            BuildError::new(format!(
-                "{}: userpoint `{up_name}` does not compile:\n{e}",
-                inst.path
-            ))
-        })?;
-        userpoints_src.insert(up_name.to_string(), program.clone());
-        userpoints.push(UserpointRt {
-            name: up_name.to_string(),
-            arg_names: up
-                .args
-                .iter()
-                .map(|(s, _)| netlist.name(*s).to_string())
-                .collect(),
-            program,
-        });
-    }
-    let rtvs = SlotTable::from_pairs(
-        inst.runtime_vars
-            .iter()
-            .map(|rv| (netlist.name(rv.name), rv.init.clone())),
-    );
-    let spec = CompSpec {
-        path: inst.path.clone(),
-        module: netlist.name(inst.module).to_string(),
-        params: inst
-            .params
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect(),
-        ports,
-        userpoints: userpoints_src,
-        runtime_vars: rtvs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect(),
-        protocols: inst.protocols.clone(),
-    };
+    let spec = leaf_spec(netlist, inst)?;
+    let userpoints = inst
+        .userpoints
+        .iter()
+        .map(|up| {
+            let name = netlist.name(up.name);
+            UserpointRt {
+                name: name.to_string(),
+                arg_names: up
+                    .args
+                    .iter()
+                    .map(|(s, _)| netlist.name(*s).to_string())
+                    .collect(),
+                program: spec.userpoints[name].clone(),
+            }
+        })
+        .collect();
     Ok(LeafParts {
+        rtvs: SlotTable::from_pairs(spec.runtime_vars.iter().cloned()),
         spec,
         userpoints,
-        rtvs,
         event_names: inst
             .events
             .iter()
@@ -143,11 +103,11 @@ pub(crate) fn leaf_parts(netlist: &Netlist, inst: &Instance) -> Result<LeafParts
 }
 
 pub(crate) struct RefState {
-    rtvs: SlotTable,
+    pub(crate) rtvs: SlotTable,
     userpoints: Vec<UserpointRt>,
     event_names: Vec<String>,
     pub(crate) eval_events: Vec<(EventId, Vec<Datum>)>,
-    eot_events: Vec<(EventId, Vec<Datum>)>,
+    pub(crate) eot_events: Vec<(EventId, Vec<Datum>)>,
     in_eot: bool,
     init_up: Option<UserpointId>,
     eot_up: Option<UserpointId>,
@@ -196,7 +156,6 @@ pub(crate) struct RefCore {
     pub(crate) dirs: Vec<Vec<Dir>>,
     pub(crate) widths: Vec<Vec<u32>>,
     pub(crate) states: Vec<RefState>,
-    bsl_max_steps: u64,
 }
 
 struct RefCtx<'a> {
@@ -262,7 +221,6 @@ impl CompCtx for RefCtx<'_> {
     }
 
     fn call_userpoint_by_id(&mut self, id: UserpointId, args: &[Datum]) -> Result<Datum, SimError> {
-        let max_steps = self.core.bsl_max_steps;
         let state = &mut self.core.states[self.comp];
         let Some(up) = state.userpoints.get(id.index()) else {
             return Err(SimError::new(format!(
@@ -278,7 +236,7 @@ impl CompCtx for RefCtx<'_> {
             )));
         }
         let mut env = BslEnv::bound(&up.arg_names, args.to_vec(), &mut state.rtvs);
-        match exec(&up.program, &mut env, max_steps)? {
+        match exec(&up.program, &mut env, BSL_MAX_STEPS)? {
             Some(v) => Ok(v),
             None => Ok(Datum::Int(0)),
         }
@@ -435,7 +393,6 @@ impl RefSim {
                 dirs,
                 widths,
                 states,
-                bsl_max_steps: 1_000_000,
             },
             comps,
             paths,
@@ -483,7 +440,6 @@ impl RefSim {
                 dirs,
                 widths,
                 states: vec![RefState::new(parts)],
-                bsl_max_steps: 1_000_000,
             },
             comps: vec![comp],
             paths,
@@ -622,7 +578,7 @@ impl RefSim {
         self.settle()?;
         self.fire_port_events()?;
         for comp in 0..self.comps.len() {
-            self.end_of_timestep(comp)?;
+            self.end_of_timestep(comp, true)?;
         }
         self.dispatch_declared_events()?;
         self.core.cycle += 1;
@@ -630,11 +586,14 @@ impl RefSim {
     }
 
     /// One component's `end_of_timestep` and its `end_of_timestep`
-    /// userpoint.
-    pub(crate) fn end_of_timestep(&mut self, comp: usize) -> Result<(), SimError> {
+    /// userpoint; with `method` false, the userpoint alone (what the engine
+    /// runs for a behavior declared without an update).
+    pub(crate) fn end_of_timestep(&mut self, comp: usize, method: bool) -> Result<(), SimError> {
         self.core.states[comp].in_eot = true;
         let result = self.with_comp(comp, |c, ctx| {
-            c.end_of_timestep(ctx)?;
+            if method {
+                c.end_of_timestep(ctx)?;
+            }
             match ctx.core.states[comp].eot_up {
                 Some(up) => ctx.call_userpoint_by_id(up, &[]).map(drop),
                 None => Ok(()),
@@ -709,7 +668,7 @@ impl RefSim {
                 vars: &mut coll.state,
                 implicit_zero: true,
             };
-            exec(&coll.program, &mut env, self.core.bsl_max_steps).map_err(|e| {
+            exec(&coll.program, &mut env, BSL_MAX_STEPS).map_err(|e| {
                 SimError::new(format!(
                     "collector on {} event {}: {}",
                     self.paths[comp], coll.event, e.message

@@ -189,6 +189,24 @@ fn simulate_and_check_serve_real_results() {
     assert_eq!(num_field(&checked, "errors"), 0, "{checked:?}");
 }
 
+/// A RAM whose `words` would take 8 TB of simulator state: it compiles,
+/// and checking it must not allocate that state.
+const HUGE_RAM: &str = "instance a:source; instance r:ram; instance k:sink;\n\
+                        r.words = 1000000000000;\n\
+                        a.out -> r.addr; a.out -> r.wdata; a.out -> r.wen; r.rdata -> k.in;\n";
+
+#[test]
+fn check_of_a_huge_ram_answers_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::start("huge-ram", |_| {});
+    let mut client = daemon.client();
+    let mut check = Request::new(Verb::Check);
+    check.sources.push(("huge.lss".into(), HUGE_RAM.into()));
+    let checked = client.request(&check).expect("check");
+    assert_eq!(status(&checked), "ok", "{checked:?}");
+    let pong = client.request(&Request::new(Verb::Ping)).expect("ping");
+    assert_eq!(pong.get("pong").and_then(JsonValue::as_bool), Some(true));
+}
+
 // ------------------------------------------------------------- hostile frames
 
 #[test]

@@ -4,13 +4,14 @@
 //!
 //! A user crate provides (1) an LSS module declaration whose `tar_file`
 //! names the behavior and (2) a Rust implementation of the `Component`
-//! trait registered under that key. Everything else — parameters, inferred
-//! widths and types, userpoints, instrumentation — comes from the
-//! framework.
+//! trait registered under that key, with its scheduling facts (`Deps`:
+//! which inputs `eval` reads, whether `end_of_timestep` does anything).
+//! Everything else — parameters, inferred widths and types, userpoints,
+//! instrumentation — comes from the framework.
 //!
 //! Run with `cargo run --example custom_component`.
 
-use liberty::sim::{BuildError, CompCtx, Component, SimError};
+use liberty::sim::{BuildError, CompCtx, Component, Deps, SimError};
 use liberty::types::Datum;
 use liberty::Driver;
 
@@ -26,6 +27,10 @@ struct BurstEngine {
 }
 
 impl BurstEngine {
+    /// A state element: `eval` reads no input; `desc` is accepted at the
+    /// end of the cycle.
+    const DEPS: Deps = Deps::REGISTERED;
+
     // Factory in the corelib convention: boxed, ready for the registry.
     #[allow(clippy::new_ret_no_self)]
     fn new(spec: &liberty::sim::CompSpec) -> Result<Box<dyn Component>, BuildError> {
@@ -70,10 +75,6 @@ impl Component for BurstEngine {
             }
         }
         Ok(())
-    }
-
-    fn input_is_combinational(&self, _port: usize) -> bool {
-        false
     }
 }
 
@@ -133,8 +134,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut driver = Driver::with_corelib();
     // Extend the registry with the user behaviors.
     let mut registry = liberty::corelib::registry();
-    registry.register("nic/burst.tar", BurstEngine::new);
-    registry.register("nic/feeder.tar", |spec| {
+    registry.register("nic/burst.tar", BurstEngine::DEPS, BurstEngine::new);
+    registry.register("nic/feeder.tar", Deps::DEFAULT, |spec| {
         Ok(Box::new(Feeder {
             out: spec.port_index("out")?,
             sent: false,

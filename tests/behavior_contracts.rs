@@ -1,17 +1,22 @@
 //! Behavior contracts: every corelib behavior, built from the leaves of the
 //! Table 3 models and the single-file fuzz corpus (which together instance
-//! all of them), keeps its dependency contract and evaluates repeatably
-//! (`lss_verify::contract`). The static plan's fixed evaluation sequences
-//! rely on both. Two canaries the check must catch: a decode whose
-//! `credit` reads `in`, and one whose `credit` remembers an earlier
-//! evaluation of the same cycle.
+//! all of them), keeps its declared dependencies and declared absence of
+//! an update, and evaluates repeatably (`lss_verify::contract`). The static
+//! plan's fixed evaluation sequences and its state-update walk rely on
+//! them. Three canaries, each registered with decode's declaration, the
+//! check must catch: a decode whose `credit` reads `in`, one whose
+//! `credit` remembers an earlier evaluation of the same cycle, and one
+//! that counts instructions in an `end_of_timestep` the declaration says
+//! it does not have.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
+use lss_corelib::behaviors::cpu::Decode;
 use lss_interp::CompileOptions;
 use lss_models::{compile_model, compile_source, models};
+use lss_netlist::RtvId;
 use lss_netlist::{InstanceKind, Netlist};
 use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
 use lss_types::Datum;
@@ -69,9 +74,8 @@ fn every_corelib_behavior_keeps_its_contract() {
     );
 }
 
-/// A decode that lowers its `credit` while an instruction is on `in`, but
-/// keeps the real decode's hooks, which say `credit` reads only
-/// `credit_in`.
+/// A decode that lowers its `credit` while an instruction is on `in`,
+/// though decode's declaration says `credit` reads only `credit_in`.
 struct LeakyDecode {
     inner: Box<dyn Component>,
     inp: usize,
@@ -81,7 +85,7 @@ struct LeakyDecode {
 impl LeakyDecode {
     fn factory(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(LeakyDecode {
-            inner: lss_corelib::behaviors::cpu::Decode::new(spec)?,
+            inner: Decode::new(spec)?,
             inp: spec.port_index("in")?,
             credit: spec.port_index("credit")?,
         }))
@@ -98,18 +102,6 @@ impl Component for LeakyDecode {
         }
         Ok(())
     }
-
-    fn input_is_combinational(&self, port: usize) -> bool {
-        self.inner.input_is_combinational(port)
-    }
-
-    fn output_depends_on(&self, output: usize, input: usize) -> bool {
-        self.inner.output_depends_on(output, input)
-    }
-
-    fn has_end_of_timestep(&self) -> bool {
-        self.inner.has_end_of_timestep()
-    }
 }
 
 /// A decode whose `credit` is the largest `credit_in` any evaluation of
@@ -124,7 +116,7 @@ struct StickyDecode {
 impl StickyDecode {
     fn factory(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
         Ok(Box::new(StickyDecode {
-            inner: lss_corelib::behaviors::cpu::Decode::new(spec)?,
+            inner: Decode::new(spec)?,
             credit_in: spec.port_index("credit_in")?,
             credit: spec.port_index("credit")?,
             seen: 0,
@@ -148,20 +140,56 @@ impl Component for StickyDecode {
         self.seen = 0;
         Ok(())
     }
+}
 
-    fn output_depends_on(&self, output: usize, input: usize) -> bool {
-        self.inner.output_depends_on(output, input)
+/// A decode that counts the instructions it passed into a `decoded`
+/// runtime variable at the end of each cycle, though decode's declaration
+/// says it has no `end_of_timestep`, so the engine would never count.
+struct CountingDecode {
+    inner: Box<dyn Component>,
+    inp: usize,
+    decoded: Option<RtvId>,
+}
+
+impl CountingDecode {
+    fn factory(spec: &CompSpec) -> Result<Box<dyn Component>, BuildError> {
+        Ok(Box::new(CountingDecode {
+            inner: Decode::new(spec)?,
+            inp: spec.port_index("in")?,
+            decoded: None,
+        }))
     }
 }
 
-/// Model C with every decode replaced by the canary `tar_file`, and the
-/// contract report over it.
+impl Component for CountingDecode {
+    fn init(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        self.decoded = Some(ctx.ensure_rtv("decoded", Datum::Int(0)));
+        Ok(())
+    }
+
+    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        self.inner.eval(ctx)
+    }
+
+    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        let id = self.decoded.expect("resolved in init");
+        let mut decoded = ctx.rtv_by_id(id).as_int().unwrap_or(0);
+        for lane in 0..ctx.width(self.inp) {
+            decoded += ctx.input(self.inp, lane).is_some() as i64;
+        }
+        ctx.set_rtv_by_id(id, Datum::Int(decoded));
+        Ok(())
+    }
+}
+
+/// Model C with every decode replaced by the canary `tar_file`, registered
+/// with decode's declaration, and the contract report over it.
 fn check_with_decode(
     tar_file: &str,
     factory: fn(&CompSpec) -> Result<Box<dyn Component>, BuildError>,
 ) -> Vec<ContractViolation> {
     let mut registry = lss_corelib::registry();
-    registry.register(tar_file, factory);
+    registry.register(tar_file, Decode::DEPS, factory);
     let model = models().iter().find(|m| m.id == 'C').expect("model C");
     let mut netlist = compile_model(model).expect("compile").netlist;
     for inst in &mut netlist.instances {
@@ -202,5 +230,23 @@ fn a_decode_that_remembers_a_stale_eval_is_caught() {
             .iter()
             .any(|v| matches!(v, ContractViolation::Dependency { .. })),
         "the sticky decode keeps its dependency contract: {violations:?}"
+    );
+}
+
+#[test]
+fn a_decode_with_an_undeclared_update_is_caught() {
+    let violations = check_with_decode("canary/counting_decode.tar", CountingDecode::factory);
+    assert!(
+        violations
+            .iter()
+            .any(|v| matches!(v, ContractViolation::Update { .. })),
+        "the counting decode went undetected: {violations:?}"
+    );
+    assert!(
+        !violations.iter().any(|v| matches!(
+            v,
+            ContractViolation::Dependency { .. } | ContractViolation::Repeat { .. }
+        )),
+        "the counting decode keeps its dependencies and repeats: {violations:?}"
     );
 }
