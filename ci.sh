@@ -103,6 +103,9 @@ fi
 echo "==> pipeline: BENCH_pipeline.json (cold vs warm, largest model)"
 cargo run --release -q -p bench --bin pipeline
 
+echo "==> analyzer: BENCH_analyze.json (protocol pass <= 5% of a full check on model E)"
+cargo bench -q -p bench --bench analyze
+
 echo "==> §8: BENCH_sim_speed.json (static never slower than dynamic, >= 2x on model C)"
 cargo bench -q -p bench --bench sim_speed
 

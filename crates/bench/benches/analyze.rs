@@ -11,7 +11,7 @@
 //! shows up in the perf trajectory alongside simulation speed.
 
 use bench::compiled_model;
-use bench::timing::{measure, write_json, Sample};
+use bench::timing::{measure, measure_pair_prepared, write_json, Sample};
 use lss_analyze::{leaf_dep_graph, AnalysisConfig, PassManager};
 
 fn main() {
@@ -37,18 +37,21 @@ fn main() {
         std::hint::black_box(deps.ports.condense().sccs.len());
     }));
 
-    let manager = PassManager::with_default_passes();
-    let config = AnalysisConfig::default();
-    samples.push(measure(format!("analyze_full_check/{id}"), 2, 20, || {
-        let analysis = manager.run(&compiled.netlist, &comb, &config);
-        std::hint::black_box(analysis.findings.len());
-    }));
-
     // The protocol composition pass in isolation: its `run` method on the
     // precomputed context, without the shared flatten/dep-graph setup the
     // manager amortizes over the whole suite. Declared automata are tiny,
     // so composing them per wire must stay in the noise (< 5% of a full
     // check) or the pass gets evicted from the on-every-compile suite.
+    //
+    // The two are timed in interleaved pairs, so drift in machine speed
+    // hits both alike. Each timed pass run follows one untimed run, so the
+    // gate bounds the pass's own work on warm caches, as a back-to-back
+    // loop of it would. Straight after a full check, the pass's first
+    // touch of the protocol bindings and of this context's wires misses
+    // cache, which on a shared machine can cost as much as the work
+    // itself (`EXPERIMENTS.md`, "Analyzer cost").
+    let manager = PassManager::with_default_passes();
+    let config = AnalysisConfig::default();
     let deps = leaf_dep_graph(&compiled.netlist, &wires, &comb);
     let ctx = lss_analyze::AnalysisCtx {
         netlist: &compiled.netlist,
@@ -57,18 +60,40 @@ fn main() {
         comb: &comb,
     };
     let pass = lss_analyze::passes::protocol::ProtocolPass;
-    let protocol = measure(format!("analyze_protocol_pass/{id}"), 2, 20, || {
+    let run_pass = || {
         let mut findings = Vec::new();
         lss_analyze::Pass::run(&pass, &ctx, &mut findings);
-        std::hint::black_box(findings.len());
-    });
-    let full_median = samples.last().expect("full-check sample present").median_ns;
+        findings
+    };
+    let ([full, protocol], mut ratios) = measure_pair_prepared(
+        [
+            format!("analyze_full_check/{id}"),
+            format!("analyze_protocol_pass/{id}"),
+        ],
+        2,
+        20,
+        || (),
+        |()| manager.run(&compiled.netlist, &comb, &config),
+        run_pass,
+        |_| run_pass(),
+    );
+    ratios.sort_by(f64::total_cmp);
+    let q = |f: f64| ratios[((ratios.len() - 1) as f64 * f).round() as usize];
+    println!(
+        "protocol/full per-pair ratio min {:.3} q1 {:.3} median {:.3} q3 {:.3} max {:.3}",
+        q(0.0),
+        q(0.25),
+        q(0.5),
+        q(0.75),
+        q(1.0),
+    );
     assert!(
-        protocol.median_ns <= full_median / 20,
+        protocol.median_ns <= full.median_ns / 20,
         "protocol pass costs {}ns median, over 5% of the {}ns full check",
         protocol.median_ns,
-        full_median
+        full.median_ns
     );
+    samples.push(full);
     samples.push(protocol);
 
     write_json("BENCH_analyze.json", &samples);

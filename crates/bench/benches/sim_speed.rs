@@ -54,34 +54,40 @@ fn main() {
     for stages in [16usize, 64, 256] {
         let src = delay_chain_source(stages, 2);
         let compiled = compiled_source(&src, &CompileOptions::default());
-        samples.extend(measure_pair_prepared(
-            [
-                format!("sim_delay_chain_100cycles/static/{stages}"),
-                format!("sim_delay_chain_100cycles/dynamic/{stages}"),
-            ],
-            2,
-            20,
-            build(&compiled.netlist, Scheduler::Static),
-            run(100),
-            build(&compiled.netlist, Scheduler::Dynamic),
-            run(100),
-        ));
+        samples.extend(
+            measure_pair_prepared(
+                [
+                    format!("sim_delay_chain_100cycles/static/{stages}"),
+                    format!("sim_delay_chain_100cycles/dynamic/{stages}"),
+                ],
+                2,
+                20,
+                build(&compiled.netlist, Scheduler::Static),
+                run(100),
+                build(&compiled.netlist, Scheduler::Dynamic),
+                run(100),
+            )
+            .0,
+        );
     }
 
     for m in lss_models::models() {
         let compiled = compiled_model(m);
-        samples.extend(measure_pair_prepared(
-            [
-                format!("sim_model_500cycles/static/{}", m.id),
-                format!("sim_model_500cycles/dynamic/{}", m.id),
-            ],
-            1,
-            10,
-            build(&compiled.netlist, Scheduler::Static),
-            run(500),
-            build(&compiled.netlist, Scheduler::Dynamic),
-            run(500),
-        ));
+        samples.extend(
+            measure_pair_prepared(
+                [
+                    format!("sim_model_500cycles/static/{}", m.id),
+                    format!("sim_model_500cycles/dynamic/{}", m.id),
+                ],
+                1,
+                10,
+                build(&compiled.netlist, Scheduler::Static),
+                run(500),
+                build(&compiled.netlist, Scheduler::Dynamic),
+                run(500),
+            )
+            .0,
+        );
     }
 
     write_json("BENCH_sim_speed.json", &samples);

@@ -43,14 +43,7 @@ pub fn measure_pair<A: FnMut(), B: FnMut()>(
     mut a: A,
     mut b: B,
 ) -> ([Sample; 2], Vec<f64>) {
-    let [ta, tb] = time_pair(warmup, iters, || (), |()| a(), || (), |()| b());
-    let ratios = ta
-        .iter()
-        .zip(&tb)
-        .map(|(&x, &y)| y as f64 / x as f64)
-        .collect();
-    let [na, nb] = names;
-    ([summarize(na, ta), summarize(nb, tb)], ratios)
+    measure_pair_prepared(names, warmup, iters, || (), |()| a(), || (), |()| b())
 }
 
 /// [`measure_pair`] with untimed work around each iteration: `prep_a`
@@ -64,10 +57,15 @@ pub fn measure_pair_prepared<P, Q, R, S>(
     run_a: impl FnMut(P) -> R,
     prep_b: impl FnMut() -> Q,
     run_b: impl FnMut(Q) -> S,
-) -> [Sample; 2] {
+) -> ([Sample; 2], Vec<f64>) {
     let [ta, tb] = time_pair(warmup, iters, prep_a, run_a, prep_b, run_b);
+    let ratios = ta
+        .iter()
+        .zip(&tb)
+        .map(|(&x, &y)| y as f64 / x as f64)
+        .collect();
     let [na, nb] = names;
-    [summarize(na, ta), summarize(nb, tb)]
+    ([summarize(na, ta), summarize(nb, tb)], ratios)
 }
 
 /// The per-iteration times of two alternating cases.

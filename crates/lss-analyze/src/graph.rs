@@ -118,11 +118,6 @@ impl DepGraph {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Number of (deduplicated) edges.
     pub fn edge_count(&self) -> usize {
         self.adj.iter().map(Vec::len).sum()
@@ -265,29 +260,15 @@ pub struct LeafDepGraph {
     /// The port-granularity graph (what the cycle detector runs): node
     /// `port_node(leaf, port)` is port `port` of `leaves[leaf]`.
     pub ports: DepGraph,
-    index_of: HashMap<InstanceId, usize>,
     /// Port-node id of leaf `i`'s first port; one extra terminal entry, so
     /// leaf `i` owns nodes `port_base[i]..port_base[i + 1]`.
     port_base: Vec<usize>,
-    /// One representative combinational wire per leaf-level edge.
-    edge_wire: BTreeMap<(usize, usize), Wire>,
     /// The wire realizing each port-level wire edge (internal
     /// input→output edges have no entry).
     port_edge_wire: BTreeMap<(usize, usize), Wire>,
 }
 
 impl LeafDepGraph {
-    /// The node index of a leaf instance.
-    pub fn node_of(&self, inst: InstanceId) -> Option<usize> {
-        self.index_of.get(&inst).copied()
-    }
-
-    /// A representative wire realizing the leaf-level combinational edge
-    /// `a → b`.
-    pub fn wire_for(&self, a: usize, b: usize) -> Option<&Wire> {
-        self.edge_wire.get(&(a, b))
-    }
-
     /// The port-graph node id of `(leaf index, port index)`.
     pub fn port_node(&self, leaf: usize, port: usize) -> usize {
         debug_assert!(port < self.port_base[leaf + 1] - self.port_base[leaf]);
@@ -317,8 +298,8 @@ impl LeafDepGraph {
 ///
 /// `wires` must come from `netlist.flatten()`. A wire contributes an edge
 /// only when its destination input is combinational; the first such wire
-/// per `(src, dst)` leaf pair is kept as the leaf-level edge's
-/// representative for diagnostics. The port graph additionally gets an
+/// per port pair is kept as the port-level edge's representative for
+/// diagnostics. The port graph additionally gets an
 /// internal `input → output` edge for every pair the behaviors did not
 /// declare independent.
 pub fn leaf_dep_graph(netlist: &Netlist, wires: &[Wire], comb: &CombInfo) -> LeafDepGraph {
@@ -335,7 +316,6 @@ pub fn leaf_dep_graph(netlist: &Netlist, wires: &[Wire], comb: &CombInfo) -> Lea
 
     let mut graph = DepGraph::new(leaves.len());
     let mut ports = DepGraph::new(total_ports);
-    let mut edge_wire = BTreeMap::new();
     let mut port_edge_wire = BTreeMap::new();
     for wire in wires {
         debug_assert_eq!(
@@ -353,7 +333,6 @@ pub fn leaf_dep_graph(netlist: &Netlist, wires: &[Wire], comb: &CombInfo) -> Lea
         let a = index_of[&wire.src.inst];
         let b = index_of[&wire.dst.inst];
         graph.add_edge(a, b);
-        edge_wire.entry((a, b)).or_insert(*wire);
         let pa = port_base[a] + wire.src.port.index();
         let pb = port_base[b] + wire.dst.port.index();
         ports.add_edge(pa, pb);
@@ -382,9 +361,7 @@ pub fn leaf_dep_graph(netlist: &Netlist, wires: &[Wire], comb: &CombInfo) -> Lea
         leaves,
         graph,
         ports,
-        index_of,
         port_base,
-        edge_wire,
         port_edge_wire,
     }
 }

@@ -18,8 +18,9 @@
 //! * [`passes::multidriver`] — port instances driven by several sources;
 //! * [`passes::deadlogic`] — cone-of-influence reachability;
 //! * [`passes::residue`] — overloads left ambiguous after type inference;
-//! * [`passes::netlist_lints`] — the six original `lss_netlist::lint`
-//!   checks as framework passes.
+//! * [`passes::netlist_lints`] — the advisory model lints (unconnected
+//!   ports, isolated instances, dangling hierarchical ports, width
+//!   mismatches, unbound collectors).
 //!
 //! # Example
 //!

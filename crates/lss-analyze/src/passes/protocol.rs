@@ -160,7 +160,7 @@ impl Pass for ProtocolPass {
                 };
                 let slot = base + b.primary().0 as usize;
                 // First binding wins on a doubly-annotated primary port,
-                // matching `protocol_with_primary`'s scan order.
+                // in declaration order.
                 if bidx[slot] == NO_BIND {
                     bidx[slot] = binds.len() as u32;
                 }
@@ -210,7 +210,6 @@ impl Pass for ProtocolPass {
         // endpoints hit a group's primary port ever reach a check, so
         // everything else skips the dedupe set too.
         let mut seen: FastSet<(InstanceId, PortId, InstanceId, PortId)> = FastSet::default();
-        let mut scratch = Scratch::new();
         for (w, sb, db) in candidates {
             if !seen.insert((w.src.inst, w.src.port, w.dst.inst, w.dst.port)) {
                 continue;
@@ -238,7 +237,6 @@ impl Pass for ProtocolPass {
                         (c, c_shape),
                         &ports,
                         &mut clean,
-                        &mut scratch,
                         findings,
                     );
                 }
@@ -320,319 +318,106 @@ fn check_engaged_peer(
     findings.push(f);
 }
 
-/// Visited-state set for the product walk. The dense form covers any
-/// product whose full grid fits under `MAX_PRODUCT_STATES` (so the budget
-/// check can never fire) without hashing or heap traffic; the sparse form
-/// handles larger grids whose *reachable* set may still be small.
-///
-/// The 512-byte dense bitmap lives inline on purpose: it is a stack
-/// scratch whose whole point is to keep the common case off the heap, so
-/// boxing it (clippy's suggestion) would reintroduce the allocation.
-#[allow(clippy::large_enum_variant)]
-enum Visited {
-    Dense {
-        bits: [u64; MAX_PRODUCT_STATES / 64],
-        /// Consumer-side state count: `(ps, cs)` maps to bit `ps * nc + cs`.
-        nc: u32,
-    },
-    Sparse(FastSet<(u32, u32)>),
-}
-
-impl Visited {
-    /// Marks a state; returns whether it was new.
-    fn insert(&mut self, s: (u32, u32)) -> bool {
-        match self {
-            Visited::Dense { bits, nc } => {
-                let i = (s.0 * *nc + s.1) as usize;
-                let fresh = bits[i / 64] & (1 << (i % 64)) == 0;
-                bits[i / 64] |= 1 << (i % 64);
-                fresh
-            }
-            Visited::Sparse(set) => set.insert(s),
-        }
-    }
-
-    fn over_budget(&self) -> bool {
-        match self {
-            Visited::Dense { .. } => false,
-            Visited::Sparse(set) => set.len() > MAX_PRODUCT_STATES,
-        }
-    }
-}
-
-/// Per-pair action-name interner. The product walk compares interned ids
-/// instead of strings, and expanding the template automata allocates no
-/// action strings on the clean (no-finding) path.
-struct Actions<'a>(Vec<&'a str>);
-
-impl<'a> Actions<'a> {
-    fn new() -> Self {
-        Actions(Vec::new())
-    }
-
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    fn id(&mut self, s: &'a str) -> u32 {
-        match self.0.iter().position(|x| *x == s) {
-            Some(i) => i as u32,
-            None => {
-                self.0.push(s);
-                (self.0.len() - 1) as u32
-            }
-        }
-    }
-
-    fn name(&self, id: u32) -> &'a str {
-        self.0[id as usize]
-    }
-}
-
-/// Display names for an automaton's states, materialized only when a
-/// diagnostic actually needs one.
-enum StateNames<'a> {
-    /// Credit automaton: state `i` renders as "`i` in flight".
-    InFlight,
-    /// Explicit names (handshake templates and custom automata).
-    Fixed(Vec<Cow<'a, str>>),
-}
-
-/// One expanded interface automaton in compressed-sparse-row form: two
-/// flat allocations regardless of state count, transitions grouped by
-/// source state.
+/// One expanded interface automaton: its `(from, dir, action, to)` edges,
+/// sorted by source state, and the display names of its states (`None`:
+/// a credit automaton, whose state `i` renders as "`i` in flight").
 struct Autom<'a> {
-    /// CSR offsets: state `s`'s transitions occupy `starts[s]..starts[s+1]`.
-    starts: Vec<u32>,
-    /// `(dir, action id, to)`, grouped by source state.
-    trans: Vec<(ActionDir, u32, u32)>,
-    names: StateNames<'a>,
+    edges: Vec<(u32, ActionDir, &'a str, u32)>,
+    names: Option<Vec<&'a str>>,
 }
 
 impl<'a> Autom<'a> {
-    /// An empty automaton, to be filled by one of the `load_*` methods.
-    /// Its buffers are reused across every pair a run checks, so the
-    /// clean path stops touching the allocator once they reach their
-    /// high-water mark.
-    fn empty() -> Autom<'a> {
-        Autom {
-            starts: Vec::new(),
-            trans: Vec::new(),
-            names: StateNames::InFlight,
-        }
+    fn enabled(&self, s: u32) -> &[(u32, ActionDir, &'a str, u32)] {
+        let lo = self.edges.partition_point(|e| e.0 < s);
+        let hi = self.edges.partition_point(|e| e.0 <= s);
+        &self.edges[lo..hi]
     }
 
-    /// Rebuilds the CSR form from `(from, dir, action, to)` edges (which
-    /// it drains); the state count covers `min_states` and every index an
-    /// edge mentions.
-    fn load_edges(
-        &mut self,
-        min_states: usize,
-        edges: &mut Vec<(u32, ActionDir, u32, u32)>,
-        names: StateNames<'a>,
-    ) {
-        let n = edges
-            .iter()
-            .map(|e| (e.0.max(e.3) as usize) + 1)
-            .max()
-            .unwrap_or(0)
-            .max(min_states)
-            .max(1);
-        edges.sort_unstable_by_key(|e| e.0);
-        self.starts.clear();
-        self.starts.resize(n + 1, 0);
-        for e in edges.iter() {
-            self.starts[e.0 as usize + 1] += 1;
-        }
-        for s in 0..n {
-            self.starts[s + 1] += self.starts[s];
-        }
-        self.trans.clear();
-        self.trans.extend(edges.drain(..).map(|e| (e.1, e.2, e.3)));
-        self.names = names;
-    }
-
-    fn load_single(
-        &mut self,
-        loop_dir: ActionDir,
-        action: u32,
-        edges: &mut Vec<(u32, ActionDir, u32, u32)>,
-    ) {
-        edges.push((0, loop_dir, action, 0));
-        self.load_edges(1, edges, StateNames::Fixed(vec![Cow::Borrowed("idle")]));
-    }
-
-    fn load_handshake(
-        &mut self,
-        fwd: u32,
-        rev: u32,
-        rev_name: &str,
-        sends_first: bool,
-        edges: &mut Vec<(u32, ActionDir, u32, u32)>,
-    ) {
-        let (d0, d1) = if sends_first {
-            (ActionDir::Send, ActionDir::Recv)
-        } else {
-            (ActionDir::Recv, ActionDir::Send)
-        };
-        edges.push((0, d0, fwd, 1));
-        edges.push((1, d1, rev, 0));
-        self.load_edges(
-            2,
-            edges,
-            StateNames::Fixed(vec![
-                Cow::Borrowed("idle"),
-                Cow::Owned(format!("awaiting {rev_name}")),
-            ]),
-        );
-    }
-
-    /// Credit automaton over `count` credits; state = items in flight.
-    /// `returns_credits`: whether the reverse channel exists at all.
-    fn load_credit(
-        &mut self,
-        count: u32,
-        role: Role,
-        returns_credits: bool,
-        acts: &mut Actions<'a>,
-        edges: &mut Vec<(u32, ActionDir, u32, u32)>,
-    ) {
-        let item = acts.id("item");
-        let credit = acts.id("credit");
-        let (item_dir, credit_dir) = match role {
-            Role::Producer => (ActionDir::Send, ActionDir::Recv),
-            Role::Consumer => (ActionDir::Recv, ActionDir::Send),
-        };
-        for i in 0..count {
-            edges.push((i, item_dir, item, i + 1));
-        }
-        if returns_credits {
-            for i in 1..=count {
-                edges.push((i, credit_dir, credit, i - 1));
-            }
-        }
-        self.load_edges(count as usize + 1, edges, StateNames::InFlight);
-    }
-
-    fn state_name(&self, s: u32) -> Cow<'_, str> {
+    fn state_name(&self, s: u32) -> Cow<'a, str> {
         match &self.names {
-            StateNames::InFlight => Cow::Owned(format!("{s} in flight")),
-            StateNames::Fixed(names) => match names.get(s as usize) {
-                Some(n) => Cow::Borrowed(n.as_ref()),
-                None => Cow::Borrowed("?"),
-            },
-        }
-    }
-
-    fn enabled(&self, s: u32) -> &[(ActionDir, u32, u32)] {
-        let s = s as usize;
-        &self.trans[self.starts[s] as usize..self.starts[s + 1] as usize]
-    }
-}
-
-/// Reusable expansion and product-walk buffers, one set per run; every
-/// pair a run checks loads into the same allocations.
-struct Scratch<'a> {
-    acts: Actions<'a>,
-    edges: Vec<(u32, ActionDir, u32, u32)>,
-    pa: Autom<'a>,
-    ca: Autom<'a>,
-    queue: VecDeque<(u32, u32)>,
-}
-
-impl<'a> Scratch<'a> {
-    fn new() -> Self {
-        Scratch {
-            acts: Actions::new(),
-            edges: Vec::new(),
-            pa: Autom::empty(),
-            ca: Autom::empty(),
-            queue: VecDeque::new(),
+            None => Cow::Owned(format!("{s} in flight")),
+            Some(names) => Cow::Borrowed(names.get(s as usize).copied().unwrap_or("?")),
         }
     }
 }
 
-/// Expands a binding into `out` given the peer's template (for adaptive
-/// credit resolution) and whether the reverse channel is physically
-/// wired. Action names are interned in `acts`, shared by both sides of a
-/// pair so ids compare across the product.
-fn expand_into<'a>(
-    b: &'a ProtocolBinding,
-    peer: &ProtocolBinding,
-    has_reverse: bool,
-    acts: &mut Actions<'a>,
-    edges: &mut Vec<(u32, ActionDir, u32, u32)>,
-    out: &mut Autom<'a>,
-) {
-    match &b.automaton.template {
-        Template::ValidReady => {
-            let (v, r) = (acts.id("valid"), acts.id("ready"));
-            out.load_handshake(v, r, "ready", b.role == Role::Producer, edges);
-        }
-        Template::ReqResp => {
-            let (q, s) = (acts.id("req"), acts.id("resp"));
-            out.load_handshake(q, s, "resp", b.role == Role::Producer, edges);
-        }
-        Template::Credit(declared) => {
-            if !has_reverse {
-                // §4.2 degradation: no credit return path. Adaptive groups
-                // become an unbounded stream; a concrete producer becomes a
-                // finite one (it can send its declared budget, then stops).
-                match (b.role, declared) {
-                    (Role::Producer, Some(n)) => {
-                        out.load_credit(*n, Role::Producer, false, acts, edges);
-                    }
-                    (Role::Producer, None) => {
-                        let item = acts.id("item");
-                        out.load_single(ActionDir::Send, item, edges);
-                    }
-                    (Role::Consumer, _) => {
-                        let item = acts.id("item");
-                        out.load_single(ActionDir::Recv, item, edges);
-                    }
-                }
-                return;
+/// Expands a binding given the peer's template (for adaptive credit
+/// resolution) and whether the reverse channel is physically wired.
+fn expand<'a>(b: &'a ProtocolBinding, peer: &ProtocolBinding, has_reverse: bool) -> Autom<'a> {
+    // The forward action (`valid`, `req`, `item`) leaves the producer;
+    // the reverse one (`ready`, `resp`, `credit`) comes back.
+    let (fwd, back) = match b.role {
+        Role::Producer => (ActionDir::Send, ActionDir::Recv),
+        Role::Consumer => (ActionDir::Recv, ActionDir::Send),
+    };
+    let handshake = |go, reply, waiting| Autom {
+        edges: vec![(0, fwd, go, 1), (1, back, reply, 0)],
+        names: Some(vec!["idle", waiting]),
+    };
+    // Credit automaton over `count` credits; state = items in flight.
+    let credit = |count: u32, returns_credits: bool| {
+        let mut edges = Vec::new();
+        for i in 0..=count {
+            if i < count {
+                edges.push((i, fwd, "item", i + 1));
             }
-            let count = declared.unwrap_or_else(|| {
-                // Adaptive: take the peer's concrete count, else 1.
-                match &peer.automaton.template {
-                    Template::Credit(Some(m)) => *m,
-                    _ => 1,
-                }
+            if returns_credits && i > 0 {
+                edges.push((i, back, "credit", i - 1));
+            }
+        }
+        Autom { edges, names: None }
+    };
+    match &b.automaton.template {
+        Template::ValidReady => handshake("valid", "ready", "awaiting ready"),
+        Template::ReqResp => handshake("req", "resp", "awaiting resp"),
+        // §4.2 degradation: no credit return path. Adaptive groups become
+        // an unbounded stream; a concrete producer becomes a finite one
+        // (it can send its declared budget, then stops).
+        Template::Credit(declared) if !has_reverse => match (b.role, declared) {
+            (Role::Producer, Some(n)) => credit(*n, false),
+            _ => Autom {
+                edges: vec![(0, fwd, "item", 0)],
+                names: Some(vec!["idle"]),
+            },
+        },
+        Template::Credit(declared) => {
+            // Adaptive: take the peer's concrete count, else 1.
+            let count = declared.unwrap_or(match &peer.automaton.template {
+                Template::Credit(Some(m)) => *m,
+                _ => 1,
             });
-            out.load_credit(count.max(1), b.role, true, acts, edges);
+            credit(count.max(1), true)
         }
         Template::Custom(_) => {
-            let names: Vec<Cow<'a, str>> = if b.automaton.states.is_empty() {
-                vec![Cow::Borrowed("start")]
+            let a = &b.automaton;
+            let mut edges: Vec<_> = a
+                .transitions
+                .iter()
+                .map(|t| (t.from, t.dir, t.action.as_str(), t.to))
+                .collect();
+            edges.sort_by_key(|e| e.0);
+            let names = if a.states.is_empty() {
+                vec!["start"]
             } else {
-                b.automaton
-                    .states
-                    .iter()
-                    .map(|s| Cow::Borrowed(s.as_str()))
-                    .collect()
+                a.states.iter().map(String::as_str).collect()
             };
-            edges.extend(
-                b.automaton
-                    .transitions
-                    .iter()
-                    .map(|t| (t.from, t.dir, acts.id(&t.action), t.to)),
-            );
-            out.load_edges(names.len(), edges, StateNames::Fixed(names));
+            Autom {
+                edges,
+                names: Some(names),
+            }
         }
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn check_pair<'n>(
+fn check_pair(
     netlist: &Netlist,
     src_inst: &Instance,
-    (p, p_shape): (&'n ProtocolBinding, u32),
+    (p, p_shape): (&ProtocolBinding, u32),
     dst_inst: &Instance,
-    (c, c_shape): (&'n ProtocolBinding, u32),
+    (c, c_shape): (&ProtocolBinding, u32),
     ports: &PortTable<'_>,
     clean: &mut CleanCache,
-    scratch: &mut Scratch<'n>,
     findings: &mut Vec<Finding>,
 ) {
     // Every branch below depends only on the two bindings' content and on
@@ -762,64 +547,36 @@ fn check_pair<'n>(
         (None, Some(_)) => c_rev,
         (None, None) => false,
     };
-    let Scratch {
-        acts,
-        edges,
-        pa,
-        ca,
-        queue,
-    } = scratch;
-    acts.clear();
-    expand_into(
+    let pa = expand(
         p,
         c,
         credit_channel || !matches!(p.automaton.template, Template::Credit(_)),
-        acts,
-        edges,
-        pa,
     );
-    expand_into(
+    let ca = expand(
         c,
         p,
         credit_channel || !matches!(c.automaton.template, Template::Credit(_)),
-        acts,
-        edges,
-        ca,
     );
-    let (pa, ca) = (&*pa, &*ca);
 
-    // Product reachability from (0, 0). When the full product grid fits
-    // under the state bound, `visited` is a 512-byte stack bitmap; only a
-    // pathologically large product falls back to hashing, where the
-    // mid-walk bound preserves the silent-skip behavior.
-    let nc = (ca.starts.len() - 1) as u32;
-    let mut visited = if (pa.starts.len() - 1) * (nc as usize) <= MAX_PRODUCT_STATES {
-        Visited::Dense {
-            bits: [0u64; MAX_PRODUCT_STATES / 64],
-            nc,
-        }
-    } else {
-        Visited::Sparse(FastSet::default())
-    };
-    queue.clear();
+    // Breadth-first reachability over the product from (0, 0); a walk
+    // that outgrows the state bound gives up silently rather than guess.
+    let mut visited: FastSet<(u32, u32)> = FastSet::default();
     visited.insert((0, 0));
-    queue.push_back((0, 0));
+    let mut queue = VecDeque::from([(0, 0)]);
     while let Some((ps, cs)) = queue.pop_front() {
-        if visited.over_budget() {
-            return; // pathological; stay silent rather than guess
+        if visited.len() > MAX_PRODUCT_STATES {
+            return;
         }
         let p_enabled = pa.enabled(ps);
         let c_enabled = ca.enabled(cs);
         let mut moved = false;
         for pt in p_enabled {
             for ct in c_enabled {
-                let joint = pt.1 == ct.1
-                    && ((pt.0 == ActionDir::Send && ct.0 == ActionDir::Recv)
-                        || (pt.0 == ActionDir::Recv && ct.0 == ActionDir::Send));
-                if joint {
+                // A joint move: same action, one side sends, the other receives.
+                if pt.2 == ct.2 && pt.1 != ct.1 {
                     moved = true;
-                    if visited.insert((pt.2, ct.2)) {
-                        queue.push_back((pt.2, ct.2));
+                    if visited.insert((pt.3, ct.3)) {
+                        queue.push_back((pt.3, ct.3));
                     }
                 }
             }
@@ -830,13 +587,13 @@ fn check_pair<'n>(
         // No joint move from this reachable state: classify it.
         let unmatched_send = p_enabled
             .iter()
-            .find(|t| t.0 == ActionDir::Send)
-            .map(|t| (true, t.1))
+            .find(|t| t.1 == ActionDir::Send)
+            .map(|t| (true, t.2))
             .or_else(|| {
                 c_enabled
                     .iter()
-                    .find(|t| t.0 == ActionDir::Send)
-                    .map(|t| (false, t.1))
+                    .find(|t| t.1 == ActionDir::Send)
+                    .map(|t| (false, t.2))
             });
         if let Some((from_producer, action)) = unmatched_send {
             let (sender, receiver, s_state, r_state) = if from_producer {
@@ -844,7 +601,6 @@ fn check_pair<'n>(
             } else {
                 (c_label(), p_label(), ca.state_name(cs), pa.state_name(ps))
             };
-            let action = acts.name(action);
             let mut f = Finding::new(
                 Code::ProtocolMismatch,
                 subject(),

@@ -9,7 +9,8 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use lss_analyze::{to_text, AnalysisConfig, CombInfo, PassManager};
+use lss_analyze::passes::protocol::ProtocolPass;
+use lss_analyze::{to_text, AnalysisConfig, CombInfo, Pass, PassManager};
 use lss_netlist::{
     ActionDir, Automaton, Connection, Dir, Endpoint, Instance, InstanceId, InstanceKind, Netlist,
     Port, PortId, ProtocolBinding, Role, SrcSpan, Template, Transition,
@@ -267,11 +268,10 @@ fn matched_credit_pair_is_protocol_clean() {
     }
 }
 
-#[test]
-fn role_flip_reports_lss105() {
+/// Both sides claim to consume: the wire's source cannot be a consumer.
+fn role_flip_netlist() -> Netlist {
     let mut n = Netlist::new();
     let (f, q) = credit_pair(&mut n);
-    // Both sides claim to consume: the wire's source cannot be a consumer.
     annotate(
         &mut n,
         f,
@@ -288,7 +288,12 @@ fn role_flip_reports_lss105() {
         Template::Credit(Some(4)),
         &[0, 2],
     );
-    let analysis = analyze(&n);
+    n
+}
+
+#[test]
+fn role_flip_reports_lss105() {
+    let analysis = analyze(&role_flip_netlist());
     let f = analysis
         .with_code(lss_analyze::Code::ProtocolMismatch)
         .next()
@@ -296,8 +301,8 @@ fn role_flip_reports_lss105() {
     assert!(f.message.contains("requires a producer"), "{}", f.message);
 }
 
-#[test]
-fn credit_over_issue_reports_lss105() {
+/// A `credit(8)` producer into a `credit(4)` consumer.
+fn over_issue_netlist() -> Netlist {
     let mut n = Netlist::new();
     let (f, q) = credit_pair(&mut n);
     annotate(
@@ -316,7 +321,12 @@ fn credit_over_issue_reports_lss105() {
         Template::Credit(Some(4)),
         &[0, 2],
     );
-    let analysis = analyze(&n);
+    n
+}
+
+#[test]
+fn credit_over_issue_reports_lss105() {
+    let analysis = analyze(&over_issue_netlist());
     let f = analysis
         .with_code(lss_analyze::Code::ProtocolMismatch)
         .next()
@@ -324,61 +334,70 @@ fn credit_over_issue_reports_lss105() {
     assert!(f.message.contains("only buffers 4"), "{}", f.message);
 }
 
-#[test]
-fn custom_wait_loop_reports_lss107() {
+/// A custom-automaton binding over `ports`; each transition is
+/// `(from, dir, action, to)`.
+fn custom(
+    group: &str,
+    role: Role,
+    name: &str,
+    states: &[&str],
+    transitions: &[(u32, ActionDir, &str, u32)],
+    ports: &[u32],
+) -> ProtocolBinding {
+    ProtocolBinding {
+        group: group.to_string(),
+        role,
+        automaton: Automaton {
+            template: Template::Custom(name.to_string()),
+            states: states.iter().map(|s| s.to_string()).collect(),
+            transitions: transitions
+                .iter()
+                .map(|&(from, dir, action, to)| Transition {
+                    from,
+                    to,
+                    dir,
+                    action: action.to_string(),
+                })
+                .collect(),
+        },
+        ports: ports.iter().map(|&p| PortId(p)).collect(),
+        span: SrcSpan::default(),
+    }
+}
+
+/// Producer that must *receive* `go` before it ever sends, wired to a
+/// consumer that only sends `go` *after* receiving an item.
+fn wait_loop_netlist() -> Netlist {
     let mut n = Netlist::new();
     let (f, q) = credit_pair(&mut n);
-    // Producer that must *receive* `go` before it ever sends, wired to a
-    // consumer that only sends `go` *after* receiving an item.
-    n.instances[f.0 as usize].protocols.push(ProtocolBinding {
-        group: "outs".to_string(),
-        role: Role::Producer,
-        automaton: Automaton {
-            template: Template::Custom("polite".to_string()),
-            states: vec!["p0".to_string(), "p1".to_string()],
-            transitions: vec![
-                Transition {
-                    from: 0,
-                    to: 1,
-                    dir: ActionDir::Recv,
-                    action: "go".to_string(),
-                },
-                Transition {
-                    from: 1,
-                    to: 0,
-                    dir: ActionDir::Send,
-                    action: "item".to_string(),
-                },
-            ],
-        },
-        ports: vec![PortId(0), PortId(1)],
-        span: SrcSpan::default(),
-    });
-    n.instances[q.0 as usize].protocols.push(ProtocolBinding {
-        group: "ins".to_string(),
-        role: Role::Consumer,
-        automaton: Automaton {
-            template: Template::Custom("shy".to_string()),
-            states: vec!["c0".to_string(), "c1".to_string()],
-            transitions: vec![
-                Transition {
-                    from: 0,
-                    to: 1,
-                    dir: ActionDir::Recv,
-                    action: "item".to_string(),
-                },
-                Transition {
-                    from: 1,
-                    to: 0,
-                    dir: ActionDir::Send,
-                    action: "go".to_string(),
-                },
-            ],
-        },
-        ports: vec![PortId(0), PortId(2)],
-        span: SrcSpan::default(),
-    });
-    let analysis = analyze(&n);
+    n.instances[f.0 as usize].protocols.push(custom(
+        "outs",
+        Role::Producer,
+        "polite",
+        &["p0", "p1"],
+        &[
+            (0, ActionDir::Recv, "go", 1),
+            (1, ActionDir::Send, "item", 0),
+        ],
+        &[0, 1],
+    ));
+    n.instances[q.0 as usize].protocols.push(custom(
+        "ins",
+        Role::Consumer,
+        "shy",
+        &["c0", "c1"],
+        &[
+            (0, ActionDir::Recv, "item", 1),
+            (1, ActionDir::Send, "go", 0),
+        ],
+        &[0, 2],
+    ));
+    n
+}
+
+#[test]
+fn custom_wait_loop_reports_lss107() {
+    let analysis = analyze(&wait_loop_netlist());
     let f = analysis
         .with_code(lss_analyze::Code::ProtocolDeadlock)
         .next()
@@ -386,13 +405,11 @@ fn custom_wait_loop_reports_lss107() {
     assert!(f.message.contains("wait for the other"), "{}", f.message);
 }
 
-#[test]
-fn engaged_unannotated_peer_reports_lss106() {
+/// Only the queue declares its discipline; fetch still wires the credit
+/// return path, so it demonstrably participates.
+fn engaged_peer_netlist() -> Netlist {
     let mut n = Netlist::new();
-    let (f, q) = credit_pair(&mut n);
-    // Only the queue declares its discipline; fetch still wires the credit
-    // return path, so it demonstrably participates.
-    let _ = f;
+    let (_, q) = credit_pair(&mut n);
     annotate(
         &mut n,
         q,
@@ -401,7 +418,12 @@ fn engaged_unannotated_peer_reports_lss106() {
         Template::Credit(Some(4)),
         &[0, 2],
     );
-    let analysis = analyze(&n);
+    n
+}
+
+#[test]
+fn engaged_unannotated_peer_reports_lss106() {
+    let analysis = analyze(&engaged_peer_netlist());
     let f = analysis
         .with_code(lss_analyze::Code::ProtocolUnannotatedPeer)
         .next()
@@ -505,8 +527,9 @@ fn credit_sweep_agrees_with_product_walk() {
     }
 }
 
-#[test]
-fn dangling_handshake_reverse_reports_lss107() {
+/// A `req_resp` pair whose request path is wired and whose response
+/// path is forgotten.
+fn dangling_handshake_netlist() -> Netlist {
     let mut n = Netlist::new();
     let fu = add_leaf(
         &mut n,
@@ -520,7 +543,6 @@ fn dangling_handshake_reverse_reports_lss107() {
         "cache",
         &[("req", Dir::In, 8), ("resp", Dir::Out, 8)],
     );
-    // Request path wired, response path forgotten.
     connect(&mut n, ep(fu, 0, 0), ep(c, 0, 0));
     annotate(
         &mut n,
@@ -538,12 +560,237 @@ fn dangling_handshake_reverse_reports_lss107() {
         Template::ReqResp,
         &[0, 1],
     );
-    let analysis = analyze(&n);
+    n
+}
+
+#[test]
+fn dangling_handshake_reverse_reports_lss107() {
+    let analysis = analyze(&dangling_handshake_netlist());
     let f = analysis
         .with_code(lss_analyze::Code::ProtocolDeadlock)
         .next()
         .expect("dangling resp must deadlock");
     assert!(f.message.contains("not connected"), "{}", f.message);
+}
+
+/// A producer leaf `p` (`out`, `back`) wired to a consumer leaf `c` (`in`,
+/// `ret`), with the reverse channel `c.ret -> p.back` wired too.
+fn handshake_pair(n: &mut Netlist) -> (InstanceId, InstanceId) {
+    let p = add_leaf(
+        n,
+        "p",
+        "prod",
+        &[("out", Dir::Out, 8), ("back", Dir::In, 1)],
+    );
+    let c = add_leaf(n, "c", "cons", &[("in", Dir::In, 8), ("ret", Dir::Out, 1)]);
+    connect(n, ep(p, 0, 0), ep(c, 0, 0));
+    connect(n, ep(c, 1, 0), ep(p, 1, 0));
+    (p, c)
+}
+
+/// A `valid_ready` producer into a `credit` consumer: the walk's first
+/// state already strands `valid` (states `idle` and `0 in flight`).
+fn valid_into_credit_netlist() -> Netlist {
+    let mut n = Netlist::new();
+    let (p, c) = handshake_pair(&mut n);
+    annotate(
+        &mut n,
+        p,
+        "outs",
+        Role::Producer,
+        Template::ValidReady,
+        &[0, 1],
+    );
+    annotate(
+        &mut n,
+        c,
+        "ins",
+        Role::Consumer,
+        Template::Credit(Some(2)),
+        &[0, 1],
+    );
+    n
+}
+
+/// A `credit(2)` producer against a custom consumer that takes two items
+/// and then sends `drain` (state `2 in flight`).
+fn credit_into_drain_netlist() -> Netlist {
+    let mut n = Netlist::new();
+    let (p, c) = handshake_pair(&mut n);
+    annotate(
+        &mut n,
+        p,
+        "outs",
+        Role::Producer,
+        Template::Credit(Some(2)),
+        &[0, 1],
+    );
+    n.instances[c.0 as usize].protocols.push(custom(
+        "ins",
+        Role::Consumer,
+        "drainer",
+        &["c0", "c1", "c2"],
+        &[
+            (0, ActionDir::Recv, "item", 1),
+            (1, ActionDir::Recv, "item", 2),
+            (2, ActionDir::Send, "drain", 0),
+        ],
+        &[0, 1],
+    ));
+    n
+}
+
+/// A `req_resp` requester against a custom server that answers `ack`
+/// instead of `resp` (state `awaiting resp`).
+fn req_into_ack_netlist() -> Netlist {
+    let mut n = Netlist::new();
+    let (p, c) = handshake_pair(&mut n);
+    annotate(&mut n, p, "mem", Role::Producer, Template::ReqResp, &[0, 1]);
+    n.instances[c.0 as usize].protocols.push(custom(
+        "upper",
+        Role::Consumer,
+        "acker",
+        &["c0", "c1"],
+        &[
+            (0, ActionDir::Recv, "req", 1),
+            (1, ActionDir::Send, "ack", 0),
+        ],
+        &[0, 1],
+    ));
+    n
+}
+
+/// A custom producer whose transition leads past its declared state
+/// names (rendered `?`), where it sends an action the consumer lacks.
+fn past_names_netlist() -> Netlist {
+    let mut n = Netlist::new();
+    let (p, c) = handshake_pair(&mut n);
+    n.instances[p.0 as usize].protocols.push(custom(
+        "outs",
+        Role::Producer,
+        "runaway",
+        &["s0"],
+        &[
+            (0, ActionDir::Send, "item", 1),
+            (1, ActionDir::Send, "junk", 1),
+        ],
+        &[0],
+    ));
+    n.instances[c.0 as usize].protocols.push(custom(
+        "ins",
+        Role::Consumer,
+        "eater",
+        &["c0"],
+        &[(0, ActionDir::Recv, "item", 0)],
+        &[0],
+    ));
+    n
+}
+
+/// Pins the exact text of every protocol finding shape: the walk's
+/// mismatches (all four kinds of state name) and deadlock, and the direct
+/// role, over-issue, dangling-handshake and unannotated-peer checks.
+#[test]
+fn protocol_messages_match_golden() {
+    let cases = [
+        (
+            "walk mismatch: valid_ready into credit",
+            valid_into_credit_netlist(),
+        ),
+        (
+            "walk mismatch: credit into a custom drainer",
+            credit_into_drain_netlist(),
+        ),
+        (
+            "walk mismatch: req_resp into a custom acker",
+            req_into_ack_netlist(),
+        ),
+        ("walk mismatch: state past the names", past_names_netlist()),
+        ("walk deadlock: custom wait loop", wait_loop_netlist()),
+        ("role flip", role_flip_netlist()),
+        ("credit over-issue", over_issue_netlist()),
+        ("dangling handshake", dangling_handshake_netlist()),
+        ("engaged unannotated peer", engaged_peer_netlist()),
+    ];
+    let mut out = String::new();
+    for (name, n) in cases {
+        let findings: Vec<_> = analyze(&n)
+            .findings
+            .into_iter()
+            .filter(|f| ProtocolPass.codes().contains(&f.code))
+            .collect();
+        assert!(!findings.is_empty(), "{name}: no protocol finding");
+        out.push_str(&format!("== {name}\n{}", to_text(&findings)));
+    }
+    assert_golden("protocol.txt", &out);
+}
+
+/// The product walk gives up silently past `MAX_PRODUCT_STATES` (4,096)
+/// states. A producer cycling through `p_len` states (`send a`, but only
+/// `send z` in its last) against a consumer cycling through `c_len`
+/// states (`recv a` or `recv z`, but only `recv a` in its last) advance in
+/// lockstep, so the one stuck state `(p_len - 1, c_len - 1)` is first
+/// reached at step `lcm(p_len, c_len) - 1`.
+fn lockstep_netlist(p_len: u32, c_len: u32) -> Netlist {
+    let mut n = Netlist::new();
+    let (p, c) = handshake_pair(&mut n);
+    let mut sends: Vec<(u32, ActionDir, &str, u32)> = (0..p_len - 1)
+        .map(|s| (s, ActionDir::Send, "a", s + 1))
+        .collect();
+    sends.push((p_len - 1, ActionDir::Send, "z", 0));
+    let mut recvs: Vec<(u32, ActionDir, &str, u32)> = Vec::new();
+    for s in 0..c_len - 1 {
+        recvs.push((s, ActionDir::Recv, "a", s + 1));
+        recvs.push((s, ActionDir::Recv, "z", s + 1));
+    }
+    recvs.push((c_len - 1, ActionDir::Recv, "a", 0));
+    let p_states: Vec<String> = (0..p_len).map(|s| format!("p{s}")).collect();
+    let c_states: Vec<String> = (0..c_len).map(|s| format!("c{s}")).collect();
+    let p_names: Vec<&str> = p_states.iter().map(String::as_str).collect();
+    let c_names: Vec<&str> = c_states.iter().map(String::as_str).collect();
+    n.instances[p.0 as usize].protocols.push(custom(
+        "outs",
+        Role::Producer,
+        "ring",
+        &p_names,
+        &sends,
+        &[0],
+    ));
+    n.instances[c.0 as usize].protocols.push(custom(
+        "ins",
+        Role::Consumer,
+        "ring",
+        &c_names,
+        &recvs,
+        &[0],
+    ));
+    n
+}
+
+#[test]
+fn product_walk_stops_silently_past_its_state_bound() {
+    // 67 x 71: the stuck state (66, 70) is first reached at step 4,756.
+    let analysis = analyze(&lockstep_netlist(67, 71));
+    assert!(
+        !analysis
+            .findings
+            .iter()
+            .any(|f| ProtocolPass.codes().contains(&f.code)),
+        "{}",
+        to_text(&analysis.findings)
+    );
+    // Control: 3 x 5 reaches its stuck state at step 14 and reports it.
+    let analysis = analyze(&lockstep_netlist(3, 5));
+    let f = analysis
+        .with_code(lss_analyze::Code::ProtocolMismatch)
+        .next()
+        .expect("a reachable stuck state within the bound is reported");
+    assert!(
+        f.message.contains("can send `z` (state `p2`)"),
+        "{}",
+        f.message
+    );
+    assert!(f.message.contains("(state `c4`)"), "{}", f.message);
 }
 
 #[test]

@@ -34,20 +34,6 @@ pub fn stmt_to_string(stmt: &Stmt) -> String {
     p.out
 }
 
-/// Renders an expression as canonical LSS source.
-pub fn expr_to_string(expr: &Expr) -> String {
-    let mut p = Printer::default();
-    p.expr(expr);
-    p.out
-}
-
-/// Renders a type expression as canonical LSS source.
-pub fn type_to_string(ty: &TypeExpr) -> String {
-    let mut p = Printer::default();
-    p.ty(ty);
-    p.out
-}
-
 #[derive(Default)]
 struct Printer {
     out: String,

@@ -136,13 +136,6 @@ pub fn loc(source: &str) -> usize {
         .count()
 }
 
-/// The total LSS specification size of a model: its own source plus the
-/// shared cpu_lib (corelib is excluded on both sides of the comparison —
-/// both styles reuse leaf components).
-pub fn model_loc(model: &Model) -> usize {
-    loc(model.source) + loc(cpu_lib())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,9 +8,6 @@
 //! * [`Netlist::flatten`] — resolution of hierarchical pass-through ports
 //!   into direct leaf-to-leaf [`Wire`]s for the simulator;
 //! * [`stats`] — the reuse metrics behind the paper's Table 2;
-//! * [`lint`] — the advisory static model checks (unconnected inputs,
-//!   dangling hierarchical ports, suspicious width mismatches), each run
-//!   as its own pass by `lss-analyze`;
 //! * [`binary`] — the compact binary serialization ([`to_binary`] /
 //!   [`from_binary`]), the one load format, behind the driver's netlist
 //!   cache;
@@ -37,7 +34,6 @@ pub mod intern;
 pub mod json;
 pub mod jsonval;
 pub mod link;
-pub mod lint;
 pub mod netlist;
 pub mod protocol;
 pub mod stats;
@@ -47,10 +43,6 @@ pub use intern::{CollectorId, EventId, Interner, PortId, RtvId, SlotId, Symbol, 
 pub use json::{to_json, JSON_FORMAT};
 pub use jsonval::{parse_json, JsonValue};
 pub use link::{link, DeferredConnection, DeferredEndpoint, LinkError, LinkUnit};
-pub use lint::{
-    check_dangling_hierarchical, check_isolated, check_unbound_collectors, check_unconnected,
-    check_width_mismatch, Lint, LintKind,
-};
 pub use netlist::{
     Collector, Connection, Dir, ElabStats, Endpoint, EventDecl, InstRef, Instance, InstanceId,
     InstanceKind, ModuleMeta, Netlist, Port, RuntimeVar, Userpoint, Wire,

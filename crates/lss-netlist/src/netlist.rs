@@ -172,32 +172,9 @@ impl Instance {
         self.ports.iter_mut().find(|p| p.name == name)
     }
 
-    /// The index of the port with the given interned name.
-    pub fn port_id(&self, name: Symbol) -> Option<PortId> {
-        self.ports
-            .iter()
-            .position(|p| p.name == name)
-            .map(PortId::from_index)
-    }
-
-    /// Port access by dense id.
-    pub fn port_by_id(&self, id: PortId) -> Option<&Port> {
-        self.ports.get(id.index())
-    }
-
     /// True for leaf instances.
     pub fn is_leaf(&self) -> bool {
         matches!(self.kind, InstanceKind::Leaf { .. })
-    }
-
-    /// The protocol binding whose primary (data) port is `port`, if any.
-    pub fn protocol_with_primary(&self, port: PortId) -> Option<&ProtocolBinding> {
-        self.protocols.iter().find(|b| b.primary() == port)
-    }
-
-    /// The protocol binding that lists `port` anywhere in its group.
-    pub fn protocol_with_port(&self, port: PortId) -> Option<&ProtocolBinding> {
-        self.protocols.iter().find(|b| b.ports.contains(&port))
     }
 }
 
@@ -372,14 +349,6 @@ impl Netlist {
         &mut self.instances[id.index()]
     }
 
-    /// Instance access with the netlist attached for name resolution.
-    pub fn inst_ref(&self, id: InstanceId) -> InstRef<'_> {
-        InstRef {
-            netlist: self,
-            inst: self.instance(id),
-        }
-    }
-
     /// Finds an instance by full hierarchical path.
     pub fn find(&self, path: &str) -> Option<InstRef<'_>> {
         self.instances
@@ -389,11 +358,6 @@ impl Netlist {
                 netlist: self,
                 inst,
             })
-    }
-
-    /// Module metadata looked up by name.
-    pub fn module_meta(&self, name: &str) -> Option<&ModuleMeta> {
-        self.modules.get(&self.interner.get(name)?)
     }
 
     /// Iterates over leaf instances.

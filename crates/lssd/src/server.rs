@@ -349,11 +349,6 @@ impl DrainHandle {
     pub fn drain(&self) {
         self.0.drain.store(true, Ordering::SeqCst);
     }
-
-    /// Whether drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.0.draining()
-    }
 }
 
 enum Listener {
